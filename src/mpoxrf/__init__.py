@@ -7,12 +7,8 @@ from .optics import (
     Material,
     MpoGeometry,
     PathClass,
-    Photon,
     ReflectivityModel,
-    classify_path,
     critical_angle_deg,
-    grazing_reflectivity,
-    pore_entry,
     trace_channel,
 )
 from .sim import (
@@ -20,9 +16,6 @@ from .sim import (
     Scene,
     Source,
     SpectralImage,
-    apply_energy_response,
-    project_to_detector,
-    sample_emission,
     simulate,
 )
 
@@ -34,19 +27,12 @@ __all__ = [
     "Material",
     "MpoGeometry",
     "PathClass",
-    "Photon",
     "ReflectivityModel",
-    "classify_path",
     "critical_angle_deg",
-    "grazing_reflectivity",
-    "pore_entry",
     "trace_channel",
     "DetectorSpec",
     "Scene",
     "Source",
     "SpectralImage",
-    "apply_energy_response",
-    "project_to_detector",
-    "sample_emission",
     "simulate",
 ]

@@ -34,7 +34,6 @@ def _cmd_simulate(args) -> int:
     sic.write_sic(args.out, cube)
     s = cube.stats
     print(f"simulated {s.n_photons} photons (seed {seed}, {jobs} worker(s))")
-    print(f"  missed plate      {s.missed_plate}")
     print(f"  web absorbed      {s.web_absorbed}")
     print(f"  wall absorbed     {s.wall_absorbed}")
     print(f"  off detector      {s.off_detector}")

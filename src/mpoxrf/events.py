@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import FileFormatError
 from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage
 
 MAGIC = b"TPXE"
@@ -405,10 +406,13 @@ def apply_calibration(
     )
 
 
+_CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")
+
+
 def write_calibration_csv(path, cal: CalibrationMap) -> None:
     """CSV columns: x,y,gain,offset,residual,dead."""
     with open(path, "w") as fh:
-        fh.write("x,y,gain,offset,residual,dead\n")
+        fh.write(",".join(_CAL_COLUMNS) + "\n")
         for yy in range(cal.n_y):
             for xx in range(cal.n_x):
                 if cal.dead[yy, xx]:
@@ -422,7 +426,17 @@ def write_calibration_csv(path, cal: CalibrationMap) -> None:
 
 
 def read_calibration_csv(path) -> CalibrationMap:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except IndexError:  # numpy's reaction to an empty file
+        raise FileFormatError(f"{path}: empty calibration CSV") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {' '.join(str(exc).split())}") from None
+    missing = [c for c in _CAL_COLUMNS if c not in (data.dtype.names or ())]
+    if missing:
+        raise FileFormatError(
+            f"{path}: calibration CSV lacks column(s) {', '.join(missing)}"
+        )
     xs = data["x"].astype(int)
     ys = data["y"].astype(int)
     n_x = xs.max() + 1

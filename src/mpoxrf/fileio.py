@@ -50,8 +50,30 @@ def read_image_csv(path) -> Image2D:
         if "pitch_um" not in fields:
             raise FileFormatError(f"{path}: image CSV header lacks pitch_um")
         pitch = float(fields["pitch_um"])
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            raise FileFormatError(_first_bad_row(path, fh.readlines()[1:])) from None
     return Image2D(values=values, pitch_um=pitch)
+
+
+def _first_bad_row(path, lines) -> str:
+    """Name the first ragged or non-numeric data line of an image CSV."""
+    width = None
+    for lineno, line in enumerate(lines, start=2):  # line 1 is the header
+        data = line.split("#", 1)[0]
+        if not data.strip():
+            continue
+        items = data.split(",")
+        width = width or len(items)
+        if len(items) != width:
+            return f"{path}:{lineno}: {len(items)} values, expected {width}"
+        try:
+            [float(item) for item in items]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric value in {data.strip()!r}"
+    return f"{path}: unreadable image CSV"
 
 
 def write_profile_csv(path, profile: PsfProfile) -> None:

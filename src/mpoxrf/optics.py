@@ -6,7 +6,14 @@ cross section is square, motion in the two transverse planes decouples
 exactly: a ray bounces between the two x-walls and, independently, between
 the two z-walls.  That makes the full in-channel trajectory solvable in
 closed form by "unfolding" the reflections into a straight line through a
-stack of mirror tiles, which is what :func:`trace_channel` does.
+stack of mirror tiles.
+
+The transport kernels here work on arrays, one per physics step: pitch-cell
+decomposition (:func:`_pore_cells`), unfolding (:func:`_unfold_vec`), wall
+survival (:func:`_survives`) and parity classification
+(:func:`_class_codes`).  :mod:`mpoxrf.sim` runs them over photon batches;
+:func:`unfold_plane` and :func:`trace_channel` are length-1 views of the
+same kernels, and :func:`march_plane` is an independent oracle.
 
 Conventions used throughout:
 
@@ -21,11 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-# Transverse slopes beyond this are outside the regime the channel model is
-# meant for (grazing optics; super-critical rays are absorbed anyway).
-SLOPE_LIMIT = 1.0
+import numpy as np
 
 EQ_CRITICAL_ANGLE_COEFF = 1.651  # deg keV sqrt(mol cm^3 / g^2)
 
@@ -125,35 +130,6 @@ class MpoGeometry:
         return (self.pore_width_w / self.pitch_p) ** 2
 
 
-@dataclass
-class Photon:
-    """Ray state in the lab frame (optic axis = y).
-
-    ``weight`` carries the emission-sampling probability weight so that
-    absolute flux normalization stays unbiased; it does not affect whether
-    a photon is counted.
-    """
-
-    pos: tuple[float, float, float]  # mm
-    slope_x: float
-    slope_z: float
-    energy: float  # keV
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError(f"photon energy must be positive, got {self.energy}")
-        if not (math.isfinite(self.slope_x) and math.isfinite(self.slope_z)):
-            raise ValueError("photon slopes must be finite")
-        if max(abs(self.slope_x), abs(self.slope_z)) >= SLOPE_LIMIT:
-            raise ValueError(
-                f"transverse slope {self.slope_x:.3g}/{self.slope_z:.3g} outside "
-                f"|slope| < {SLOPE_LIMIT}; not a grazing-optics ray"
-            )
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"photon weight must be in (0, 1], got {self.weight}")
-
-
 class TraceOutcome(enum.Enum):
     ABSORBED = "absorbed"
     EXITED = "exited"
@@ -194,27 +170,6 @@ class PathClass(enum.Enum):
     DIRECT = "direct"
 
 
-class EntryOutcome(enum.Enum):
-    PORE = "pore"
-    WEB = "web"
-    OFF_PLATE = "off_plate"
-
-
-@dataclass(frozen=True)
-class PoreEntry:
-    """Where a photon met the plate face.
-
-    ``i, j`` are pitch-cell indices counted from the plate center; ``u, v``
-    are pore-local coordinates in micrometres (only meaningful for PORE).
-    """
-
-    outcome: EntryOutcome
-    i: int = 0
-    j: int = 0
-    u: float = 0.0
-    v: float = 0.0
-
-
 def critical_angle_deg(energy: float, material: Material) -> float:
     """Critical grazing angle for total external reflection, in degrees.
 
@@ -238,57 +193,26 @@ def critical_angle_deg(energy: float, material: Material) -> float:
     )
 
 
-def grazing_reflectivity(
-    grazing_angle: float, energy: float, geometry: MpoGeometry
-) -> float:
-    """Survival probability for one wall bounce at the given grazing angle.
+def _pore_cells(x, z, geometry: MpoGeometry):
+    """Pitch-cell decomposition of plate-face positions (arrays, mm).
 
-    Angles above the critical angle of the coating absorb (0.0).  At or
-    below it, the BINARY model reflects with probability 1 and
-    CONSTANT_PER_BOUNCE with the configured per-bounce reflectivity.  The
-    boundary case ``angle == theta_c`` counts as reflecting (inclusive
-    threshold, a measure-zero tie-break fixed for reproducibility).
+    Pitch cells tile the plate from a cell centered on the plate center;
+    each holds a centered w x w opening whose boundary counts as inside.
+    Returns the cell indices (i, j) as floats, pore-local (u, v) in
+    micrometres and the mask of positions inside an opening.
     """
-    if grazing_angle < 0:
-        raise ValueError(f"grazing angle must be >= 0, got {grazing_angle}")
-    if grazing_angle > critical_angle_deg(energy, geometry.coating):
-        return 0.0
-    if geometry.reflectivity_model is ReflectivityModel.BINARY:
-        return 1.0
-    return geometry.reflectivity
-
-
-def pore_entry(plate_x: float, plate_z: float, geometry: MpoGeometry) -> PoreEntry:
-    """Map a lab-frame plate-face position (mm) to a pore opening.
-
-    The plate is tiled by pitch cells with a cell center at the plate
-    center; each cell holds a centered w x w opening.  Points landing on
-    the web between openings are absorbed; points off the plate entirely
-    are reported as OFF_PLATE.  The opening boundary itself counts as
-    inside (closed interval).
-    """
-    half = geometry.plate_side / 2.0
-    if abs(plate_x) > half or abs(plate_z) > half:
-        return PoreEntry(EntryOutcome.OFF_PLATE)
     p_mm = geometry.pitch_p * 1e-3
-    i = math.floor(plate_x / p_mm + 0.5)
-    j = math.floor(plate_z / p_mm + 0.5)
-    # offsets from the cell center, micrometres
-    du = (plate_x - i * p_mm) * 1e3
-    dv = (plate_z - j * p_mm) * 1e3
     half_w = geometry.pore_width_w / 2.0
-    if abs(du) > half_w or abs(dv) > half_w:
-        return PoreEntry(EntryOutcome.WEB, i=i, j=j)
-    return PoreEntry(EntryOutcome.PORE, i=i, j=j, u=du + half_w, v=dv + half_w)
+    i = np.floor(x / p_mm + 0.5)
+    j = np.floor(z / p_mm + 0.5)
+    # offsets from the cell center, micrometres
+    du = (x - i * p_mm) * 1e3
+    dv = (z - j * p_mm) * 1e3
+    in_pore = (np.abs(du) <= half_w) & (np.abs(dv) <= half_w)
+    return i, j, du + half_w, dv + half_w, in_pore
 
 
-def pore_center_mm(entry: PoreEntry, geometry: MpoGeometry) -> tuple[float, float]:
-    """Lab-frame (x, z) of the pore's cell center, mm."""
-    p_mm = geometry.pitch_p * 1e-3
-    return entry.i * p_mm, entry.j * p_mm
-
-
-def unfold_plane(entry_u: float, slope: float, width: float, thickness_um: float):
+def _unfold_vec(u, s, width, thickness_um):
     """Closed-form transit of one transverse plane of a square channel.
 
     Unfolds the zig-zag path into a straight line through mirror tiles of
@@ -297,27 +221,73 @@ def unfold_plane(entry_u: float, slope: float, width: float, thickness_um: float
     position is the triangle-wave fold of U back into [0, w], and the
     exit slope flips sign once per reflection.
 
-    All lengths in micrometres; slope dimensionless.
+    Arrays in, arrays out; lengths in micrometres, slopes dimensionless.
 
     Returns
     -------
     (exit_u, exit_slope, n_reflections)
     """
-    u_unfolded = entry_u + thickness_um * slope
-    k = math.floor(u_unfolded / width)
-    folded = u_unfolded - k * width
-    if folded == 0.0 and k > 0:
-        # endpoint exactly on a wall: the trajectory stayed in the lower
-        # tile and only touches the boundary, so no crossing is counted
-        k -= 1
-        folded = width
-    n = abs(k)
-    if k % 2:
-        exit_u = width - folded
-    else:
-        exit_u = folded
-    exit_slope = -slope if n % 2 else slope
-    return exit_u, exit_slope, n
+    u_unf = u + thickness_um * s
+    k = np.floor(u_unf / width)
+    folded = u_unf - k * width
+    # endpoint exactly on a wall belongs to the lower tile (no crossing)
+    on_boundary = (folded == 0.0) & (k > 0)
+    k = np.where(on_boundary, k - 1, k)
+    folded = np.where(on_boundary, width, folded)
+    n = np.abs(k).astype(np.int64)
+    odd = (k.astype(np.int64) % 2) != 0
+    exit_u = np.where(odd, width - folded, folded)
+    exit_s = np.where(n % 2 == 1, -s, s)
+    return exit_u, exit_s, n
+
+
+def _survives(slope_x, slope_z, n_x, n_z, energy, geometry: MpoGeometry, rng=None):
+    """Wall-survival mask of rays with per-plane bounce counts ``n_x, n_z``.
+
+    A plane with at least one bounce absorbs the ray when its grazing angle
+    atan(|slope|) exceeds the critical angle of the coating at the ray's
+    energy.  The tie angle == theta_c reflects (inclusive threshold, a
+    measure-zero tie-break fixed for reproducibility).  CONSTANT_PER_BOUNCE
+    then plays Russian roulette: one uniform draw per ray, absorbed or
+    not, against r^(n_x + n_z), which keeps integer counting downstream
+    unbiased.
+    """
+    # theta_c(E) = theta_c(1 keV) / E, exact 1/E scaling
+    theta_c = critical_angle_deg(1.0, geometry.coating) / energy
+    angle_x = np.degrees(np.arctan(np.abs(slope_x)))
+    angle_z = np.degrees(np.arctan(np.abs(slope_z)))
+    survive = ((n_x == 0) | (angle_x <= theta_c)) & ((n_z == 0) | (angle_z <= theta_c))
+    if geometry.reflectivity_model is ReflectivityModel.CONSTANT_PER_BOUNCE:
+        if rng is None:
+            raise ValueError("CONSTANT_PER_BOUNCE tracing needs an rng")
+        survive &= rng.random(survive.size) < geometry.reflectivity ** (n_x + n_z)
+    return survive
+
+
+#: Path-class code by 2 * (n_x odd) + (n_z odd): DIFFUSE, ARM_ALONG_X,
+#: ARM_ALONG_Z, CENTRAL_FOCUS as indices into ``tuple(PathClass)``.
+_PARITY_CODES = np.array([3, 1, 2, 0], dtype=np.int8)
+
+
+def _class_codes(n_x, n_z):
+    """Reflection-parity class of each ray, as an index into ``tuple(PathClass)``.
+
+    (odd, odd) -> CENTRAL_FOCUS, (odd, even) -> ARM_ALONG_Z (focused in x,
+    spread along z), (even, odd) -> ARM_ALONG_X, (0, 0) -> DIRECT, and any
+    other (even, even) -> DIFFUSE.
+    """
+    code = _PARITY_CODES[2 * (n_x % 2) + n_z % 2]
+    code[(n_x == 0) & (n_z == 0)] = 4  # DIRECT
+    return code
+
+
+def unfold_plane(entry_u: float, slope: float, width: float, thickness_um: float):
+    """Length-1 view of :func:`_unfold_vec`: (exit_u, exit_slope, n) as scalars."""
+    exit_u, exit_slope, n = _unfold_vec(
+        np.array([entry_u], dtype=float), np.array([slope], dtype=float),
+        width, thickness_um,
+    )
+    return float(exit_u[0]), float(exit_slope[0]), int(n[0])
 
 
 def trace_channel(
@@ -329,16 +299,12 @@ def trace_channel(
     geometry: MpoGeometry,
     rng=None,
 ) -> ChannelTraceResult:
-    """Trace one ray through one square channel.
+    """Trace one ray through one square channel: a length-1 view of the
+    transport kernels.
 
-    The square cross section decouples the planes, so each is unfolded
-    analytically with :func:`unfold_plane`.  Every bounce is then weighted
-    with :func:`grazing_reflectivity` at the plane-projected grazing angle
-    atan(|slope|): the BINARY model kills the ray at its first
-    super-critical bounce, and CONSTANT_PER_BOUNCE additionally plays
-    Russian roulette against the per-bounce reflectivity (one Bernoulli
-    draw against r^n, which preserves integer counting downstream
-    unbiased).  Given the rng state the result is deterministic.
+    Both planes are unfolded by :func:`_unfold_vec` and the ray's fate is
+    decided by :func:`_survives`, exactly as in a simulated batch.  Given
+    the rng state the result is deterministic.
 
     Parameters
     ----------
@@ -350,68 +316,35 @@ def trace_channel(
         Photon energy, keV.
     geometry : MpoGeometry
     rng : numpy.random.Generator, optional
-        Consumed only by CONSTANT_PER_BOUNCE with at least one bounce.
+        Required by CONSTANT_PER_BOUNCE, which draws once per ray.
     """
     w = geometry.pore_width_w
     if not (0.0 <= entry_u <= w and 0.0 <= entry_v <= w):
         raise ValueError(
             f"entry ({entry_u}, {entry_v}) outside pore opening [0, {w}]"
         )
-    t_um = geometry.thickness_t * 1e3
-    exit_u, exit_slope_x, n_x = unfold_plane(entry_u, slope_x, w, t_um)
-    exit_v, exit_slope_z, n_z = unfold_plane(entry_v, slope_z, w, t_um)
-
-    survived = True
-    for slope, n in ((slope_x, n_x), (slope_z, n_z)):
-        if n == 0:
-            continue
-        angle = math.degrees(math.atan(abs(slope)))
-        r = grazing_reflectivity(angle, energy, geometry)
-        if r == 0.0:
-            survived = False
-        elif r < 1.0:
-            if rng is None:
-                raise ValueError("CONSTANT_PER_BOUNCE tracing needs an rng")
-            if rng.random() >= r**n:
-                survived = False
-
+    slopes = np.array([slope_x, slope_z], dtype=float)
+    exit_pos, exit_slopes, n = _unfold_vec(
+        np.array([entry_u, entry_v], dtype=float), slopes, w, geometry.thickness_t * 1e3
+    )
+    survived = _survives(
+        slopes[:1], slopes[1:], n[:1], n[1:], np.array([energy], dtype=float),
+        geometry, rng,
+    )[0]
     return ChannelTraceResult(
         outcome=TraceOutcome.EXITED if survived else TraceOutcome.ABSORBED,
-        exit_u=exit_u,
-        exit_v=exit_v,
-        exit_slope_x=exit_slope_x,
-        exit_slope_z=exit_slope_z,
-        n_reflections_x=n_x,
-        n_reflections_z=n_z,
+        exit_u=float(exit_pos[0]),
+        exit_v=float(exit_pos[1]),
+        exit_slope_x=float(exit_slopes[0]),
+        exit_slope_z=float(exit_slopes[1]),
+        n_reflections_x=int(n[0]),
+        n_reflections_z=int(n[1]),
     )
-
-
-def classify_path(n_reflections_x: int, n_reflections_z: int) -> PathClass:
-    """Classify a transmitted ray by per-plane reflection parity.
-
-    (odd, odd) -> CENTRAL_FOCUS, (odd, even) -> ARM_ALONG_Z (focused in x,
-    spread along z), (even, odd) -> ARM_ALONG_X, (0, 0) -> DIRECT, and any
-    other (even, even) -> DIFFUSE.
-    """
-    if n_reflections_x < 0 or n_reflections_z < 0:
-        raise ValueError("reflection counts must be >= 0")
-    odd_x = n_reflections_x % 2 == 1
-    odd_z = n_reflections_z % 2 == 1
-    if odd_x and odd_z:
-        return PathClass.CENTRAL_FOCUS
-    if odd_x:
-        return PathClass.ARM_ALONG_Z
-    if odd_z:
-        return PathClass.ARM_ALONG_X
-    if n_reflections_x == 0 and n_reflections_z == 0:
-        return PathClass.DIRECT
-    return PathClass.DIFFUSE
-
 
 def march_plane(entry_u: float, slope: float, width: float, thickness_um: float):
     """Brute-force wall-by-wall ray march through one channel plane.
 
-    Independent oracle for :func:`unfold_plane`: advances the ray to each
+    Independent oracle for :func:`_unfold_vec`: advances the ray to each
     explicit wall intersection, flips the slope, and repeats until the ray
     clears the channel length.  Intentionally does no tiling arithmetic.
 

@@ -1,10 +1,11 @@
 """Scene description and Monte Carlo transport through the pore plate.
 
 The chain for every photon is: sample an emission point and a direction
-aimed at the plate, find the pore it enters (or the web / empty space that
-swallows it), unfold its in-channel trajectory, propagate the survivors to
-the detector plane, smear the energy with the detector response, and bin
-the hit into a pixel x energy cube.
+aimed at the plate, find the pore it enters (or the web that swallows it),
+unfold its in-channel trajectory, propagate the survivors to the detector
+plane, smear the energy with the detector response, and bin the hit into a
+pixel x energy cube.  The transport steps are the array kernels of
+:mod:`mpoxrf.optics`; this module owns emission, batching and binning.
 
 Photons are processed in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
 run with seed ``s`` uses its own Philox stream keyed by a SplitMix64 mix of
@@ -15,7 +16,6 @@ bit-identical for any number of workers.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,11 +24,10 @@ import numpy as np
 from .optics import (
     MpoGeometry,
     PathClass,
-    Photon,
-    ReflectivityModel,
-    TraceOutcome,
-    critical_angle_deg,
-    pore_center_mm,
+    _class_codes,
+    _pore_cells,
+    _survives,
+    _unfold_vec,
 )
 
 BATCH_SIZE = 65536
@@ -129,7 +128,6 @@ class SimStats:
     """Bookkeeping tallies from one simulate() run."""
 
     n_photons: int = 0
-    missed_plate: int = 0
     web_absorbed: int = 0
     wall_absorbed: int = 0
     off_detector: int = 0
@@ -142,7 +140,6 @@ class SimStats:
 
     def add(self, other: "SimStats") -> None:
         self.n_photons += other.n_photons
-        self.missed_plate += other.missed_plate
         self.web_absorbed += other.web_absorbed
         self.wall_absorbed += other.wall_absorbed
         self.off_detector += other.off_detector
@@ -222,7 +219,7 @@ def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
 
     Draw order is fixed (source pick, rect offsets, plate target, line
     pick) so a batch is reproducible from its rng alone.  Returns emission
-    points, plate-target slopes, energies and solid-angle weights.
+    points, plate targets, slopes and energies.
     """
     sources = scene.sources
     src_weights = np.array([s.total_intensity for s in sources], dtype=float)
@@ -264,71 +261,10 @@ def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
     dz = target_z - ez
     slope_x = dx / dy
     slope_z = dz / dy
-    dist_sq = dx * dx + dy * dy + dz * dz
-    area = geometry.plate_side**2
-    # isotropic-emission weight of an area-uniform plate sample:
-    # A * cos(theta) / (4 pi d^2)
-    weight = area * dy / (4.0 * math.pi * dist_sq * np.sqrt(dist_sq))
-    return ex, ey, ez, target_x, target_z, slope_x, slope_z, energy, weight
+    return ex, ey, ez, target_x, target_z, slope_x, slope_z, energy
 
 
-def sample_emission(
-    source: Source, geometry: MpoGeometry, scene: Scene, rng
-) -> Photon:
-    """Draw one photon from ``source`` aimed at the plate.
-
-    The direction is importance-sampled by picking a uniform point on the
-    plate face; the photon weight carries the exact isotropic-emission
-    factor A*cos(theta)/(4 pi d^2) so flux estimates stay unbiased.
-    """
-    one = Scene(sources=(source,), L_s=scene.L_s, L_i=scene.L_i)
-    ex, ey, ez, _, _, sx, sz, energy, weight = _sample_emission_arrays(
-        one, geometry, 1, rng
-    )
-    return Photon(
-        pos=(float(ex[0]), float(ey[0]), float(ez[0])),
-        slope_x=float(sx[0]),
-        slope_z=float(sz[0]),
-        energy=float(energy[0]),
-        weight=float(weight[0]),
-    )
-
-
-def project_to_detector(trace, entry, geometry: MpoGeometry, L_i: float):
-    """Propagate a channel exit state straight to the detector plane.
-
-    Returns the lab-frame (x, z) landing position in mm after a throw of
-    ``L_i`` from the plate exit face.
-    """
-    if trace.outcome is not TraceOutcome.EXITED:
-        raise ValueError("only exited rays reach the detector")
-    cx, cz = pore_center_mm(entry, geometry)
-    half_w_mm = geometry.pore_width_w * 1e-3 / 2.0
-    x_exit = cx - half_w_mm + trace.exit_u * 1e-3
-    z_exit = cz - half_w_mm + trace.exit_v * 1e-3
-    return (
-        x_exit + trace.exit_slope_x * L_i,
-        z_exit + trace.exit_slope_z * L_i,
-    )
-
-
-def apply_energy_response(true_energy: float, detector: DetectorSpec, rng) -> float:
-    """Smear a deposited energy with the detector's Gaussian response."""
-    if true_energy <= 0:
-        raise ValueError("true energy must be positive")
-    if detector.energy_fwhm == 0:
-        return true_energy
-    sigma = detector.energy_fwhm / FWHM_PER_SIGMA
-    return true_energy + sigma * rng.standard_normal()
-
-
-_CLASS_ORDER = (
-    PathClass.CENTRAL_FOCUS,
-    PathClass.ARM_ALONG_X,
-    PathClass.ARM_ALONG_Z,
-    PathClass.DIFFUSE,
-    PathClass.DIRECT,
-)
+_CLASS_ORDER = tuple(PathClass)
 
 
 def _run_batch(args):
@@ -337,56 +273,38 @@ def _run_batch(args):
     rng = _batch_rng(seed, batch_index)
     stats = SimStats(n_photons=n)
 
-    _, _, _, tx, tz, slope_x, slope_z, energy, _ = _sample_emission_arrays(
+    _, _, _, tx, tz, slope_x, slope_z, energy = _sample_emission_arrays(
         scene, geometry, n, rng
     )
 
-    half = geometry.plate_side / 2.0
-    on_plate = (np.abs(tx) <= half) & (np.abs(tz) <= half)
-    stats.missed_plate = int(n - np.count_nonzero(on_plate))
-
-    # pitch-cell decomposition, pore-local coordinates in micrometres
-    p_mm = geometry.pitch_p * 1e-3
-    w = geometry.pore_width_w
-    ci = np.floor(tx / p_mm + 0.5)
-    cj = np.floor(tz / p_mm + 0.5)
-    du = (tx - ci * p_mm) * 1e3
-    dv = (tz - cj * p_mm) * 1e3
-    in_pore = on_plate & (np.abs(du) <= w / 2.0) & (np.abs(dv) <= w / 2.0)
-    stats.web_absorbed = int(np.count_nonzero(on_plate) - np.count_nonzero(in_pore))
-
+    # plate targets are drawn on the plate, so every photon meets a pore or
+    # the web
+    ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
     idx = np.nonzero(in_pore)[0]
-    u = du[idx] + w / 2.0
-    v = dv[idx] + w / 2.0
+    stats.web_absorbed = int(n - idx.size)
+    u = u[idx]
+    v = v[idx]
     sx = slope_x[idx]
     sz = slope_z[idx]
     e_true = energy[idx]
 
-    # analytic per-plane unfolding (see optics.unfold_plane)
+    w = geometry.pore_width_w
     t_um = geometry.thickness_t * 1e3
     exit_u, exit_sx, n_x = _unfold_vec(u, sx, w, t_um)
     exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
 
-    # theta_c(E) = theta_c(1 keV) / E, exact 1/E scaling
-    theta_c = critical_angle_deg(1.0, geometry.coating) / e_true
-    angle_x = np.degrees(np.arctan(np.abs(sx)))
-    angle_z = np.degrees(np.arctan(np.abs(sz)))
-    survive = ((n_x == 0) | (angle_x <= theta_c)) & ((n_z == 0) | (angle_z <= theta_c))
-    if geometry.reflectivity_model is ReflectivityModel.CONSTANT_PER_BOUNCE:
-        n_total = n_x + n_z
-        roulette = rng.random(idx.size)
-        survive &= roulette < geometry.reflectivity ** n_total
+    survive = _survives(sx, sz, n_x, n_z, e_true, geometry, rng)
     stats.wall_absorbed = int(idx.size - np.count_nonzero(survive))
 
     keep = np.nonzero(survive)[0]
+    cell = idx[keep]
+    p_mm = geometry.pitch_p * 1e-3
     half_w_mm = w * 1e-3 / 2.0
     x_det = (
-        ci[idx][keep] * p_mm - half_w_mm + exit_u[keep] * 1e-3
-        + exit_sx[keep] * scene.L_i
+        ci[cell] * p_mm - half_w_mm + exit_u[keep] * 1e-3 + exit_sx[keep] * scene.L_i
     )
     z_det = (
-        cj[idx][keep] * p_mm - half_w_mm + exit_v[keep] * 1e-3
-        + exit_sz[keep] * scene.L_i
+        cj[cell] * p_mm - half_w_mm + exit_v[keep] * 1e-3 + exit_sz[keep] * scene.L_i
     )
     nx_keep = n_x[keep]
     nz_keep = n_z[keep]
@@ -417,15 +335,8 @@ def _run_batch(args):
     flat = ((iy[hit] * detector.n_x) + ix[hit]) * detector.n_bins + e_bin[hit]
     cube_idx, cube_cnt = np.unique(flat, return_counts=True)
 
-    odd_x = nx_keep[hit] % 2 == 1
-    odd_z = nz_keep[hit] % 2 == 1
-    direct = (nx_keep[hit] == 0) & (nz_keep[hit] == 0)
-    class_code = np.full(int(np.count_nonzero(hit)), 3, dtype=np.int8)  # DIFFUSE
-    class_code[odd_x & odd_z] = 0  # CENTRAL_FOCUS
-    class_code[~odd_x & odd_z] = 1  # ARM_ALONG_X
-    class_code[odd_x & ~odd_z] = 2  # ARM_ALONG_Z
-    class_code[direct] = 4  # DIRECT
-    counts_by_class = np.bincount(class_code, minlength=5)
+    class_code = _class_codes(nx_keep[hit], nz_keep[hit])
+    counts_by_class = np.bincount(class_code, minlength=len(_CLASS_ORDER))
     stats.class_counts = {
         cls: int(counts_by_class[c]) for c, cls in enumerate(_CLASS_ORDER)
     }
@@ -440,22 +351,6 @@ def _run_batch(args):
             class_sparse[cls] = (pi, pc)
 
     return cube_idx, cube_cnt, stats, class_sparse
-
-
-def _unfold_vec(u, s, width, thickness_um):
-    """Vectorized mirror of optics.unfold_plane."""
-    u_unf = u + thickness_um * s
-    k = np.floor(u_unf / width)
-    folded = u_unf - k * width
-    # endpoint exactly on a wall belongs to the lower tile (no crossing)
-    on_boundary = (folded == 0.0) & (k > 0)
-    k = np.where(on_boundary, k - 1, k)
-    folded = np.where(on_boundary, width, folded)
-    n = np.abs(k).astype(np.int64)
-    odd = (k.astype(np.int64) % 2) != 0
-    exit_u = np.where(odd, width - folded, folded)
-    exit_s = np.where(n % 2 == 1, -s, s)
-    return exit_u, exit_s, n
 
 
 def simulate(

@@ -261,6 +261,14 @@ class TestCliAnalysisChain:
              "--out-prefix", str(tmp_path / "x")]
         ) == cli.EXIT_IO
 
+    def test_ragged_image_csv_io_exit(self, tmp_path, capsys):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("# n_x=3 n_y=2 pitch_um=55.0\n1,2,3\n4,5\n")
+        assert cli.main(
+            ["psf", "--image", str(ragged), "--out-prefix", str(tmp_path / "x")]
+        ) == cli.EXIT_IO
+        assert f"{ragged}:3: 2 values, expected 3" in capsys.readouterr().err
+
 
 class TestCliCalibration:
     def test_calibrate_and_apply(self, tmp_path, capsys):
@@ -340,6 +348,21 @@ class TestCliCalibration:
             ["calibrate", "--events", f"Ti={bad}",
              "--out", str(tmp_path / "cal.csv")]
         ) == cli.EXIT_IO
+
+    def test_calibration_missing_column_io_exit(self, tmp_path, capsys):
+        run = tmp_path / "run.tpxe"
+        ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
+        rng = np.random.default_rng(3)
+        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        cal = tmp_path / "cal.csv"
+        cal.write_text("x,y,gain,residual,dead\n0,0,1.0,0.0,0\n")
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal),
+             "--out", str(tmp_path / "run.sic")]
+        ) == cli.EXIT_IO
+        assert f"{cal}: calibration CSV lacks column(s) offset" in (
+            capsys.readouterr().err
+        )
 
 
 class TestSicFormat:

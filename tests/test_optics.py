@@ -7,23 +7,49 @@ from hypothesis import strategies as st
 
 from mpoxrf.optics import (
     IRIDIUM,
-    EntryOutcome,
     Material,
     MpoGeometry,
     PathClass,
-    Photon,
     ReflectivityModel,
     TraceOutcome,
-    classify_path,
+    _class_codes,
+    _pore_cells,
+    _survives,
     critical_angle_deg,
-    grazing_reflectivity,
     march_plane,
-    pore_entry,
     trace_channel,
     unfold_plane,
 )
 
 REFERENCE = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
+CONSTANT_07 = MpoGeometry(
+    plate_side=20.0,
+    thickness_t=1.2,
+    pore_width_w=20.0,
+    pitch_p=25.0,
+    reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
+    reflectivity=0.7,
+)
+
+
+def survives(slope, energy, geometry=REFERENCE, n=1):
+    """Wall-survival kernel on one ray that bounces ``n`` times in x only."""
+    mask = _survives(
+        np.array([slope]), np.array([0.0]), np.array([n]), np.array([0]),
+        np.array([energy]), geometry,
+    )
+    return bool(mask[0])
+
+
+def pore_cell(x, z):
+    """Pitch-cell kernel on one plate position: (i, j, u, v, in_pore)."""
+    i, j, u, v, in_pore = _pore_cells(np.array([x]), np.array([z]), REFERENCE)
+    return int(i[0]), int(j[0]), float(u[0]), float(v[0]), bool(in_pore[0])
+
+
+def path_class(nx, nz):
+    """Parity kernel on one ray, mapped back to its PathClass."""
+    return tuple(PathClass)[_class_codes(np.array([nx]), np.array([nz]))[0]]
 
 
 class TestMaterial:
@@ -84,74 +110,89 @@ class TestCriticalAngle:
 
 
 class TestGrazingReflectivity:
+    """The wall-survival kernel, one bounce at a time."""
+
     def test_below_critical_reflects(self):
-        assert grazing_reflectivity(0.5, 8.0, REFERENCE) == 1.0
+        assert survives(math.tan(math.radians(0.5)), 8.0)
 
     def test_above_critical_absorbs(self):
-        assert grazing_reflectivity(1.0, 8.0, REFERENCE) == 0.0
+        assert not survives(math.tan(math.radians(1.0)), 8.0)
 
     def test_zero_angle_always_reflects(self):
         for energy in (0.5, 4.5, 8.0, 30.0):
-            assert grazing_reflectivity(0.0, energy, REFERENCE) == 1.0
+            assert survives(0.0, energy)
 
     def test_critical_angle_inclusive(self):
-        theta_c = critical_angle_deg(8.0, REFERENCE.coating)
-        assert grazing_reflectivity(theta_c, 8.0, REFERENCE) == 1.0
+        # step the energy to where theta_c = theta_c(1 keV) / E equals the
+        # ray's grazing angle to the last bit: the tie reflects, and the
+        # first representable energy with a smaller theta_c absorbs
+        slope = 0.01
+        angle = np.degrees(np.arctan(slope))
+        theta_c_1kev = critical_angle_deg(1.0, REFERENCE.coating)
+        energy = theta_c_1kev / angle
+        for _ in range(16):
+            if theta_c_1kev / energy == angle:
+                break
+            up = theta_c_1kev / energy > angle
+            energy = np.nextafter(energy, np.inf if up else -np.inf)
+        assert theta_c_1kev / energy == angle
+        assert survives(slope, energy)
+        above = np.nextafter(energy, np.inf)
+        while theta_c_1kev / above == angle:
+            above = np.nextafter(above, np.inf)
+        assert not survives(slope, above)
 
     def test_constant_per_bounce_value(self):
-        geom = MpoGeometry(
-            plate_side=20.0,
-            thickness_t=1.2,
-            pore_width_w=20.0,
-            pitch_p=25.0,
-            reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
-            reflectivity=0.7,
-        )
-        assert grazing_reflectivity(0.3, 8.0, geom) == 0.7
-        assert grazing_reflectivity(1.0, 8.0, geom) == 0.0
-
-    def test_negative_angle_rejected(self):
-        with pytest.raises(ValueError):
-            grazing_reflectivity(-0.1, 8.0, REFERENCE)
+        n = 200_000
+        tol = 4 * math.sqrt(0.25 / n)
+        rng = np.random.default_rng(7)
+        below = np.full(n, math.tan(math.radians(0.3)))
+        above = np.full(n, math.tan(math.radians(1.0)))
+        one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        energy = np.full(n, 8.0)
+        single = _survives(below, below, one, zero, energy, CONSTANT_07, rng)
+        assert single.mean() == pytest.approx(0.7, abs=tol)
+        # one draw per ray against r^(n_x + n_z)
+        double = _survives(below, below, one, one, energy, CONSTANT_07, rng)
+        assert double.mean() == pytest.approx(0.49, abs=tol)
+        dead = _survives(above, below, one, zero, energy, CONSTANT_07, rng)
+        assert not dead.any()
 
 
 class TestPoreEntry:
+    """The pitch-cell kernel."""
+
     def test_cell_center_is_pore_center(self):
-        entry = pore_entry(0.0, 0.0, REFERENCE)
-        assert entry.outcome is EntryOutcome.PORE
-        assert (entry.u, entry.v) == (10.0, 10.0)
-        assert (entry.i, entry.j) == (0, 0)
+        i, j, u, v, in_pore = pore_cell(0.0, 0.0)
+        assert in_pore
+        assert (u, v) == (10.0, 10.0)
+        assert (i, j) == (0, 0)
 
     def test_web_absorption(self):
         # 12.4 um from the cell center exceeds the 10 um half-opening
-        entry = pore_entry(12.4e-3, 0.0, REFERENCE)
-        assert entry.outcome is EntryOutcome.WEB
-
-    def test_off_plate(self):
-        assert pore_entry(10.1, 0.0, REFERENCE).outcome is EntryOutcome.OFF_PLATE
-        assert pore_entry(0.0, -10.1, REFERENCE).outcome is EntryOutcome.OFF_PLATE
+        assert not pore_cell(12.4e-3, 0.0)[4]
 
     def test_boundary_counts_as_inside(self):
         # exactly half an opening from the cell center
-        entry = pore_entry(10.0e-3, 0.0, REFERENCE)
-        assert entry.outcome is EntryOutcome.PORE
-        assert entry.u == pytest.approx(20.0)
+        _, _, u, _, in_pore = pore_cell(10.0e-3, 0.0)
+        assert in_pore
+        assert u == pytest.approx(20.0)
 
     def test_open_area_fraction_monte_carlo(self):
         rng = np.random.default_rng(2024)
         n = 1_000_000
         xs = (rng.random(n) - 0.5) * REFERENCE.plate_side
         zs = (rng.random(n) - 0.5) * REFERENCE.plate_side
-        # vectorized independent check of the cell arithmetic, plus the
-        # scalar call on a subsample
+        # independent check of the cell arithmetic
         p_mm = REFERENCE.pitch_p * 1e-3
-        du = np.abs(xs - np.floor(xs / p_mm + 0.5) * p_mm) * 1e3
-        dv = np.abs(zs - np.floor(zs / p_mm + 0.5) * p_mm) * 1e3
-        frac = np.mean((du <= 10.0) & (dv <= 10.0))
-        assert frac == pytest.approx(0.64, abs=0.005)
-        for x, z, in_pore in zip(xs[:2000], zs[:2000], (du <= 10.0) & (dv <= 10.0)):
-            expect = EntryOutcome.PORE if in_pore else EntryOutcome.WEB
-            assert pore_entry(x, z, REFERENCE).outcome is expect
+        du = np.abs(xs - np.round(xs / p_mm) * p_mm) * 1e3
+        dv = np.abs(zs - np.round(zs / p_mm) * p_mm) * 1e3
+        expect = (du <= 10.0) & (dv <= 10.0)
+        assert expect.mean() == pytest.approx(0.64, abs=0.005)
+        _, _, u, v, in_pore = _pore_cells(xs, zs, REFERENCE)
+        assert np.array_equal(in_pore, expect)
+        assert u[in_pore].min() >= 0.0 and u[in_pore].max() <= 20.0
+        assert v[in_pore].min() >= 0.0 and v[in_pore].max() <= 20.0
 
 
 class TestTraceChannel:
@@ -273,6 +314,8 @@ class TestSpecularityAndParity:
 
 
 class TestClassifyPath:
+    """The parity kernel."""
+
     @pytest.mark.parametrize(
         "nx, nz, expected",
         [
@@ -289,15 +332,11 @@ class TestClassifyPath:
         ],
     )
     def test_taxonomy(self, nx, nz, expected):
-        assert classify_path(nx, nz) is expected
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            classify_path(-1, 0)
+        assert path_class(nx, nz) is expected
 
     @given(nx=st.integers(0, 40), nz=st.integers(0, 40))
     def test_pure_parity_function(self, nx, nz):
-        cls = classify_path(nx, nz)
+        cls = path_class(nx, nz)
         if nx % 2 and nz % 2:
             assert cls is PathClass.CENTRAL_FOCUS
         elif (nx + nz) % 2 == 1:
@@ -321,31 +360,6 @@ class TestMarchingOracle:
             assert got[2] == want[2], (u, s, w, t_um)
             assert got[0] == pytest.approx(want[0], abs=1e-6)  # 1e-9 mm in um
             assert got[1] == pytest.approx(want[1], rel=1e-12)
-
-
-class TestPhoton:
-    def test_valid_photon(self):
-        p = Photon(pos=(0.0, -25.0, 0.0), slope_x=0.3, slope_z=-0.2, energy=8.0)
-        assert p.weight == 1.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(energy=0.0),
-            dict(energy=-1.0),
-            dict(slope_x=float("nan")),
-            dict(slope_x=1.5),
-            dict(weight=0.0),
-            dict(weight=1.5),
-        ],
-    )
-    def test_invalid_photons_rejected(self, kwargs):
-        base = dict(
-            pos=(0.0, -25.0, 0.0), slope_x=0.0, slope_z=0.0, energy=8.0, weight=1.0
-        )
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            Photon(**base)
 
 
 class TestGeometryValidation:

@@ -1,26 +1,30 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mpoxrf.optics import (
-    EntryOutcome,
     MpoGeometry,
+    PathClass,
+    ReflectivityModel,
     TraceOutcome,
-    pore_entry,
+    _survives,
+    _unfold_vec,
+    critical_angle_deg,
+    march_plane,
     trace_channel,
 )
 from mpoxrf.sim import (
     BATCH_SIZE,
+    FWHM_PER_SIGMA,
     DetectorSpec,
     Scene,
     Source,
     _batch_rng,
     _sample_emission_arrays,
-    apply_energy_response,
     batch_seed,
-    project_to_detector,
-    sample_emission,
     simulate,
 )
 
@@ -31,6 +35,45 @@ def cu_scene(L_s=25.0, L_i=25.0, x=0.0, z=0.0):
     return Scene(
         sources=(Source("Cu", ((8.0, 1.0),), (x, -L_s, z)),), L_s=L_s, L_i=L_i
     )
+
+
+def replay_ray(x, z, slope_x, slope_z, energy, L_i, geometry=GEOM):
+    """Independent scalar replay of one binary-model ray from its plate
+    target to the detector plane: pitch-cell arithmetic, the wall-marching
+    oracle, the critical-angle test and a straight throw of ``L_i``.
+
+    Returns (fate, x_det, z_det, n_x, n_z) with fate "web", "wall" or
+    "exit"; the landing fields are only meaningful for "exit".
+    """
+    p_mm = geometry.pitch_p * 1e-3
+    w = geometry.pore_width_w
+    i = math.floor(x / p_mm + 0.5)
+    j = math.floor(z / p_mm + 0.5)
+    du = (x - i * p_mm) * 1e3
+    dv = (z - j * p_mm) * 1e3
+    if abs(du) > w / 2 or abs(dv) > w / 2:
+        return "web", math.nan, math.nan, 0, 0
+    t_um = geometry.thickness_t * 1e3
+    exit_u, exit_sx, n_x = march_plane(du + w / 2, slope_x, w, t_um)
+    exit_v, exit_sz, n_z = march_plane(dv + w / 2, slope_z, w, t_um)
+    theta_c = critical_angle_deg(energy, geometry.coating)
+    for slope, n in ((slope_x, n_x), (slope_z, n_z)):
+        if n and math.degrees(math.atan(abs(slope))) > theta_c:
+            return "wall", math.nan, math.nan, n_x, n_z
+    x_det = i * p_mm + (exit_u - w / 2) * 1e-3 + exit_sx * L_i
+    z_det = j * p_mm + (exit_v - w / 2) * 1e-3 + exit_sz * L_i
+    return "exit", x_det, z_det, n_x, n_z
+
+
+def parity_class(n_x, n_z):
+    if n_x == n_z == 0:
+        return PathClass.DIRECT
+    return {
+        (1, 1): PathClass.CENTRAL_FOCUS,
+        (0, 1): PathClass.ARM_ALONG_X,
+        (1, 0): PathClass.ARM_ALONG_Z,
+        (0, 0): PathClass.DIFFUSE,
+    }[(n_x % 2, n_z % 2)]
 
 
 class TestSourceValidation:
@@ -64,21 +107,23 @@ class TestSourceValidation:
 
 class TestSampleEmission:
     def test_point_source_slope_envelope(self):
-        rng = np.random.default_rng(1)
         scene = cu_scene()
-        bound = (GEOM.plate_side / 2) / scene.L_s
-        for _ in range(2000):
-            p = sample_emission(scene.sources[0], GEOM, scene, rng)
-            assert abs(p.slope_x) <= bound + 1e-12
-            assert abs(p.slope_z) <= bound + 1e-12
-            assert 0.0 < p.weight <= 1.0
-            assert p.energy == 8.0
+        half = GEOM.plate_side / 2
+        bound = half / scene.L_s
+        _, _, _, tx, tz, sx, sz, energy = _sample_emission_arrays(
+            scene, GEOM, 100_000, _batch_rng(1, 0)
+        )
+        assert np.all(np.abs(sx) <= bound + 1e-12)
+        assert np.all(np.abs(sz) <= bound + 1e-12)
+        # every target lies on the plate, so no photon misses it
+        assert np.all(np.abs(tx) <= half) and np.all(np.abs(tz) <= half)
+        assert np.all(energy == 8.0)
 
     def test_line_intensity_fractions(self):
         src = Source("two", ((4.0, 1.0), (8.0, 3.0)), (0, -25, 0))
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
         rng = _batch_rng(17, 0)
-        *_, energy, _ = _sample_emission_arrays(scene, GEOM, 100_000, rng)
+        *_, energy = _sample_emission_arrays(scene, GEOM, 100_000, rng)
         frac = np.mean(energy == 8.0)
         assert frac == pytest.approx(0.75, abs=0.01)
 
@@ -99,76 +144,93 @@ class TestSampleEmission:
         src = Source("bad", ((8.0, 1.0),), (0.0, 5.0, 0.0))
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
         with pytest.raises(ValueError):
-            sample_emission(src, GEOM, scene, np.random.default_rng(0))
+            _sample_emission_arrays(scene, GEOM, 10, np.random.default_rng(0))
 
 
 class TestProjectToDetector:
+    """The batch projects exit states inline; the hand cases here pin the
+    independent replay that test_matches_scalar_chain holds it to."""
+
     def test_axial_propagation(self):
-        entry = pore_entry(1.0, 0.0, GEOM)
-        trace = trace_channel(entry.u, entry.v, 0.0, 0.0, 8.0, GEOM)
-        x, z = project_to_detector(trace, entry, GEOM, 25.0)
+        fate, x, z, n_x, n_z = replay_ray(1.0, 0.0, 0.0, 0.0, 8.0, 25.0)
+        assert (fate, n_x, n_z) == ("exit", 0, 0)
         assert x == pytest.approx(1.0, abs=GEOM.pore_width_w * 1e-3)
         assert z == pytest.approx(0.0, abs=GEOM.pore_width_w * 1e-3)
 
     def test_linear_propagation(self):
-        entry = pore_entry(0.0, 0.0, GEOM)
-        trace = trace_channel(entry.u, entry.v, 0.0072, 0.0, 8.0, GEOM)
-        assert trace.n_reflections_x == 0
-        x, _ = project_to_detector(trace, entry, GEOM, 25.0)
+        fate, x, _, n_x, _ = replay_ray(0.0, 0.0, 0.0072, 0.0, 8.0, 25.0)
+        assert (fate, n_x) == ("exit", 0)
         # 0.0072 * 25 mm = 0.18 mm, plus in-channel drift below a pore width
         assert x == pytest.approx(0.0072 * 25.0, abs=GEOM.pore_width_w * 1e-3 * 2)
 
     def test_true_focusing_mirror_point(self):
-        # single odd reflection in each plane lands at the source point
-        # when L_s = L_i (unit magnification, erect image); slopes drawn
-        # inside the acceptance window to populate the (1, 1) class
-        scene = cu_scene(x=0.6, z=-0.4)
-        rng = np.random.default_rng(11)
-        hits = []
-        for _ in range(4000):
-            slope_x, slope_z = rng.uniform(-0.02, 0.02, 2)
-            tx = 0.6 + slope_x * scene.L_s
-            tz = -0.4 + slope_z * scene.L_s
-            entry = pore_entry(tx, tz, GEOM)
-            if entry.outcome is not EntryOutcome.PORE:
-                continue
-            t = trace_channel(entry.u, entry.v, slope_x, slope_z, 8.0, GEOM)
-            if t.outcome is not TraceOutcome.EXITED:
-                continue
-            if t.n_reflections_x == 1 and t.n_reflections_z == 1:
-                hits.append(project_to_detector(t, entry, GEOM, scene.L_i))
-        assert len(hits) > 20
-        hits = np.array(hits)
-        # in-channel drift and pore size bound the miss distance
-        assert np.all(np.abs(hits[:, 0] - 0.6) < 0.05)
-        assert np.all(np.abs(hits[:, 1] + 0.4) < 0.05)
+        # one reflection in each plane lands at the source point when
+        # L_s = L_i (unit magnification, erect image); at 8 keV no ray
+        # bounces twice in a plane, so CENTRAL_FOCUS is exactly (1, 1)
+        det = DetectorSpec()
+        cube = simulate(
+            cu_scene(x=0.6, z=-0.4), GEOM, det, 2_000_000, seed=11,
+            class_images=True,
+        )
+        focus = cube.stats.class_images[PathClass.CENTRAL_FOCUS]
+        assert focus.sum() > 20
+        iy, ix = np.nonzero(focus)
+        pitch_mm = det.pitch * 1e-3
+        x = (ix + 0.5) * pitch_mm - det.n_x * pitch_mm / 2
+        z = (iy + 0.5) * pitch_mm - det.n_y * pitch_mm / 2
+        # in-channel drift and pore size bound the miss distance, plus
+        # half a pixel of binning
+        assert np.all(np.abs(x - 0.6) < 0.05 + pitch_mm / 2)
+        assert np.all(np.abs(z + 0.4) < 0.05 + pitch_mm / 2)
 
     def test_absorbed_rays_rejected(self):
-        entry = pore_entry(0.0, 0.0, GEOM)
-        dead = trace_channel(entry.u, entry.v, 0.05, 0.0, 8.0, GEOM)
-        assert dead.outcome is TraceOutcome.ABSORBED
-        with pytest.raises(ValueError):
-            project_to_detector(dead, entry, GEOM, 25.0)
+        # 0.05 is far above theta_c at 8 keV: the ray dies at the walls and
+        # never reaches the projection
+        slope = np.array([0.05])
+        _, _, n_x = _unfold_vec(np.array([10.0]), slope, 20.0, 1200.0)
+        assert n_x[0] > 0
+        alive = _survives(
+            slope, np.zeros(1), n_x, np.zeros_like(n_x), np.array([8.0]), GEOM
+        )
+        assert not alive[0]
+        assert trace_channel(10.0, 10.0, 0.05, 0.0, 8.0, GEOM).outcome is (
+            TraceOutcome.ABSORBED
+        )
+        assert replay_ray(0.0, 0.0, 0.05, 0.0, 8.0, 25.0)[0] == "wall"
 
 
 class TestEnergyResponse:
     def test_zero_fwhm_is_identity(self):
         det = DetectorSpec(energy_fwhm=0.0)
-        rng = np.random.default_rng(0)
-        assert apply_energy_response(8.04, det, rng) == 8.04
+        cube = simulate(cu_scene(), GEOM, det, 300_000, seed=12)
+        line_bin = int((8.0 - det.e_min) / det.e_bin_width)
+        assert cube.counts.sum() > 0
+        assert cube.counts[:, :, line_bin].sum() == cube.counts.sum()
 
     def test_sigma_matches_fwhm(self):
-        det = DetectorSpec(energy_fwhm=1.12)
-        rng = np.random.default_rng(12)
-        draws = np.array(
-            [apply_energy_response(8.04, det, rng) for _ in range(200_000)]
+        assert FWHM_PER_SIGMA == pytest.approx(
+            2 * math.sqrt(2 * math.log(2)), rel=1e-15
         )
-        assert draws.std() == pytest.approx(1.12 / 2.3548, abs=0.002)
-        assert draws.mean() == pytest.approx(8.04, abs=0.005)
-
-    def test_nonpositive_energy_rejected(self):
-        with pytest.raises(ValueError):
-            apply_energy_response(0.0, DetectorSpec(), np.random.default_rng(0))
+        # a distant source and wide pores: nearly every photon reaches
+        # a coarse detector, binned at 0.01 keV
+        geom = MpoGeometry(
+            plate_side=20.0, thickness_t=1.2, pore_width_w=24.0, pitch_p=25.0
+        )
+        scene = cu_scene(L_s=2000.0)
+        det = DetectorSpec(
+            n_x=32, n_y=32, pitch=1000.0, energy_fwhm=1.12,
+            e_bin_width=0.01, n_bins=2500,
+        )
+        cube = simulate(scene, geom, det, 400_000, seed=12)
+        spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
+        assert spectrum.sum() > 300_000
+        centers = cube.bin_centers()
+        mean = (spectrum * centers).sum() / spectrum.sum()
+        var = (spectrum * (centers - mean) ** 2).sum() / spectrum.sum()
+        # Sheppard's correction removes the binning variance
+        std = math.sqrt(var - det.e_bin_width**2 / 12)
+        assert std == pytest.approx(1.12 / 2.3548, abs=0.002)
+        assert mean == pytest.approx(8.0, abs=0.005)
 
 
 class TestBatchSeeding:
@@ -192,8 +254,7 @@ class TestSimulate:
         assert int(cube.counts.sum()) == s.detected
         assert s.detected <= 300_000
         assert (
-            s.missed_plate
-            + s.web_absorbed
+            s.web_absorbed
             + s.wall_absorbed
             + s.off_detector
             + s.below_threshold
@@ -216,29 +277,31 @@ class TestSimulate:
 
     def test_matches_scalar_chain(self):
         # with FWHM=0 and the binary model, one batch is a deterministic
-        # function of its emission arrays; replay it through the scalar
-        # contract operations and compare cubes exactly
+        # function of its emission arrays; replay it ray by ray through
+        # independent scalar arithmetic and compare cube, tallies and
+        # class counts exactly
         det = DetectorSpec(energy_fwhm=0.0)
         scene = cu_scene()
-        n = 4000
+        n = 50_000
+        assert n <= BATCH_SIZE
         cube = simulate(scene, GEOM, det, n, seed=31)
 
-        rng = _batch_rng(31, 0)
-        _, _, _, tx, tz, sx, sz, energy, _ = _sample_emission_arrays(
-            scene, GEOM, n, rng
+        _, _, _, tx, tz, sx, sz, energy = _sample_emission_arrays(
+            scene, GEOM, n, _batch_rng(31, 0)
         )
         expected = np.zeros((det.n_y, det.n_x, det.n_bins), dtype=np.uint64)
+        fates = Counter()
+        classes = Counter()
         pitch_mm = det.pitch * 1e-3
         x0 = -det.n_x * pitch_mm / 2
         z0 = -det.n_y * pitch_mm / 2
         for k in range(n):
-            entry = pore_entry(tx[k], tz[k], GEOM)
-            if entry.outcome is not EntryOutcome.PORE:
+            fate, x, z, n_x, n_z = replay_ray(
+                tx[k], tz[k], sx[k], sz[k], energy[k], scene.L_i
+            )
+            fates[fate] += 1
+            if fate != "exit":
                 continue
-            t = trace_channel(entry.u, entry.v, sx[k], sz[k], energy[k], GEOM)
-            if t.outcome is not TraceOutcome.EXITED:
-                continue
-            x, z = project_to_detector(t, entry, GEOM, scene.L_i)
             ix = math.floor((x - x0) / pitch_mm)
             iy = math.floor((z - z0) / pitch_mm)
             if not (0 <= ix < det.n_x and 0 <= iy < det.n_y):
@@ -248,6 +311,11 @@ class TestSimulate:
             b = math.floor((energy[k] - det.e_min) / det.e_bin_width)
             if 0 <= b < det.n_bins:
                 expected[iy, ix, b] += 1
+                classes[parity_class(n_x, n_z)] += 1
+        s = cube.stats
+        assert (s.web_absorbed, s.wall_absorbed) == (fates["web"], fates["wall"])
+        assert s.detected == int(expected.sum()) > 0
+        assert s.class_counts == {cls: classes[cls] for cls in PathClass}
         assert np.array_equal(cube.counts, expected)
 
     def test_mirror_symmetry_on_axis(self):
@@ -321,3 +389,32 @@ class TestSimulate:
         b = simulate(n_photons=n, seed=4, n_workers=2, **kwargs)
         assert np.array_equal(a.counts, b.counts)
         assert a.stats.n_photons == n
+
+
+class TestConstantPerBounceRoulette:
+    """The batch roulette: one draw per in-pore ray against r^(n_x + n_z).
+
+    At FWHM=0 no draw follows the roulette, so every run below transports
+    the same rays and only the roulette decides.
+    """
+
+    @staticmethod
+    def run(model, reflectivity=1.0):
+        geom = replace(GEOM, reflectivity_model=model, reflectivity=reflectivity)
+        det = DetectorSpec(energy_fwhm=0.0)
+        return simulate(cu_scene(), geom, det, 1_000_000, seed=13)
+
+    def test_unit_reflectivity_matches_binary(self):
+        binary = self.run(ReflectivityModel.BINARY)
+        unit = self.run(ReflectivityModel.CONSTANT_PER_BOUNCE, 1.0)
+        assert np.array_equal(unit.counts, binary.counts)
+        assert unit.stats.class_counts == binary.stats.class_counts
+
+    def test_half_reflectivity_thins_only_bouncing_rays(self):
+        binary = self.run(ReflectivityModel.BINARY).stats
+        half = self.run(ReflectivityModel.CONSTANT_PER_BOUNCE, 0.5).stats
+        direct = PathClass.DIRECT
+        assert half.class_counts[direct] == binary.class_counts[direct] > 0
+        for cls in PathClass:
+            assert half.class_counts[cls] <= binary.class_counts[cls]
+        assert half.detected < binary.detected
