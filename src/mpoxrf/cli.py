@@ -72,7 +72,7 @@ def _cmd_flatfield(args) -> int:
 def _cmd_psf(args) -> int:
     image = fileio.read_image_csv(args.image)
     cfg = load_config(args.config) if args.config else None
-    rows = cfg.analysis.rows_averaged if cfg else 3
+    rows = (cfg.analysis if cfg else AnalysisParams()).rows_averaged
     center = analysis.find_psf_center(image)
     horiz, vert = analysis.extract_arm_profiles(image, center, rows_averaged=rows)
     fileio.write_profile_csv(f"{args.out_prefix}_horizontal.csv", horiz)
@@ -197,6 +197,11 @@ def _cmd_calibrate(args) -> int:
 def _cmd_apply_cal(args) -> int:
     ev = events.parse_events_file(args.events)
     cal = events.read_calibration_csv(args.cal)
+    if (cal.n_x, cal.n_y) != (ev.n_x, ev.n_y):
+        raise FileFormatError(
+            f"{args.events}: {ev.n_x}x{ev.n_y} pixel matrix does not match the "
+            f"{cal.n_x}x{cal.n_y} calibration {args.cal}"
+        )
     detector = DetectorSpec(
         n_x=ev.n_x,
         n_y=ev.n_y,
@@ -282,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--cal", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pitch-um", type=float, default=55.0)
-    p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--e-min", type=float, default=0.0)
-    p.add_argument("--bin-width", type=float, default=0.25)
-    p.add_argument("--n-bins", type=int, default=100)
+    p.add_argument("--pitch-um", type=float, default=DetectorSpec.pitch)
+    p.add_argument("--threshold", type=float, default=DetectorSpec.threshold)
+    p.add_argument("--e-min", type=float, default=DetectorSpec.e_min)
+    p.add_argument("--bin-width", type=float, default=DetectorSpec.e_bin_width)
+    p.add_argument("--n-bins", type=int, default=DetectorSpec.n_bins)
     p.set_defaults(func=_cmd_apply_cal)
 
     return parser

@@ -32,6 +32,19 @@ class ConfigError(ValueError):
     pass
 
 
+#: [detector] key -> (DetectorSpec field, type); an absent key keeps the
+#: field's DetectorSpec default.
+_DETECTOR_KEYS = {
+    "n_x": ("n_x", int),
+    "n_y": ("n_y", int),
+    "pitch_um": ("pitch", float),
+    "energy_fwhm_kev": ("energy_fwhm", float),
+    "threshold_kev": ("threshold", float),
+    "e_min_kev": ("e_min", float),
+    "e_bin_width_kev": ("e_bin_width", float),
+    "n_bins": ("n_bins", int),
+}
+
 _KNOWN = {
     "mpo": {
         "plate_side_mm",
@@ -45,16 +58,7 @@ _KNOWN = {
         "reflectivity_model",
         "reflectivity",
     },
-    "detector": {
-        "n_x",
-        "n_y",
-        "pitch_um",
-        "energy_fwhm_kev",
-        "threshold_kev",
-        "e_min_kev",
-        "e_bin_width_kev",
-        "n_bins",
-    },
+    "detector": set(_DETECTOR_KEYS),
     "scene": {"l_s_mm", "l_i_mm"},
     "source": {"kind", "x_mm", "y_mm", "z_mm", "width_mm", "height_mm", "lines"},
     "sim": {"photons", "seed", "jobs"},
@@ -200,14 +204,10 @@ def load_config(path) -> RunConfig:
             reflectivity=_get(parser, "mpo", "reflectivity", float, 1.0),
         )
         detector = DetectorSpec(
-            n_x=_get(parser, "detector", "n_x", int, 256),
-            n_y=_get(parser, "detector", "n_y", int, 256),
-            pitch=_get(parser, "detector", "pitch_um", float, 55.0),
-            energy_fwhm=_get(parser, "detector", "energy_fwhm_kev", float, 1.12),
-            threshold=_get(parser, "detector", "threshold_kev", float, 2.0),
-            e_min=_get(parser, "detector", "e_min_kev", float, 0.0),
-            e_bin_width=_get(parser, "detector", "e_bin_width_kev", float, 0.25),
-            n_bins=_get(parser, "detector", "n_bins", int, 100),
+            **{
+                name: _get(parser, "detector", key, cast, getattr(DetectorSpec, name))
+                for key, (name, cast) in _DETECTOR_KEYS.items()
+            }
         )
         l_s = _get(parser, "scene", "l_s_mm", float, 25.0)
         l_i = _get(parser, "scene", "l_i_mm", float, 25.0)

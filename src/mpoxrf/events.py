@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import FileFormatError
-from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage
+from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage, _bin_hits
 
 MAGIC = b"TPXE"
 VERSION = 1
@@ -365,12 +365,14 @@ def apply_calibration(
 ) -> SpectralImage:
     """Histogram calibrated events into a spectral cube.
 
-    Events on dead pixels are dropped and counted in the cube's stats;
-    measured energies below the detector threshold or outside the energy
-    band are likewise dropped with bookkeeping.
+    Events on dead pixels are dropped and counted in the cube's stats; the
+    rest pass the detector stage of :func:`mpoxrf.sim.simulate`.
+    ``detector`` must describe the events' pixel matrix.
     """
     if (cal.n_x, cal.n_y) != (events.n_x, events.n_y):
         raise ValueError("calibration map does not match the event matrix")
+    if (detector.n_x, detector.n_y) != (events.n_x, events.n_y):
+        raise ValueError("detector does not match the event matrix")
     stats = SimStats(n_photons=len(events))
     pix_y = events.y.astype(np.int64)
     pix_x = events.x.astype(np.int64)
@@ -383,27 +385,10 @@ def apply_calibration(
         cal.gain[pix_y, pix_x] * events.tot[alive].astype(float)
         + cal.offset[pix_y, pix_x]
     )
-    above = energy >= detector.threshold
-    stats.below_threshold = int(np.count_nonzero(~above))
-    e_bin = np.floor((energy - detector.e_min) / detector.e_bin_width).astype(np.int64)
-    in_band = above & (e_bin >= 0) & (e_bin < detector.n_bins)
-    stats.out_of_band = int(np.count_nonzero(above & ~in_band))
-    stats.detected = int(np.count_nonzero(in_band))
-
-    cube = np.zeros(events.n_y * events.n_x * detector.n_bins, dtype=np.uint64)
-    flat = (pix_y[in_band] * events.n_x + pix_x[in_band]) * detector.n_bins + e_bin[
-        in_band
-    ]
-    idx, cnt = np.unique(flat, return_counts=True)
-    cube[idx] += cnt.astype(np.uint64)
-    return SpectralImage(
-        counts=cube.reshape(events.n_y, events.n_x, detector.n_bins),
-        e_min=detector.e_min,
-        e_bin_width=detector.e_bin_width,
-        pixel_pitch_um=detector.pitch,
-        photons=len(events),
-        stats=stats,
-    )
+    _, (idx, cnt) = _bin_hits(pix_x, pix_y, energy, detector, stats)
+    cube = SpectralImage.empty(detector, photons=len(events), stats=stats)
+    cube.counts.reshape(-1)[idx] += cnt.astype(np.uint64)
+    return cube
 
 
 _CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")
@@ -437,6 +422,14 @@ def read_calibration_csv(path) -> CalibrationMap:
         raise FileFormatError(
             f"{path}: calibration CSV lacks column(s) {', '.join(missing)}"
         )
+    if data.size == 0:
+        raise FileFormatError(f"{path}: calibration CSV has no data rows")
+    for name in ("x", "y"):
+        col = data[name]
+        if not np.all(np.isfinite(col) & (col >= 0) & (col == np.floor(col))):
+            raise FileFormatError(
+                f"{path}: column {name} must hold non-negative integer pixel indices"
+            )
     xs = data["x"].astype(int)
     ys = data["y"].astype(int)
     n_x = xs.max() + 1

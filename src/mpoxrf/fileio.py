@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .analysis import Atf, Image2D, PsfProfile
@@ -47,14 +49,25 @@ def read_image_csv(path) -> Image2D:
         fields = dict(
             item.split("=", 1) for item in header[1:].split() if "=" in item
         )
-        if "pitch_um" not in fields:
-            raise FileFormatError(f"{path}: image CSV header lacks pitch_um")
+        lines = fh.readlines()
+    if "pitch_um" not in fields:
+        raise FileFormatError(f"{path}: image CSV header lacks pitch_um")
+    try:
         pitch = float(fields["pitch_um"])
-        try:
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError:
-            fh.seek(0)
-            raise FileFormatError(_first_bad_row(path, fh.readlines()[1:])) from None
+    except ValueError:
+        pitch = math.nan
+    if not 0 < pitch < math.inf:
+        raise FileFormatError(
+            f"{path}: pitch_um={fields['pitch_um']} is not a positive number"
+        )
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise FileFormatError(f"{path}: image CSV has no data rows")
+    try:
+        values = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:
+        raise FileFormatError(_first_bad_row(path, lines)) from None
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError(f"{path}: image CSV holds a NaN or infinite value")
     return Image2D(values=values, pitch_um=pitch)
 
 

@@ -10,12 +10,14 @@ Little-endian layout:
     u64   photons
     u64   counts[n_x * n_y * n_bins], index = ((y*n_x) + x)*n_bins + bin
 
-Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  Write/read
-round-trips are byte-exact.
+Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  A readable
+cube has n_x, n_y, n_bins >= 1, a finite e_min and a positive, finite bin
+width and pitch.  Write/read round-trips are byte-exact.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -52,16 +54,23 @@ def read_sic(path) -> SpectralImage:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < HEADER.size:
-        raise SicFormatError(f"file too short for a SIC header ({len(data)} bytes)")
+        raise SicFormatError(f"{path}: too short for a SIC header ({len(data)} bytes)")
     magic, n_x, n_y, n_bins, e_min, width, pitch, seed, photons = HEADER.unpack_from(
         data, 0
     )
     if magic != MAGIC:
-        raise SicFormatError(f"bad magic {magic!r}")
+        raise SicFormatError(f"{path}: bad magic {magic!r}")
+    if min(n_x, n_y, n_bins) == 0:
+        raise SicFormatError(f"{path}: empty {n_x}x{n_y}x{n_bins} cube")
+    if not (math.isfinite(e_min) and 0 < width < math.inf and 0 < pitch < math.inf):
+        raise SicFormatError(
+            f"{path}: invalid energy axis (e_min {e_min}, bin width {width}) or "
+            f"pixel pitch {pitch}"
+        )
     expected = HEADER.size + 8 * n_x * n_y * n_bins
     if len(data) != expected:
         raise SicFormatError(
-            f"file length {len(data)} != expected {expected} "
+            f"{path}: file length {len(data)} != expected {expected} "
             f"for a {n_x}x{n_y}x{n_bins} cube"
         )
     counts = np.frombuffer(data, dtype="<u8", offset=HEADER.size).reshape(

@@ -5,7 +5,8 @@ aimed at the plate, find the pore it enters (or the web that swallows it),
 unfold its in-channel trajectory, propagate the survivors to the detector
 plane, smear the energy with the detector response, and bin the hit into a
 pixel x energy cube.  The transport steps are the array kernels of
-:mod:`mpoxrf.optics`; this module owns emission, batching and binning.
+:mod:`mpoxrf.optics`; this module owns emission, batching and the detector
+stage, which :func:`mpoxrf.events.apply_calibration` shares.
 
 Photons are processed in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
 run with seed ``s`` uses its own Philox stream keyed by a SplitMix64 mix of
@@ -149,14 +150,6 @@ class SimStats:
         self.dead_pixel_drops += other.dead_pixel_drops
         for key, value in other.class_counts.items():
             self.class_counts[key] = self.class_counts.get(key, 0) + value
-        if other.class_images is not None:
-            if self.class_images is None:
-                self.class_images = {
-                    k: v.copy() for k, v in other.class_images.items()
-                }
-            else:
-                for key, img in other.class_images.items():
-                    self.class_images[key] += img
 
 
 @dataclass
@@ -175,6 +168,18 @@ class SpectralImage:
     photons: int = 0
     scene_digest: str = ""
     stats: SimStats | None = None
+
+    @classmethod
+    def empty(cls, detector: DetectorSpec, **meta) -> "SpectralImage":
+        """An all-zero cube shaped and binned for ``detector``; ``meta``
+        sets the remaining fields (seed, photons, scene_digest, stats)."""
+        return cls(
+            counts=np.zeros((detector.n_y, detector.n_x, detector.n_bins), np.uint64),
+            e_min=detector.e_min,
+            e_bin_width=detector.e_bin_width,
+            pixel_pitch_um=detector.pitch,
+            **meta,
+        )
 
     @property
     def n_y(self) -> int:
@@ -267,6 +272,23 @@ def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
 _CLASS_ORDER = tuple(PathClass)
 
 
+def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
+    """Threshold, energy band and cube index for hits on the pixel matrix.
+
+    Fills the ``below_threshold``, ``out_of_band`` and ``detected`` tallies
+    of ``stats``; returns the counted-hit mask and the sparse cube increment
+    ``(flat index, count)`` in SIC order ``((y*n_x) + x)*n_bins + bin``.
+    """
+    above = energy >= detector.threshold
+    e_bin = np.floor((energy - detector.e_min) / detector.e_bin_width).astype(np.int64)
+    hit = above & (e_bin >= 0) & (e_bin < detector.n_bins)
+    stats.below_threshold = int(above.size - np.count_nonzero(above))
+    stats.detected = int(np.count_nonzero(hit))
+    stats.out_of_band = int(above.size) - stats.below_threshold - stats.detected
+    flat = ((iy[hit] * detector.n_x) + ix[hit]) * detector.n_bins + e_bin[hit]
+    return hit, np.unique(flat, return_counts=True)
+
+
 def _run_batch(args):
     """Transport one seeded batch; returns sparse cube increments + tallies."""
     (scene, geometry, detector, seed, batch_index, n, want_class_images) = args
@@ -306,8 +328,6 @@ def _run_batch(args):
     z_det = (
         cj[cell] * p_mm - half_w_mm + exit_v[keep] * 1e-3 + exit_sz[keep] * scene.L_i
     )
-    nx_keep = n_x[keep]
-    nz_keep = n_z[keep]
 
     sigma = detector.energy_fwhm / FWHM_PER_SIGMA
     e_meas = e_true[keep]
@@ -321,21 +341,11 @@ def _run_batch(args):
     iy = np.floor((z_det - z0) / pitch_mm).astype(np.int64)
     on_det = (ix >= 0) & (ix < detector.n_x) & (iy >= 0) & (iy < detector.n_y)
     stats.off_detector = int(keep.size - np.count_nonzero(on_det))
+    ix, iy, e_meas, keep = ix[on_det], iy[on_det], e_meas[on_det], keep[on_det]
 
-    above = e_meas >= detector.threshold
-    stats.below_threshold = int(np.count_nonzero(on_det & ~above))
+    hit, (cube_idx, cube_cnt) = _bin_hits(ix, iy, e_meas, detector, stats)
 
-    e_bin = np.floor((e_meas - detector.e_min) / detector.e_bin_width).astype(np.int64)
-    in_band = (e_bin >= 0) & (e_bin < detector.n_bins)
-    stats.out_of_band = int(np.count_nonzero(on_det & above & ~in_band))
-
-    hit = on_det & above & in_band
-    stats.detected = int(np.count_nonzero(hit))
-
-    flat = ((iy[hit] * detector.n_x) + ix[hit]) * detector.n_bins + e_bin[hit]
-    cube_idx, cube_cnt = np.unique(flat, return_counts=True)
-
-    class_code = _class_codes(nx_keep[hit], nz_keep[hit])
+    class_code = _class_codes(n_x[keep[hit]], n_z[keep[hit]])
     counts_by_class = np.bincount(class_code, minlength=len(_CLASS_ORDER))
     stats.class_counts = {
         cls: int(counts_by_class[c]) for c, cls in enumerate(_CLASS_ORDER)
@@ -377,8 +387,15 @@ def simulate(
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
 
-    cube = np.zeros(detector.n_y * detector.n_x * detector.n_bins, dtype=np.uint64)
     total = SimStats()
+    image = SpectralImage.empty(
+        detector,
+        seed=seed,
+        photons=n_photons,
+        scene_digest=scene_digest(scene, mpo, detector),
+        stats=total,
+    )
+    cube = image.counts.reshape(-1)
     if class_images:
         total.class_images = {
             cls: np.zeros((detector.n_y, detector.n_x), dtype=np.uint64)
@@ -416,13 +433,4 @@ def simulate(
             for result in pool.map(_run_batch, tasks):
                 _merge(result)
 
-    return SpectralImage(
-        counts=cube.reshape(detector.n_y, detector.n_x, detector.n_bins),
-        e_min=detector.e_min,
-        e_bin_width=detector.e_bin_width,
-        pixel_pitch_um=detector.pitch,
-        seed=seed,
-        photons=n_photons,
-        scene_digest=scene_digest(scene, mpo, detector),
-        stats=total,
-    )
+    return image

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.analysis import Image2D
 from mpoxrf.config import ConfigError, load_config
 from mpoxrf.optics import ReflectivityModel
+from mpoxrf.sim import DetectorSpec
 
 MINIMAL = """
 [mpo]
@@ -48,6 +52,8 @@ class TestConfig:
         cfg = load_config(config_path)
         assert cfg.mpo.pore_width_w == 20.0
         assert cfg.detector.n_x == 64
+        # absent [detector] keys keep the DetectorSpec defaults
+        assert cfg.detector == DetectorSpec(n_x=64, n_y=64, pitch=110.0)
         assert cfg.scene.L_s == 25.0
         assert cfg.scene.sources[0].label == "cu"
         assert cfg.scene.sources[0].position == (0.0, -25.0, 0.0)
@@ -261,13 +267,28 @@ class TestCliAnalysisChain:
              "--out-prefix", str(tmp_path / "x")]
         ) == cli.EXIT_IO
 
-    def test_ragged_image_csv_io_exit(self, tmp_path, capsys):
-        ragged = tmp_path / "ragged.csv"
-        ragged.write_text("# n_x=3 n_y=2 pitch_um=55.0\n1,2,3\n4,5\n")
-        assert cli.main(
-            ["psf", "--image", str(ragged), "--out-prefix", str(tmp_path / "x")]
-        ) == cli.EXIT_IO
-        assert f"{ragged}:3: 2 values, expected 3" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# n_x=3 n_y=2 pitch_um=55.0\n1,2,3\n4,5\n", ":3: 2 values, expected 3"),
+            ("# pitch_um=wide\n1,2\n", ": pitch_um=wide is not a positive number"),
+            ("# pitch_um=-55.0\n1,2\n", ": pitch_um=-55.0 is not a positive number"),
+            ("# pitch_um=55.0\n1,nan\n", ": image CSV holds a NaN or infinite"),
+            ("# pitch_um=55.0\n1,2\n-inf,4\n", ": image CSV holds a NaN or infinite"),
+            ("# n_x=2 n_y=0 pitch_um=55.0\n", ": image CSV has no data rows"),
+        ],
+        ids=["ragged", "pitch-text", "pitch-negative", "nan", "inf", "no-rows"],
+    )
+    def test_ragged_image_csv_io_exit(self, tmp_path, capsys, text, message):
+        path = tmp_path / "img.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file without rows
+            code = cli.main(
+                ["psf", "--image", str(path), "--out-prefix", str(tmp_path / "x")]
+            )
+        assert code == cli.EXIT_IO
+        assert f"{path}{message}" in capsys.readouterr().err
 
 
 class TestCliCalibration:
@@ -364,6 +385,32 @@ class TestCliCalibration:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("-3,0,1.0,0.0,0.0,0\n", "column x must hold non-negative integer"),
+            ("nan,0,1.0,0.0,0.0,0\n", "column x must hold non-negative integer"),
+            ("0,1.5,1.0,0.0,0.0,0\n", "column y must hold non-negative integer"),
+            ("", "calibration CSV has no data rows"),
+            ("0,0,1.0,0.0,0.0,0\n", "2x2 pixel matrix does not match the 1x1"),
+        ],
+        ids=["negative-x", "nan-x", "fractional-y", "no-rows", "matrix-mismatch"],
+    )
+    def test_malformed_calibration_io_exit(self, tmp_path, capsys, rows, message):
+        run = tmp_path / "run.tpxe"
+        ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
+        rng = np.random.default_rng(3)
+        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        cal = tmp_path / "cal.csv"
+        cal.write_text("x,y,gain,offset,residual,dead\n" + rows)
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal),
+             "--out", str(tmp_path / "run.sic")]
+        ) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(cal) in err
+
 
 class TestSicFormat:
     def test_header_and_roundtrip(self, tmp_path):
@@ -405,6 +452,31 @@ class TestSicFormat:
         path.write_bytes(data[:-8])
         with pytest.raises(sic.SicFormatError, match="length"):
             sic.read_sic(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_x", 0),
+            ("n_y", 0),
+            ("n_bins", 0),
+            ("e_min", math.nan),
+            ("e_bin_width", 0.0),
+            ("e_bin_width", math.inf),
+            ("pitch", -55.0),
+        ],
+    )
+    def test_invalid_header_io_exit(self, tmp_path, capsys, field, value):
+        head = dict(n_x=2, n_y=3, n_bins=4, e_min=0.0, e_bin_width=0.25, pitch=55.0)
+        head[field] = value
+        n_counts = head["n_x"] * head["n_y"] * head["n_bins"]
+        path = tmp_path / "c.sic"
+        path.write_bytes(sic.HEADER.pack(sic.MAGIC, *head.values(), 0, 0)
+                         + bytes(8 * n_counts))
+        assert cli.main(
+            ["window", "--cube", str(path), "--lo", "0", "--hi", "1",
+             "--out-prefix", str(tmp_path / "x")]
+        ) == cli.EXIT_IO
+        assert f"input format error: {path}: " in capsys.readouterr().err
 
 
 class TestImageCsv:

@@ -299,6 +299,44 @@ class TestApplyCalibration:
         el = make_events(8, 8, [0], [0], [8])
         with pytest.raises(ValueError):
             ev.apply_calibration(el, cal, det)
+        # events and calibration agree, the detector's matrix does not
+        with pytest.raises(ValueError, match="detector"):
+            ev.apply_calibration(el, self.identity_cal(8), DetectorSpec(n_x=4, n_y=4))
+
+    def test_tallies_conserved(self):
+        rng = np.random.default_rng(21)
+        cal = self.identity_cal(4)
+        cal.dead[0, 1] = cal.dead[3, 2] = True
+        det = DetectorSpec(n_x=4, n_y=4, e_min=1.0, n_bins=60)  # band [1, 16) keV
+        n = 5000
+        el = make_events(
+            4, 4, rng.integers(0, 4, n), rng.integers(0, 4, n), rng.integers(0, 25, n)
+        )
+        cube = ev.apply_calibration(el, cal, det)
+        s = cube.stats
+        assert min(s.dead_pixel_drops, s.below_threshold, s.out_of_band) > 0
+        assert (
+            s.dead_pixel_drops + s.below_threshold + s.out_of_band + s.detected
+            == s.n_photons
+            == n
+        )
+        assert cube.counts.sum() == s.detected
+        assert cube.counts[0, 1].sum() == cube.counts[3, 2].sum() == 0
+
+    def test_band_edges(self):
+        cal = self.identity_cal()
+        det = DetectorSpec(
+            n_x=4, n_y=4, threshold=2.0, e_min=0.0, e_bin_width=0.25, n_bins=100
+        )
+        # 2 keV sits exactly on the threshold, 25 keV exactly on the upper
+        # band edge e_min + n_bins * e_bin_width
+        el = make_events(4, 4, [0, 1, 2], [0, 0, 0], [2, 25, 24])
+        cube = ev.apply_calibration(el, cal, det)
+        assert (cube.stats.below_threshold, cube.stats.out_of_band) == (0, 1)
+        assert cube.stats.detected == 2
+        assert cube.counts[0, 0, 8] == 1  # bin floor(2 / 0.25)
+        assert cube.counts[0, 2, 96] == 1
+        assert cube.counts[0, 1].sum() == 0
 
 
 class TestLineSet:

@@ -1,0 +1,151 @@
+"""Fuzz the binary readers: any byte string parses or raises the reader's
+format error, and the CLI maps a bad file to exit 3, never to another code
+or an uncaught exception.
+
+The corrupted inputs start from small valid TPXE and SIC files.  Besides
+flipping random bits, they may rewrite one header field with any value of
+its type, so zero or huge matrix sizes and record counts and NaN, infinite
+or negative energy axes and pitches are all reached.
+"""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpoxrf import cli, events as ev, sic
+from mpoxrf.sim import SpectralImage
+
+N_X, N_Y = 3, 2
+
+VALID_TPXE = ev.write_events(
+    ev.EventList(
+        n_x=N_X,
+        n_y=N_Y,
+        x=np.array([0, 2, 1, 2], np.uint16),
+        y=np.array([0, 1, 1, 0], np.uint16),
+        tot=np.array([8, 3, 24, 12], np.uint16),
+        toa=np.arange(4, dtype=np.uint64),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def valid_sic(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sic") / "valid.sic"
+    counts = np.arange(N_Y * N_X * 4, dtype=np.uint64).reshape(N_Y, N_X, 4)
+    sic.write_sic(
+        path,
+        SpectralImage(counts=counts, e_min=5.0, e_bin_width=1.0, pixel_pitch_um=55.0),
+    )
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """Scratch directory plus an identity calibration for the N_X x N_Y matrix."""
+    path = tmp_path_factory.mktemp("fuzz")
+    ev.write_calibration_csv(
+        path / "cal.csv",
+        ev.CalibrationMap(
+            gain=np.ones((N_Y, N_X)),
+            offset=np.zeros((N_Y, N_X)),
+            residual=np.zeros((N_Y, N_X)),
+            dead=np.zeros((N_Y, N_X), dtype=bool),
+        ),
+    )
+    return path
+
+
+FIELD_VALUES = {
+    "4s": st.binary(min_size=4, max_size=4),
+    "I": st.integers(0, 2**32 - 1),
+    "Q": st.integers(0, 2**64 - 1),
+    "d": st.floats(),
+}
+
+
+@st.composite
+def corrupted(draw, valid: bytes, header: struct.Struct) -> bytes:
+    """``valid`` with one header field possibly rewritten, up to four bits
+    flipped, then possibly truncated."""
+    fields = list(header.unpack_from(valid))
+    codes = re.findall(r"\d*[a-zA-Z]", header.format.lstrip("<"))
+    k = draw(st.none() | st.integers(0, len(fields) - 1))
+    if k is not None:
+        fields[k] = draw(FIELD_VALUES[codes[k]])
+    data = bytearray(header.pack(*fields) + valid[header.size :])
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1), max_size=4)):
+        data[bit // 8] ^= 1 << (bit % 8)
+    cut = draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))
+    return bytes(data[:cut])
+
+
+def arbitrary(magic: bytes):
+    """Random bytes, half of them behind a correct magic number."""
+    return st.binary(max_size=120) | st.binary(max_size=120).map(magic.__add__)
+
+
+def tpxe_inputs():
+    return arbitrary(ev.MAGIC) | corrupted(VALID_TPXE, ev.HEADER)
+
+
+def sic_inputs(valid: bytes):
+    return arbitrary(sic.MAGIC) | corrupted(valid, sic.HEADER)
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+class TestParseEvents:
+    @FUZZ
+    @given(data=tpxe_inputs())
+    def test_parses_or_raises_format_error(self, data):
+        try:
+            events = ev.parse_events(data)
+        except ev.EventFormatError as exc:
+            assert 0 <= exc.offset <= len(data)
+            return
+        assert np.all(events.x < events.n_x) and np.all(events.y < events.n_y)
+
+    @FUZZ
+    @given(data=tpxe_inputs())
+    def test_apply_cal_exits_0_or_3(self, workdir, data):
+        path = workdir / "run.tpxe"
+        path.write_bytes(data)
+        code = cli.main(
+            ["apply-cal", "--events", str(path), "--cal", str(workdir / "cal.csv"),
+             "--out", str(workdir / "run.sic")]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_IO)
+
+
+class TestReadSic:
+    @FUZZ
+    @given(data=st.data())
+    def test_reads_or_raises_format_error(self, workdir, valid_sic, data):
+        raw = data.draw(sic_inputs(valid_sic))
+        path = workdir / "cube.sic"
+        path.write_bytes(raw)
+        try:
+            cube = sic.read_sic(path)
+        except sic.SicFormatError:
+            return
+        assert cube.counts.size * 8 + sic.HEADER.size == len(raw)
+        assert cube.counts.size > 0
+        assert cube.e_bin_width > 0 and cube.pixel_pitch_um > 0
+
+    @FUZZ
+    @given(data=st.data())
+    def test_window_exits_0_or_3(self, workdir, valid_sic, data):
+        raw = data.draw(sic_inputs(valid_sic))
+        path = workdir / "cube.sic"
+        path.write_bytes(raw)
+        code = cli.main(
+            ["window", "--cube", str(path), "--lo", "6.0", "--hi", "9.0",
+             "--out-prefix", str(workdir / "img")]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_IO)
