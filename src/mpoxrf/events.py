@@ -49,6 +49,7 @@ class EventFormatError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -192,8 +193,14 @@ def parse_events(data: bytes) -> EventList:
 
 
 def parse_events_file(path) -> EventList:
+    """Parse a TPXE file; a format error names the file in front of its
+    message and keeps its byte offset."""
     with open(path, "rb") as fh:
-        return parse_events(fh.read())
+        data = fh.read()
+    try:
+        return parse_events(data)
+    except EventFormatError as exc:
+        raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
 
 
 def synthesize_line_events(
@@ -395,7 +402,8 @@ _CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")
 
 
 def write_calibration_csv(path, cal: CalibrationMap) -> None:
-    """CSV columns: x,y,gain,offset,residual,dead."""
+    """CSV columns: x,y,gain,offset,residual,dead; one row per pixel, dead
+    pixels included (with NaN fit values)."""
     with open(path, "w") as fh:
         fh.write(",".join(_CAL_COLUMNS) + "\n")
         for yy in range(cal.n_y):
@@ -411,6 +419,12 @@ def write_calibration_csv(path, cal: CalibrationMap) -> None:
 
 
 def read_calibration_csv(path) -> CalibrationMap:
+    """Read a calibration map written by :func:`write_calibration_csv`.
+
+    The matrix is (max y + 1) x (max x + 1); a pixel without a row is dead.
+    A file with fewer data rows than matrix pixels is rejected before the
+    maps are allocated, so a stray huge index cannot demand a huge map.
+    """
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
     except IndexError:  # numpy's reaction to an empty file
@@ -430,10 +444,18 @@ def read_calibration_csv(path) -> CalibrationMap:
             raise FileFormatError(
                 f"{path}: column {name} must hold non-negative integer pixel indices"
             )
+    n_x = int(data["x"].max()) + 1
+    n_y = int(data["y"].max()) + 1
+    if n_x * n_y > data.size:
+        raise FileFormatError(
+            f"{path}: pixel indices span a {n_x}x{n_y} matrix but the "
+            f"calibration CSV has {data.size} data rows"
+        )
+    live = data["dead"] == 0
+    if not np.all(np.isfinite(data["gain"][live]) & np.isfinite(data["offset"][live])):
+        raise FileFormatError(f"{path}: a live pixel has a non-finite gain or offset")
     xs = data["x"].astype(int)
     ys = data["y"].astype(int)
-    n_x = xs.max() + 1
-    n_y = ys.max() + 1
     gain = np.full((n_y, n_x), np.nan)
     offset = np.full((n_y, n_x), np.nan)
     residual = np.full((n_y, n_x), np.nan)

@@ -42,14 +42,15 @@ def write_image_csv(path, image: Image2D) -> None:
 
 
 def read_image_csv(path) -> Image2D:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise FileFormatError(f"{path}: missing image CSV header line")
-        fields = dict(
-            item.split("=", 1) for item in header[1:].split() if "=" in item
-        )
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: image CSV is not UTF-8 text") from None
+    if not header.startswith("#"):
+        raise FileFormatError(f"{path}: missing image CSV header line")
+    fields = dict(item.split("=", 1) for item in header[1:].split() if "=" in item)
     if "pitch_um" not in fields:
         raise FileFormatError(f"{path}: image CSV header lacks pitch_um")
     try:

@@ -9,8 +9,9 @@ closed form by "unfolding" the reflections into a straight line through a
 stack of mirror tiles.
 
 The transport kernels here work on arrays, one per physics step: pitch-cell
-decomposition (:func:`_pore_cells`), unfolding (:func:`_unfold_vec`), wall
-survival (:func:`_survives`) and parity classification
+decomposition (:func:`_pore_cells`, with :func:`_open_length` the open
+length of an interval on the same grid), unfolding (:func:`_unfold_vec`),
+wall survival (:func:`_survives`) and parity classification
 (:func:`_class_codes`).  :mod:`mpoxrf.sim` runs them over photon batches;
 :func:`unfold_plane` and :func:`trace_channel` are length-1 views of the
 same kernels, and :func:`march_plane` is an independent oracle.
@@ -210,6 +211,24 @@ def _pore_cells(x, z, geometry: MpoGeometry):
     dv = (z - j * p_mm) * 1e3
     in_pore = (np.abs(du) <= half_w) & (np.abs(dv) <= half_w)
     return i, j, du + half_w, dv + half_w, in_pore
+
+
+def _open_length(lo, hi, geometry: MpoGeometry):
+    """Length (mm) of the interval [lo, hi] covered by pore openings along
+    one plate axis, on the pitch-cell grid of :func:`_pore_cells`.
+
+    The openings of the plate are the product of the two axes' open sets,
+    so an axis-aligned rectangle's open area is the product of two such
+    lengths.  An interval with ``hi <= lo`` has length 0.
+    """
+    p_mm = geometry.pitch_p * 1e-3
+    w_mm = geometry.pore_width_w * 1e-3
+
+    def covered_below(x):  # open length in [origin, x] up to a constant
+        i = np.floor(x / p_mm + 0.5)
+        return i * w_mm + np.clip(x - (i * p_mm - w_mm / 2.0), 0.0, w_mm)
+
+    return covered_below(np.maximum(hi, lo)) - covered_below(lo)
 
 
 def _unfold_vec(u, s, width, thickness_um):

@@ -4,7 +4,9 @@ The chain for every photon is: sample an emission point and a direction
 aimed at the plate, find the pore it enters (or the web that swallows it),
 unfold its in-channel trajectory, propagate the survivors to the detector
 plane, smear the energy with the detector response, and bin the hit into a
-pixel x energy cube.  The transport steps are the array kernels of
+pixel x energy cube.  Only photons aimed inside their source's acceptance
+box can survive the channels; the others are drawn as web and wall tallies
+without being transported.  The transport steps are the array kernels of
 :mod:`mpoxrf.optics`; this module owns emission, batching and the detector
 stage, which :func:`mpoxrf.events.apply_calibration` shares.
 
@@ -17,6 +19,7 @@ bit-identical for any number of workers.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,9 +29,11 @@ from .optics import (
     MpoGeometry,
     PathClass,
     _class_codes,
+    _open_length,
     _pore_cells,
     _survives,
     _unfold_vec,
+    critical_angle_deg,
 )
 
 BATCH_SIZE = 65536
@@ -219,54 +224,138 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=batch_seed(seed, batch_index)))
 
 
-def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
-    """Vectorized emission sampling for ``n`` photons.
+#: Relative widening of the acceptance-box slope limit.  Any superset of
+#: the surviving plate targets keeps the sampler exact; the margin covers
+#: rounding at the inclusive ``angle <= theta_c`` tie and the ``n == 0``
+#: edge of the unfolding.
+_BOX_MARGIN = 1e-6
 
-    Draw order is fixed (source pick, rect offsets, plate target, line
-    pick) so a batch is reproducible from its rng alone.  Returns emission
-    points, plate targets, slopes and energies.
+
+@dataclass(frozen=True)
+class _AcceptanceBoxes:
+    """Per-source plate regions outside which every photon dies (arrays
+    indexed like ``scene.sources``).
+
+    ``x_lo``/``z_lo`` and ``x_len``/``z_len`` are the box corner and sides
+    clipped to the plate, mm; ``area_frac`` is the box's share of the plate
+    area and ``open_frac`` the open-area fraction of the plate outside it.
+    """
+
+    x_lo: np.ndarray
+    z_lo: np.ndarray
+    x_len: np.ndarray
+    z_len: np.ndarray
+    area_frac: np.ndarray
+    open_frac: np.ndarray
+
+
+def _acceptance_boxes(scene: Scene, geometry: MpoGeometry) -> _AcceptanceBoxes:
+    """Acceptance box of each source on the plate entrance face.
+
+    A ray leaves a channel only if, in each plane, it either crosses
+    without touching a wall (|slope| <= w/t) or reflects below the critical
+    angle (|slope| <= tan theta_c, largest at the source's lowest line
+    energy).  So a plate target farther than (-y) * s_max from the source
+    extent, s_max the larger of the two, is absorbed for certain: on the
+    web if it misses the openings, else at the walls.
+    """
+    half = geometry.plate_side / 2.0
+    w_over_t = geometry.pore_width_w / (geometry.thickness_t * 1e3)
+    theta_c_1kev = critical_angle_deg(1.0, geometry.coating)
+    rows = []
+    for src in scene.sources:
+        px, py, pz = src.position
+        if py >= 0:
+            raise ValueError("sources must sit on the sample side of the plate (y < 0)")
+        e_min = min(e for e, _ in src.lines)
+        s_max = max(math.tan(math.radians(theta_c_1kev / e_min)), w_over_t)
+        reach = -py * s_max * (1.0 + _BOX_MARGIN)
+        x_lo = max(px - src.width / 2.0 - reach, -half)
+        x_hi = min(px + src.width / 2.0 + reach, half)
+        z_lo = max(pz - src.height / 2.0 - reach, -half)
+        z_hi = min(pz + src.height / 2.0 + reach, half)
+        rows.append((x_lo, max(x_hi - x_lo, 0.0), z_lo, max(z_hi - z_lo, 0.0)))
+    x_lo, x_len, z_lo, z_len = (np.array(col) for col in zip(*rows))
+
+    plate_area = geometry.plate_side**2
+    box_area = x_len * z_len
+    plate_open = _open_length(-half, half, geometry) ** 2
+    box_open = _open_length(x_lo, x_lo + x_len, geometry) * _open_length(
+        z_lo, z_lo + z_len, geometry
+    )
+    outside = plate_area - box_area  # 0 when the box covers the plate
+    open_frac = (plate_open - box_open) / np.where(outside > 0, outside, 1.0)
+    return _AcceptanceBoxes(
+        x_lo=x_lo,
+        z_lo=z_lo,
+        x_len=x_len,
+        z_len=z_len,
+        area_frac=np.clip(box_area / plate_area, 0.0, 1.0),
+        open_frac=np.clip(open_frac, 0.0, 1.0),
+    )
+
+
+def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
+    """Emission sampling for ``n`` photons aimed uniformly at the plate.
+
+    Only photons whose plate target falls in their source's acceptance box
+    (:func:`_acceptance_boxes`) are sampled ray by ray; the rest are
+    certain losses and are drawn as tallies.  Per source, the photon count
+    is multinomial in the intensities, the in-box count binomial in the
+    box's area fraction, and the out-of-box web count binomial in the
+    closed-area fraction outside the box, so every tally keeps the
+    distribution of full-plate sampling.
+
+    Draw order is fixed (source counts, in-box counts, out-of-box web
+    counts, then for the in-box photons rect offsets, line pick, plate
+    target) so a batch is reproducible from its rng alone.  Returns the
+    in-box photons' emission points, plate targets, slopes and energies,
+    and the out-of-box ``(web_absorbed, wall_absorbed)`` tallies.
     """
     sources = scene.sources
+    box = _acceptance_boxes(scene, geometry)
     src_weights = np.array([s.total_intensity for s in sources], dtype=float)
-    src_cdf = np.cumsum(src_weights) / src_weights.sum()
+    n_src = rng.multinomial(n, src_weights / src_weights.sum())
+    n_box = rng.binomial(n_src, box.area_frac)
+    n_web = rng.binomial(n_src - n_box, 1.0 - box.open_frac)
+    web_absorbed = int(n_web.sum())
+    wall_absorbed = int(n - n_box.sum()) - web_absorbed
 
-    u_src = rng.random(n)
-    u_rect_x = rng.random(n)
-    u_rect_z = rng.random(n)
-    target_x = (rng.random(n) - 0.5) * geometry.plate_side
-    target_z = (rng.random(n) - 0.5) * geometry.plate_side
-    u_line = rng.random(n)
+    m = int(n_box.sum())
+    u_rect_x = rng.random(m)
+    u_rect_z = rng.random(m)
+    u_line = rng.random(m)
+    u_target_x = rng.random(m)
+    u_target_z = rng.random(m)
 
-    src_idx = np.searchsorted(src_cdf, u_src, side="right")
-    src_idx = np.minimum(src_idx, len(sources) - 1)
-
-    ex = np.empty(n)
-    ey = np.empty(n)
-    ez = np.empty(n)
-    energy = np.empty(n)
+    ex = np.empty(m)
+    ey = np.empty(m)
+    ez = np.empty(m)
+    target_x = np.empty(m)
+    target_z = np.empty(m)
+    energy = np.empty(m)
+    stop = np.cumsum(n_box)
     for k, src in enumerate(sources):
-        sel = src_idx == k
-        if not np.any(sel):
-            continue
+        sel = slice(stop[k] - n_box[k], stop[k])  # in-box photons of source k
         px, py, pz = src.position
         ex[sel] = px + (u_rect_x[sel] - 0.5) * src.width
         ez[sel] = pz + (u_rect_z[sel] - 0.5) * src.height
         ey[sel] = py
+        target_x[sel] = box.x_lo[k] + u_target_x[sel] * box.x_len[k]
+        target_z[sel] = box.z_lo[k] + u_target_z[sel] * box.z_len[k]
         line_e = np.array([e for e, _ in src.lines])
         line_w = np.array([w for _, w in src.lines], dtype=float)
         line_cdf = np.cumsum(line_w) / line_w.sum()
         li = np.searchsorted(line_cdf, u_line[sel], side="right")
-        li = np.minimum(li, len(src.lines) - 1)
-        energy[sel] = line_e[li]
+        energy[sel] = line_e[np.minimum(li, len(src.lines) - 1)]
 
     dy = -ey  # plate entrance face sits at y = 0
-    if np.any(dy <= 0):
-        raise ValueError("sources must sit on the sample side of the plate (y < 0)")
-    dx = target_x - ex
-    dz = target_z - ez
-    slope_x = dx / dy
-    slope_z = dz / dy
-    return ex, ey, ez, target_x, target_z, slope_x, slope_z, energy
+    slope_x = (target_x - ex) / dy
+    slope_z = (target_z - ez) / dy
+    return (
+        (ex, ey, ez, target_x, target_z, slope_x, slope_z, energy),
+        (web_absorbed, wall_absorbed),
+    )
 
 
 _CLASS_ORDER = tuple(PathClass)
@@ -295,15 +384,14 @@ def _run_batch(args):
     rng = _batch_rng(seed, batch_index)
     stats = SimStats(n_photons=n)
 
-    _, _, _, tx, tz, slope_x, slope_z, energy = _sample_emission_arrays(
-        scene, geometry, n, rng
+    (_, _, _, tx, tz, slope_x, slope_z, energy), (web_out, wall_out) = (
+        _sample_emission_arrays(scene, geometry, n, rng)
     )
 
-    # plate targets are drawn on the plate, so every photon meets a pore or
-    # the web
+    # in-box plate targets lie on the plate, so each meets a pore or the web
     ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
     idx = np.nonzero(in_pore)[0]
-    stats.web_absorbed = int(n - idx.size)
+    stats.web_absorbed = web_out + int(tx.size - idx.size)
     u = u[idx]
     v = v[idx]
     sx = slope_x[idx]
@@ -316,7 +404,7 @@ def _run_batch(args):
     exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
 
     survive = _survives(sx, sz, n_x, n_z, e_true, geometry, rng)
-    stats.wall_absorbed = int(idx.size - np.count_nonzero(survive))
+    stats.wall_absorbed = wall_out + int(idx.size - np.count_nonzero(survive))
 
     keep = np.nonzero(survive)[0]
     cell = idx[keep]

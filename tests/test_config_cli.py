@@ -276,12 +276,19 @@ class TestCliAnalysisChain:
             ("# pitch_um=55.0\n1,nan\n", ": image CSV holds a NaN or infinite"),
             ("# pitch_um=55.0\n1,2\n-inf,4\n", ": image CSV holds a NaN or infinite"),
             ("# n_x=2 n_y=0 pitch_um=55.0\n", ": image CSV has no data rows"),
+            (b"# pitch_um=55.0\n1,2\xff\n", ": image CSV is not UTF-8 text"),
         ],
-        ids=["ragged", "pitch-text", "pitch-negative", "nan", "inf", "no-rows"],
+        ids=[
+            "ragged", "pitch-text", "pitch-negative", "nan", "inf", "no-rows",
+            "non-utf8",
+        ],
     )
     def test_ragged_image_csv_io_exit(self, tmp_path, capsys, text, message):
         path = tmp_path / "img.csv"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on a file without rows
             code = cli.main(
@@ -370,6 +377,23 @@ class TestCliCalibration:
              "--out", str(tmp_path / "cal.csv")]
         ) == cli.EXIT_IO
 
+    def test_truncated_line_file_named(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        gain, offset = np.full((2, 2), 0.05), np.zeros((2, 2))
+        args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
+        for label, e_kev in ev.default_line_set().lines:
+            path = tmp_path / f"{label}.tpxe"
+            data = ev.write_events(
+                ev.synthesize_line_events(e_kev, gain, offset, 50, rng)
+            )
+            path.write_bytes(data[:-7] if label == "Zr" else data)
+            args += ["--events", f"{label}={path}"]
+        assert cli.main(args) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'Zr.tpxe'}: stream ends after 199 of 200 records" in err
+        assert "Cu.tpxe" not in err
+        assert not (tmp_path / "cal.csv").exists()
+
     def test_calibration_missing_column_io_exit(self, tmp_path, capsys):
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
@@ -393,8 +417,22 @@ class TestCliCalibration:
             ("0,1.5,1.0,0.0,0.0,0\n", "column y must hold non-negative integer"),
             ("", "calibration CSV has no data rows"),
             ("0,0,1.0,0.0,0.0,0\n", "2x2 pixel matrix does not match the 1x1"),
+            (
+                "0,0,1.0,0.0,0.0,0\n4000000000,0,1.0,0.0,0.0,0\n",
+                "pixel indices span a 4000000001x1 matrix but the calibration CSV "
+                "has 2 data rows",
+            ),
+            (
+                "0,0,1.0,0.0,0.0,0\n1,0,1.0,0.0,0.0,0\n0,1,1.0,0.0,0.0,0\n",
+                "pixel indices span a 2x2 matrix but the calibration CSV has "
+                "3 data rows",
+            ),
+            ("0,0,inf,0.0,0.0,0\n", "a live pixel has a non-finite gain or offset"),
         ],
-        ids=["negative-x", "nan-x", "fractional-y", "no-rows", "matrix-mismatch"],
+        ids=[
+            "negative-x", "nan-x", "fractional-y", "no-rows", "matrix-mismatch",
+            "huge-x", "missing-row", "inf-gain",
+        ],
     )
     def test_malformed_calibration_io_exit(self, tmp_path, capsys, rows, message):
         run = tmp_path / "run.tpxe"

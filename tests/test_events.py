@@ -110,6 +110,17 @@ class TestTpxeFormat:
         with pytest.raises(ev.EventFormatError):
             ev.parse_events(b"TPXE\x01")
 
+    def test_file_error_names_path(self, tmp_path):
+        el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
+        path = tmp_path / "cut.tpxe"
+        path.write_bytes(ev.write_events(el)[:-5])
+        with pytest.raises(ev.EventFormatError) as err:
+            ev.parse_events_file(path)
+        assert err.value.offset == ev.HEADER.size + 2 * 16
+        assert str(err.value) == (
+            f"{path}: stream ends after 2 of 3 records (byte offset 56)"
+        )
+
     def test_file_roundtrip(self, tmp_path):
         el = make_events(16, 16, [3], [4], [500])
         path = tmp_path / "ev.tpxe"
@@ -372,3 +383,21 @@ class TestCalibrationCsv:
         assert np.allclose(back.gain[alive], cal.gain[alive])
         assert np.allclose(back.offset[alive], cal.offset[alive])
         assert np.allclose(back.residual[alive], cal.residual[alive])
+
+    def test_one_row_per_pixel(self, tmp_path):
+        # dead pixels keep their row, so a map whose edge pixels are all
+        # dead still reads back at full size
+        dead = np.ones((3, 5), dtype=bool)
+        dead[0, 0] = False
+        cal = ev.CalibrationMap(
+            gain=np.where(dead, np.nan, 0.05),
+            offset=np.where(dead, np.nan, 0.1),
+            residual=np.where(dead, np.nan, 0.0),
+            dead=dead,
+        )
+        path = tmp_path / "cal.csv"
+        ev.write_calibration_csv(path, cal)
+        assert len(path.read_text().splitlines()) == 1 + 3 * 5
+        back = ev.read_calibration_csv(path)
+        assert (back.n_y, back.n_x) == (3, 5)
+        assert np.array_equal(back.dead, dead)

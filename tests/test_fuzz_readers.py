@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpoxrf import cli, events as ev, sic
+from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.sim import SpectralImage
 
 N_X, N_Y = 3, 2
@@ -147,5 +147,96 @@ class TestReadSic:
         code = cli.main(
             ["window", "--cube", str(path), "--lo", "6.0", "--hi", "9.0",
              "--out-prefix", str(workdir / "img")]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_IO)
+
+
+VALID_IMAGE_CSV = b"# n_x=3 n_y=2 pitch_um=55.0\n0.0,1.5,2.0\n3.0,4.0,5.25\n"
+VALID_CAL_CSV = (
+    b"x,y,gain,offset,residual,dead\n"
+    + b"".join(
+        b"%d,%d,1.0,0.0,0.0,0\n" % (x, y) for y in range(N_Y) for x in range(N_X)
+    )
+)
+#: Bytes that keep a mutated text file close to the CSV grammar.
+CSV_ALPHABET = "0123456789.,+-eE# =\nnaifxyNIT_\t\xff"
+
+
+@st.composite
+def edited(draw, valid: bytes) -> bytes:
+    """``valid`` with up to three splices of CSV-like text, up to four bits
+    flipped, then possibly truncated."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 4))
+        text = draw(st.text(CSV_ALPHABET, max_size=8)).encode("latin-1")
+        data[at : at + cut] = text
+    for bit in draw(st.lists(st.integers(0, 8 * max(len(data), 1) - 1), max_size=4)):
+        if data:
+            data[bit // 8] ^= 1 << (bit % 8)
+    end = draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))
+    return bytes(data[:end])
+
+
+def text_inputs(valid: bytes):
+    """Random bytes, random CSV-like text, or an edited valid file."""
+    return (
+        st.binary(max_size=120)
+        | st.text(CSV_ALPHABET, max_size=120).map(lambda t: t.encode("latin-1"))
+        | edited(valid)
+    )
+
+
+class TestReadImageCsv:
+    @FUZZ
+    @given(data=text_inputs(VALID_IMAGE_CSV))
+    def test_reads_or_raises_format_error(self, workdir, data):
+        path = workdir / "img.csv"
+        path.write_bytes(data)
+        try:
+            image = fileio.read_image_csv(path)
+        except fileio.FileFormatError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        assert image.values.ndim == 2 and image.values.size > 0
+        assert np.all(np.isfinite(image.values))
+        assert 0 < image.pitch_um < np.inf
+
+    @FUZZ
+    @given(data=text_inputs(VALID_IMAGE_CSV))
+    def test_atf_exits_0_or_3(self, workdir, data):
+        path = workdir / "img.csv"
+        path.write_bytes(data)
+        code = cli.main(
+            ["atf", "--image", str(path), "--out", str(workdir / "atf.csv")]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_IO)
+
+
+class TestReadCalibrationCsv:
+    @FUZZ
+    @given(data=text_inputs(VALID_CAL_CSV))
+    def test_reads_or_raises_format_error(self, workdir, data):
+        path = workdir / "fuzz_cal.csv"
+        path.write_bytes(data)
+        try:
+            cal = ev.read_calibration_csv(path)
+        except fileio.FileFormatError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        assert cal.gain.shape == cal.offset.shape == cal.dead.shape
+        assert cal.gain.size <= data.count(b"\n") + 1
+
+    @FUZZ
+    @given(data=text_inputs(VALID_CAL_CSV))
+    def test_apply_cal_exits_0_or_3(self, workdir, data):
+        path = workdir / "fuzz_cal.csv"
+        path.write_bytes(data)
+        events = workdir / "fuzz_run.tpxe"
+        events.write_bytes(VALID_TPXE)
+        code = cli.main(
+            ["apply-cal", "--events", str(events), "--cal", str(path),
+             "--out", str(workdir / "fuzz_run.sic")]
         )
         assert code in (cli.EXIT_OK, cli.EXIT_IO)

@@ -1,15 +1,19 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mpoxrf.config import load_config
 from mpoxrf.optics import (
     MpoGeometry,
     PathClass,
     ReflectivityModel,
     TraceOutcome,
+    _class_codes,
+    _pore_cells,
     _survives,
     _unfold_vec,
     critical_angle_deg,
@@ -22,7 +26,10 @@ from mpoxrf.sim import (
     DetectorSpec,
     Scene,
     Source,
+    SimStats,
+    _acceptance_boxes,
     _batch_rng,
+    _bin_hits,
     _sample_emission_arrays,
     batch_seed,
     simulate,
@@ -105,35 +112,48 @@ class TestSourceValidation:
             DetectorSpec(e_bin_width=0.0)
 
 
+def in_box_draws(scene, n, seed, batch=0, geometry=GEOM):
+    """The in-box emission arrays and out-of-box (web, wall) tallies of one
+    batch's draws."""
+    return _sample_emission_arrays(scene, geometry, n, _batch_rng(seed, batch))
+
+
 class TestSampleEmission:
     def test_point_source_slope_envelope(self):
+        # at 8 keV the straight-through limit w/t = 1/60 exceeds tan(theta_c)
         scene = cu_scene()
-        half = GEOM.plate_side / 2
-        bound = half / scene.L_s
-        _, _, _, tx, tz, sx, sz, energy = _sample_emission_arrays(
-            scene, GEOM, 100_000, _batch_rng(1, 0)
-        )
-        assert np.all(np.abs(sx) <= bound + 1e-12)
-        assert np.all(np.abs(sz) <= bound + 1e-12)
+        n = 1_000_000
+        s_max = GEOM.pore_width_w / (GEOM.thickness_t * 1e3)
+        (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_box_draws(scene, n, 1)
+        assert tx.size > 1000
+        assert np.all(np.abs(sx) <= s_max * (1 + 1e-6))
+        assert np.all(np.abs(sz) <= s_max * (1 + 1e-6))
+        assert np.abs(sx).max() > 0.99 * s_max  # the box is not oversized
         # every target lies on the plate, so no photon misses it
+        half = GEOM.plate_side / 2
         assert np.all(np.abs(tx) <= half) and np.all(np.abs(tz) <= half)
         assert np.all(energy == 8.0)
+        # the certain losses are tallied, not dropped
+        assert web + wall + tx.size == n
+        assert web / (n - tx.size) == pytest.approx(0.36, abs=0.002)
 
     def test_line_intensity_fractions(self):
         src = Source("two", ((4.0, 1.0), (8.0, 3.0)), (0, -25, 0))
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
-        rng = _batch_rng(17, 0)
-        *_, energy = _sample_emission_arrays(scene, GEOM, 100_000, rng)
+        (*_, energy), _ = in_box_draws(scene, 10_000_000, 17)
+        assert energy.size > 20_000
         frac = np.mean(energy == 8.0)
         assert frac == pytest.approx(0.75, abs=0.01)
 
     def test_rect_source_uniform(self):
         src = Source("rect", ((8.0, 1.0),), (1.0, -25.0, -2.0), width=4.0, height=2.0)
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
-        rng = _batch_rng(3, 0)
-        n = 100_000
-        ex, _, ez, *_ = _sample_emission_arrays(scene, GEOM, n, rng)
-        # uniform over [center - w/2, center + w/2]: mean = center +- 3 sigma/sqrt(N)
+        (ex, _, ez, *_), _ = in_box_draws(scene, 1_000_000, 3)
+        n = ex.size
+        assert n > 10_000
+        # emission points do not depend on the target, so the in-box ones
+        # stay uniform over the rectangle:
+        # mean = center +- 3 sigma/sqrt(N)
         tol_x = 3 * (4.0 / math.sqrt(12)) / math.sqrt(n)
         tol_z = 3 * (2.0 / math.sqrt(12)) / math.sqrt(n)
         assert ex.mean() == pytest.approx(1.0, abs=tol_x)
@@ -141,10 +161,139 @@ class TestSampleEmission:
         assert ex.min() >= 1.0 - 2.0 and ex.max() <= 1.0 + 2.0
 
     def test_sources_behind_plate_rejected(self):
-        src = Source("bad", ((8.0, 1.0),), (0.0, 5.0, 0.0))
-        scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
-        with pytest.raises(ValueError):
-            _sample_emission_arrays(scene, GEOM, 10, np.random.default_rng(0))
+        good = Source("good", ((8.0, 1.0),), (0.0, -25.0, 0.0))
+        bad = Source("bad", ((8.0, 1.0),), (0.0, 5.0, 0.0))
+        with pytest.raises(ValueError, match="sample side"):
+            _sample_emission_arrays(
+                Scene(sources=(bad,), L_s=25.0, L_i=25.0), GEOM, 10,
+                np.random.default_rng(0),
+            )
+        # checked per source, even when no photon of the batch reaches it
+        faint = Source("bad", ((8.0, 1e-12),), (0.0, 5.0, 0.0))
+        for scene, n in (
+            (Scene(sources=(good, faint), L_s=25.0, L_i=25.0), 1000),
+            (Scene(sources=(bad,), L_s=25.0, L_i=25.0), 0),
+        ):
+            with pytest.raises(ValueError, match="sample side"):
+                _sample_emission_arrays(scene, GEOM, n, np.random.default_rng(0))
+
+
+def open_area_by_cells(x_lo, x_hi, z_lo, z_hi, geometry=GEOM):
+    """Open area (mm^2) of [x_lo, x_hi] x [z_lo, z_hi], one pitch cell at a
+    time."""
+    p = geometry.pitch_p * 1e-3
+    h = geometry.pore_width_w * 1e-3 / 2
+    total = 0.0
+    for i in range(math.floor(x_lo / p) - 1, math.ceil(x_hi / p) + 2):
+        dx = min(x_hi, i * p + h) - max(x_lo, i * p - h)
+        if dx <= 0:
+            continue
+        for j in range(math.floor(z_lo / p) - 1, math.ceil(z_hi / p) + 2):
+            dz = min(z_hi, j * p + h) - max(z_lo, j * p - h)
+            if dz > 0:
+                total += dx * dz
+    return total
+
+
+class TestAcceptanceBox:
+    def scenes(self):
+        ti_cu = ((4.5, 1.0), (8.0, 1.0))
+        yield cu_scene()
+        yield Scene(
+            sources=(
+                Source("ti", ((4.5, 1.0),), (-1.5, -25.0, -1.5)),
+                Source("cu", ((8.0, 1.0),), (1.5, -25.0, 1.5)),
+            ),
+            L_s=25.0,
+            L_i=25.0,
+        )
+        # clipped by the plate edge, and beyond it
+        yield Scene(
+            sources=(
+                Source("edge", ti_cu, (9.3, -40.0, -3.21), width=1.7, height=0.9),
+                Source("off", ti_cu, (14.0, -25.0, 0.0)),
+            ),
+            L_s=25.0,
+            L_i=25.0,
+        )
+
+    def test_open_fraction_matches_cell_sum(self):
+        half = GEOM.plate_side / 2
+        plate_open = open_area_by_cells(-half, half, -half, half)
+        assert plate_open == pytest.approx(0.64 * GEOM.plate_side**2, rel=1e-9)
+        n_checked = 0
+        for scene in self.scenes():
+            box = _acceptance_boxes(scene, GEOM)
+            for k in range(len(scene.sources)):
+                x_lo, z_lo = box.x_lo[k], box.z_lo[k]
+                x_hi, z_hi = x_lo + box.x_len[k], z_lo + box.z_len[k]
+                box_area = box.x_len[k] * box.z_len[k]
+                assert box.area_frac[k] == pytest.approx(
+                    box_area / GEOM.plate_side**2, rel=1e-12
+                )
+                inside = open_area_by_cells(x_lo, x_hi, z_lo, z_hi) if box_area else 0
+                q = (plate_open - inside) / (GEOM.plate_side**2 - box_area)
+                assert box.open_frac[k] == pytest.approx(q, rel=1e-9)
+                n_checked += 1
+        assert n_checked == 5
+        box = _acceptance_boxes(next(self.scenes()), GEOM)
+        assert box.area_frac[0] == pytest.approx(1.74e-3, rel=0.01)
+
+    def test_box_side_follows_lowest_line(self):
+        # tan(theta_c) at 4.5 keV beats w/t; at 8 keV w/t sets the side
+        cu = _acceptance_boxes(cu_scene(), GEOM)
+        two = _acceptance_boxes(
+            Scene(
+                sources=(Source("x", ((8.0, 1.0), (4.5, 0.1)), (0, -25, 0)),),
+                L_s=25.0,
+                L_i=25.0,
+            ),
+            GEOM,
+        )
+        theta = math.radians(critical_angle_deg(4.5, GEOM.coating))
+        assert cu.x_len[0] == pytest.approx(2 * 25.0 / 60.0, rel=1e-5)
+        assert two.x_len[0] == pytest.approx(2 * 25.0 * math.tan(theta), rel=1e-5)
+
+    def test_targets_outside_box_are_absorbed(self):
+        # replay rays from the source extent's corners to plate targets
+        # just outside the box (and anywhere outside it) through the
+        # scalar oracle: none leaves the channel
+        rng = np.random.default_rng(8)
+        half = GEOM.plate_side / 2
+        n_rays = 0
+        for scene in self.scenes():
+            box = _acceptance_boxes(scene, GEOM)
+            for k, src in enumerate(scene.sources):
+                x_lo, z_lo = box.x_lo[k], box.z_lo[k]
+                x_hi, z_hi = x_lo + box.x_len[k], z_lo + box.z_len[k]
+                px, py, pz = src.position
+                corners = [
+                    (px + a * src.width / 2, pz + b * src.height / 2)
+                    for a in (-1, 0, 1) for b in (-1, 0, 1)
+                ]
+                targets = []
+                for _ in range(300):
+                    along = rng.uniform(-half, half)
+                    eps = rng.uniform(1e-9, 2e-3)
+                    targets += [
+                        (x_hi + eps, along), (x_lo - eps, along),
+                        (along, z_hi + eps), (along, z_lo - eps),
+                        tuple(rng.uniform(-half, half, 2)),
+                    ]
+                for tx, tz in targets:
+                    if not (abs(tx) <= half and abs(tz) <= half):
+                        continue
+                    if x_lo <= tx <= x_hi and z_lo <= tz <= z_hi:
+                        continue
+                    for ex, ez in corners:
+                        for energy, _ in src.lines:
+                            fate = replay_ray(
+                                tx, tz, (tx - ex) / -py, (tz - ez) / -py,
+                                energy, scene.L_i,
+                            )[0]
+                            assert fate in ("web", "wall"), (src, tx, tz, ex, ez)
+                            n_rays += 1
+        assert n_rays > 50_000
 
 
 class TestProjectToDetector:
@@ -276,45 +425,53 @@ class TestSimulate:
         assert not np.array_equal(a.counts, b.counts)
 
     def test_matches_scalar_chain(self):
-        # with FWHM=0 and the binary model, one batch is a deterministic
-        # function of its emission arrays; replay it ray by ray through
-        # independent scalar arithmetic and compare cube, tallies and
-        # class counts exactly
+        # with FWHM=0 and the binary model, a batch is a deterministic
+        # function of its in-box emission arrays; replay every batch ray by
+        # ray through independent scalar arithmetic and compare cube,
+        # tallies and class counts exactly.  The out-of-box photons are
+        # certain losses, tallied without transport.
         det = DetectorSpec(energy_fwhm=0.0)
         scene = cu_scene()
-        n = 50_000
-        assert n <= BATCH_SIZE
+        n = 20 * BATCH_SIZE + 1234
         cube = simulate(scene, GEOM, det, n, seed=31)
 
-        _, _, _, tx, tz, sx, sz, energy = _sample_emission_arrays(
-            scene, GEOM, n, _batch_rng(31, 0)
-        )
         expected = np.zeros((det.n_y, det.n_x, det.n_bins), dtype=np.uint64)
         fates = Counter()
         classes = Counter()
+        web_out = wall_out = 0
         pitch_mm = det.pitch * 1e-3
         x0 = -det.n_x * pitch_mm / 2
         z0 = -det.n_y * pitch_mm / 2
-        for k in range(n):
-            fate, x, z, n_x, n_z = replay_ray(
-                tx[k], tz[k], sx[k], sz[k], energy[k], scene.L_i
+        for b in range(21):
+            n_b = min(BATCH_SIZE, n - b * BATCH_SIZE)
+            (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_box_draws(
+                scene, n_b, 31, batch=b
             )
-            fates[fate] += 1
-            if fate != "exit":
-                continue
-            ix = math.floor((x - x0) / pitch_mm)
-            iy = math.floor((z - z0) / pitch_mm)
-            if not (0 <= ix < det.n_x and 0 <= iy < det.n_y):
-                continue
-            if energy[k] < det.threshold:
-                continue
-            b = math.floor((energy[k] - det.e_min) / det.e_bin_width)
-            if 0 <= b < det.n_bins:
-                expected[iy, ix, b] += 1
-                classes[parity_class(n_x, n_z)] += 1
+            assert web + wall + tx.size == n_b
+            web_out += web
+            wall_out += wall
+            for k in range(tx.size):
+                fate, x, z, n_x, n_z = replay_ray(
+                    tx[k], tz[k], sx[k], sz[k], energy[k], scene.L_i
+                )
+                fates[fate] += 1
+                if fate != "exit":
+                    continue
+                ix = math.floor((x - x0) / pitch_mm)
+                iy = math.floor((z - z0) / pitch_mm)
+                if not (0 <= ix < det.n_x and 0 <= iy < det.n_y):
+                    continue
+                if energy[k] < det.threshold:
+                    continue
+                e_bin = math.floor((energy[k] - det.e_min) / det.e_bin_width)
+                if 0 <= e_bin < det.n_bins:
+                    expected[iy, ix, e_bin] += 1
+                    classes[parity_class(n_x, n_z)] += 1
         s = cube.stats
-        assert (s.web_absorbed, s.wall_absorbed) == (fates["web"], fates["wall"])
-        assert s.detected == int(expected.sum()) > 0
+        assert s.web_absorbed == fates["web"] + web_out
+        assert s.wall_absorbed == fates["wall"] + wall_out
+        assert fates["exit"] > 500
+        assert s.detected == int(expected.sum()) > 500
         assert s.class_counts == {cls: classes[cls] for cls in PathClass}
         assert np.array_equal(cube.counts, expected)
 
@@ -418,3 +575,153 @@ class TestConstantPerBounceRoulette:
         for cls in PathClass:
             assert half.class_counts[cls] <= binary.class_counts[cls]
         assert half.detected < binary.detected
+
+
+def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
+    """The sampler the acceptance box replaced: every photon gets a uniform
+    plate target and runs through the transport kernels and the detector
+    stage.  Returns (stats, cube counts)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(s, e, w) for s in scene.sources for e, w in s.lines]
+    pair_p = np.array([w for *_, w in pairs]) / sum(w for *_, w in pairs)
+    pos = np.array([s.position for s, *_ in pairs])
+    size = np.array([(s.width, s.height) for s, *_ in pairs])
+    line_e = np.array([e for _, e, _ in pairs])
+    total = SimStats(n_photons=n, class_counts=dict.fromkeys(PathClass, 0))
+    counts = np.zeros((detector.n_y, detector.n_x, detector.n_bins), np.uint64)
+    w, t_um = geometry.pore_width_w, geometry.thickness_t * 1e3
+    p_mm = geometry.pitch_p * 1e-3
+    pitch_mm = detector.pitch * 1e-3
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        k = rng.choice(len(pairs), m, p=pair_p)
+        ex, ez = pos[k, 0::2].T + (rng.random((2, m)) - 0.5) * size[k].T
+        tx, tz = (rng.random((2, m)) - 0.5) * geometry.plate_side
+        energy = line_e[k]
+        sx, sz = (tx - ex) / -pos[k, 1], (tz - ez) / -pos[k, 1]
+        ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
+        exit_u, exit_sx, n_x = _unfold_vec(u, sx, w, t_um)
+        exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
+        alive = in_pore & _survives(sx, sz, n_x, n_z, energy, geometry, rng)
+        x_det = ci * p_mm + (exit_u - w / 2) * 1e-3 + exit_sx * scene.L_i
+        z_det = cj * p_mm + (exit_v - w / 2) * 1e-3 + exit_sz * scene.L_i
+        e_meas = energy + detector.energy_fwhm / FWHM_PER_SIGMA * rng.standard_normal(m)
+        ix = np.floor(x_det / pitch_mm + detector.n_x / 2).astype(np.int64)
+        iy = np.floor(z_det / pitch_mm + detector.n_y / 2).astype(np.int64)
+        on = alive & (ix >= 0) & (ix < detector.n_x) & (iy >= 0) & (iy < detector.n_y)
+        stats = SimStats()
+        hit, (idx, cnt) = _bin_hits(ix[on], iy[on], e_meas[on], detector, stats)
+        counts.reshape(-1)[idx] += cnt.astype(np.uint64)
+        codes = _class_codes(n_x[on][hit], n_z[on][hit])
+        stats.class_counts = dict(zip(PathClass, np.bincount(codes, minlength=5)))
+        stats.web_absorbed = int(m - in_pore.sum())
+        stats.wall_absorbed = int(in_pore.sum() - alive.sum())
+        stats.off_detector = int(alive.sum() - on.sum())
+        total.add(stats)
+    return total, counts
+
+
+def chi2_sf(x, dof):
+    """Upper tail of the chi-square distribution, integer ``dof``."""
+    h = x / 2.0
+    if dof % 2 == 0:
+        term = tail = math.exp(-h)
+        for i in range(1, dof // 2):
+            term *= h / i
+            tail += term
+        return tail
+    tail = math.erfc(math.sqrt(h))
+    term = math.exp(-h) * 2.0 * math.sqrt(h / math.pi)
+    for i in range(1, (dof + 1) // 2):
+        tail += term
+        term *= h / (i + 0.5)
+    return tail
+
+
+def homogeneity_p(a, b):
+    """p-value of the chi-square test that count vectors ``a`` and ``b``
+    come from one distribution (categories empty in both are dropped)."""
+    table = np.array([a, b], dtype=float)
+    table = table[:, table.sum(axis=0) > 0]
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    return chi2_sf(chi2, table.shape[1] - 1)
+
+
+def two_proportion_p(k1, k2, n):
+    """Two-sided p-value that k1/n and k2/n estimate one proportion."""
+    pooled = (k1 + k2) / (2 * n)
+    z = (k1 - k2) / n / math.sqrt(pooled * (1 - pooled) * 2 / n)
+    return math.erfc(abs(z) / math.sqrt(2))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EQUIVALENCE_PHOTONS = 4_000_000
+ALPHA = 1e-3
+
+
+def equivalence_case(name):
+    cfg = load_config(CONFIGS / "reference.ini")
+    scene, geom = cfg.scene, cfg.mpo
+    if name == "two-line-rect":
+        lines = ((4.5, 1.0), (8.0, 2.0))
+        scene = replace(
+            scene,
+            sources=(
+                Source("ti_cu", lines, (0.3, -25.0, -0.2), width=2.0, height=1.5),
+            ),
+        )
+    elif name == "constant-per-bounce":
+        geom = replace(
+            geom, reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
+            reflectivity=0.8,
+        )
+    return scene, geom, cfg.detector
+
+
+class TestFullPlateEquivalence:
+    """The acceptance-box sampler against the full-plate sampler it
+    replaced, at equal photon budgets: tallies, class counts and the
+    [6, 9) keV image must be statistically indistinguishable."""
+
+    @pytest.fixture(
+        scope="class", params=["reference", "two-line-rect", "constant-per-bounce"]
+    )
+    def runs(self, request):
+        scene, geom, det = equivalence_case(request.param)
+        n = EQUIVALENCE_PHOTONS
+        box = simulate(scene, geom, det, n, seed=5)
+        full_stats, full_counts = full_plate_oracle(scene, geom, det, n, seed=6)
+        lo, hi = 24, 36  # [6, 9) keV at 0.25 keV bins
+
+        def image(counts):  # 4x4-pixel blocks
+            img = counts[:, :, lo:hi].sum(axis=2)
+            return img.reshape(det.n_y // 4, 4, det.n_x // 4, 4).sum(axis=(1, 3))
+
+        return box.stats, image(box.counts), full_stats, image(full_counts)
+
+    def test_web_and_wall_fractions(self, runs):
+        box, _, full, _ = runs
+        for tally in ("web_absorbed", "wall_absorbed"):
+            p = two_proportion_p(
+                getattr(box, tally), getattr(full, tally), EQUIVALENCE_PHOTONS
+            )
+            assert p > ALPHA, tally
+
+    def test_class_counts_and_detected(self, runs):
+        box, _, full, _ = runs
+        assert full.detected > 1500
+        cells = []
+        for stats in (box, full):
+            per_class = [stats.class_counts[cls] for cls in PathClass]
+            cells.append(per_class + [EQUIVALENCE_PHOTONS - stats.detected])
+        assert homogeneity_p(*cells) > ALPHA
+
+    def test_windowed_image(self, runs):
+        _, box_img, _, full_img = runs
+        # blocks with fewer than 10 counts in both images are pooled
+        big = (box_img + full_img) >= 10
+        assert big.sum() >= 10
+        a = np.append(box_img[big], box_img[~big].sum())
+        b = np.append(full_img[big], full_img[~big].sum())
+        assert homogeneity_p(a, b) > ALPHA
