@@ -176,18 +176,27 @@ def _parse_line_list(raw: str) -> LineSet:
 
 def _cmd_calibrate(args) -> int:
     line_set = _parse_line_list(args.lines) if args.lines else default_line_set()
-    per_line = {}
+    given = []
     for spec_item in args.events:
         label, _, path = spec_item.partition("=")
         if not path:
             raise ConfigError(f"--events entry {spec_item!r} is not LABEL=PATH")
-        per_line[label.strip()] = events.parse_events_file(path)
-    missing = [lbl for lbl in line_set.labels if lbl not in per_line]
+        given.append((label.strip(), path))
+    given_labels = {label for label, _ in given}
+    missing = [lbl for lbl in line_set.labels if lbl not in given_labels]
     if missing:
         raise ConfigError(
             f"no event file given for calibration line(s): {', '.join(missing)}"
         )
-    cal = events.calibrate_from_events(per_line, line_set)
+    # every file is parsed (and so validated) in turn, and reduced to its
+    # peak map at once: one file's events are alive at a time
+    peaks = {}
+    for label, path in given:
+        if label in line_set.labels:
+            peaks[label] = events.line_peaks(events.parse_events_file(path))
+        else:
+            events.parse_events_file(path)
+    cal = events.fit_calibration(events.stack_line_peaks(peaks, line_set), line_set)
     events.write_calibration_csv(args.out, cal)
     alive = cal.gain.size - cal.n_dead
     print(f"calibrated {alive} pixel(s), {cal.n_dead} dead -> {args.out}")

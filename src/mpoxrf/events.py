@@ -20,6 +20,7 @@ TPXE format, little-endian:
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,48 +244,100 @@ def tot_histograms(
 ) -> np.ndarray:
     """Per-pixel ToT histograms, shape (n_y * n_x, max_tot + 1).
 
-    With ``out`` the counts accumulate into an existing histogram block
-    (enables streaming large fixture sets in chunks); ``row_offset``
-    shifts the pixel rows when ``events`` covers a slab of a larger
-    matrix that ``out`` describes.
+    Without ``max_tot`` the width covers the largest ToT present; a given
+    width (``max_tot``, or the width of ``out``) clips larger ToT values
+    into the last bin.  With ``out`` the counts accumulate into an existing
+    histogram block (enables streaming large fixture sets in chunks);
+    ``row_offset`` shifts the pixel rows when ``events`` covers a slab of a
+    larger matrix that ``out`` describes.
     """
-    if max_tot is None:
-        max_tot = int(events.tot.max(initial=0))
     if out is None:
-        out = np.zeros((events.n_y * events.n_x, max_tot + 1), dtype=np.int64)
         row_offset = 0
-    n_tot = out.shape[1]
-    pix = (events.y.astype(np.int64) + row_offset) * events.n_x + events.x.astype(
-        np.int64
-    )
-    flat = pix * n_tot + np.minimum(events.tot.astype(np.int64), n_tot - 1)
-    hist = np.bincount(flat, minlength=out.size)
-    out += hist.reshape(out.shape)
+        n_rows = events.n_y * events.n_x
+        n_tot = (int(events.tot.max(initial=0)) if max_tot is None else max_tot) + 1
+    else:
+        n_rows, n_tot = out.shape
+    tot = events.tot
+    if max_tot is not None or out is not None:
+        tot = np.minimum(tot, min(n_tot - 1, np.iinfo(tot.dtype).max))
+    # flat index ((y + row_offset) * n_x + x) * n_tot + tot, built in place
+    flat = events.y.astype(np.intp)
+    flat += row_offset
+    flat *= events.n_x
+    flat += events.x
+    flat *= n_tot
+    flat += tot
+    hist = np.bincount(flat, minlength=n_rows * n_tot).reshape(n_rows, n_tot)
+    if out is None:
+        return hist
+    out += hist
     return out
 
 
-def find_line_peaks(histogram: np.ndarray) -> float | None:
-    """Locate the dominant peak of one ToT histogram.
+#: Rows per vectorized peak pass; bounds the float temporaries of
+#: :func:`find_line_peaks` to a few (_PEAK_ROWS, n_tot) blocks.
+_PEAK_ROWS = 1024
 
-    Returns the intensity centroid of the connected run of bins at or
-    above half the histogram maximum that contains the maximum itself
-    (so a bimodal histogram yields the taller mode).  None when the
-    histogram is empty.
+
+def _peak_centroids(hists: np.ndarray) -> np.ndarray:
+    """Half-max run centroid of each row of a 2-D block (NaN for an all-zero row)."""
+    h = np.asarray(hists, dtype=float)
+    peak = np.argmax(h, axis=1)[:, None]
+    top = np.take_along_axis(h, peak, axis=1)
+    above = h >= top / 2.0
+    # bins of one connected run above half-max share a count of the
+    # below-half bins to their left; the run holding the argmax is the one
+    # whose count matches the argmax's
+    run_id = np.cumsum(~above, axis=1)
+    in_run = above & (run_id == np.take_along_axis(run_id, peak, axis=1))
+    weights = np.where(in_run, h, 0.0)
+    with np.errstate(invalid="ignore"):  # an all-zero row is 0 / 0 = NaN
+        return (weights @ np.arange(h.shape[1], dtype=float)) / weights.sum(axis=1)
+
+
+def find_line_peaks(histogram: np.ndarray) -> float | None | np.ndarray:
+    """Locate the dominant peak of ToT histograms along the last axis.
+
+    A histogram's peak is the intensity centroid of the connected run of
+    bins at or above half its maximum that contains the maximum itself
+    (the first maximum on ties, so a bimodal histogram yields the taller
+    mode).  A 1-D histogram gives a float, or None when it is empty or all
+    zero.  A 2-D block gives one centroid per row, NaN for an all-zero row.
+    On integer counts every sum is exact, so the result does not depend
+    on how rows are grouped.
     """
-    histogram = np.asarray(histogram, dtype=float)
-    if histogram.size == 0 or histogram.max() <= 0:
-        return None
-    peak = int(np.argmax(histogram))
-    half = histogram[peak] / 2.0
-    lo = peak
-    while lo > 0 and histogram[lo - 1] >= half:
-        lo -= 1
-    hi = peak
-    while hi < histogram.size - 1 and histogram[hi + 1] >= half:
-        hi += 1
-    bins = np.arange(lo, hi + 1)
-    weights = histogram[lo : hi + 1]
-    return float(np.sum(bins * weights) / np.sum(weights))
+    histogram = np.asarray(histogram)
+    if histogram.ndim == 1:
+        if histogram.size == 0:
+            return None
+        loc = float(_peak_centroids(histogram[None, :])[0])
+        return None if np.isnan(loc) else loc
+    n_rows, n_bins = histogram.shape
+    out = np.full(n_rows, np.nan)
+    if n_bins:
+        for r0 in range(0, n_rows, _PEAK_ROWS):
+            rows = slice(r0, r0 + _PEAK_ROWS)
+            out[rows] = _peak_centroids(histogram[rows])
+    return out
+
+
+def line_peaks(events: EventList) -> np.ndarray:
+    """Peak ToT of one line's events per pixel, shape (n_y, n_x); NaN marks
+    a pixel without hits."""
+    peaks = find_line_peaks(tot_histograms(events))
+    return peaks.reshape(events.n_y, events.n_x)
+
+
+def stack_line_peaks(
+    peak_maps: dict[str, np.ndarray], line_set: LineSet
+) -> np.ndarray:
+    """The (n_lines, n_y, n_x) block of ``line_peaks`` maps in line-set order,
+    as :func:`fit_calibration` takes it; every map must cover one matrix."""
+    shape = peak_maps[line_set.labels[0]].shape
+    for label in line_set.labels:
+        if peak_maps[label].shape != shape:
+            raise ValueError(f"event matrix mismatch for line {label!r}")
+    return np.stack([peak_maps[label] for label in line_set.labels])
 
 
 def fit_calibration(
@@ -352,19 +405,8 @@ def calibrate_from_events(
     missing = [lbl for lbl in line_set.labels if lbl not in per_line_events]
     if missing:
         raise ValueError(f"missing event data for calibration lines: {missing}")
-    first = per_line_events[line_set.labels[0]]
-    n_x, n_y = first.n_x, first.n_y
-    peaks = np.full((len(line_set.lines), n_y, n_x), np.nan)
-    for k, label in enumerate(line_set.labels):
-        events = per_line_events[label]
-        if (events.n_x, events.n_y) != (n_x, n_y):
-            raise ValueError(f"event matrix mismatch for line {label!r}")
-        hists = tot_histograms(events)
-        for p in range(n_y * n_x):
-            loc = find_line_peaks(hists[p])
-            if loc is not None:
-                peaks[k, p // n_x, p % n_x] = loc
-    return fit_calibration(peaks, line_set)
+    peaks = {lbl: line_peaks(per_line_events[lbl]) for lbl in line_set.labels}
+    return fit_calibration(stack_line_peaks(peaks, line_set), line_set)
 
 
 def apply_calibration(
@@ -425,12 +467,16 @@ def read_calibration_csv(path) -> CalibrationMap:
     A file with fewer data rows than matrix pixels is rejected before the
     maps are allocated, so a stray huge index cannot demand a huge map.
     """
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except IndexError:  # numpy's reaction to an empty file
-        raise FileFormatError(f"{path}: empty calibration CSV") from None
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {' '.join(str(exc).split())}") from None
+    with warnings.catch_warnings():
+        # numpy warns about a file without a header line, then fails on it;
+        # the warning becomes the error, so nothing but the error is printed
+        warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+        except (UserWarning, IndexError):
+            raise FileFormatError(f"{path}: empty calibration CSV") from None
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {' '.join(str(exc).split())}") from None
     missing = [c for c in _CAL_COLUMNS if c not in (data.dtype.names or ())]
     if missing:
         raise FileFormatError(

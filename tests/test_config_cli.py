@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,6 +301,9 @@ class TestCliAnalysisChain:
 
 
 class TestCliCalibration:
+    CAL_CSV_SHA256 = "466668a04a99e0e0f448d3fd4707112c61563c493610fa38a2d4d927d787b582"
+    CU_SIC_SHA256 = "70f6ef9c2db177f728f0a2a66697a47c39fcec69cdfd3326d49225cba9c7735b"
+
     def test_calibrate_and_apply(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         n = 8
@@ -329,6 +334,13 @@ class TestCliCalibration:
         spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
         peak_bin = ev.find_line_peaks(spectrum)
         assert 0.05 * (peak_bin + 0.5) == pytest.approx(8.05, abs=0.1)
+
+        # the outputs of the per-pixel loop this chain replaced, byte for byte
+        for path, digest in (
+            (tmp_path / "cal.csv", self.CAL_CSV_SHA256),
+            (out, self.CU_SIC_SHA256),
+        ):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
     def test_identity_gain_fixture(self, tmp_path):
         n = 4
@@ -369,12 +381,53 @@ class TestCliCalibration:
         assert code == cli.EXIT_CONFIG
         assert "Fe" in capsys.readouterr().err
 
+    def test_missing_line_exits_before_reading(self, tmp_path, capsys):
+        # the given file does not exist: opening it would be exit 3
+        code = cli.main(
+            ["calibrate", "--events", f"Ti={tmp_path / 'absent.tpxe'}",
+             "--events", f"Cu={tmp_path / 'absent.tpxe'}",
+             "--out", str(tmp_path / "cal.csv")]
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "calibration line(s): Fe, Zr, Ag" in err
+        assert "absent.tpxe" not in err
+
+    def test_one_line_file_in_memory(self, tmp_path):
+        rng = np.random.default_rng(31)
+        n = 64
+        gain = rng.uniform(0.10, 0.15, (n, n))
+        offset = rng.uniform(-0.2, 0.2, (n, n))
+        args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
+        all_events_bytes = 0
+        for label, e_kev in ev.default_line_set().lines:
+            path = tmp_path / f"{label}.tpxe"
+            ev.write_events_file(
+                path, ev.synthesize_line_events(e_kev, gain, offset, 200, rng)
+            )
+            parsed = ev.parse_events_file(path)
+            all_events_bytes += sum(
+                a.nbytes for a in (parsed.x, parsed.y, parsed.tot, parsed.toa)
+            )
+            args += ["--events", f"{label}={path}"]
+        del parsed
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # holding the five parsed line files at once would exceed this
+        assert peak < all_events_bytes, (peak, all_events_bytes)
+
     def test_corrupt_events_io_exit(self, tmp_path):
         bad = tmp_path / "bad.tpxe"
         bad.write_bytes(b"JUNKJUNKJUNK")
+        # a complete line set: a missing line is a usage error (exit 2)
+        # reported before any file is read
         assert cli.main(
-            ["calibrate", "--events", f"Ti={bad}",
-             "--out", str(tmp_path / "cal.csv")]
+            ["calibrate", "--lines", "Ti:4.51,Fe:6.40", "--events", f"Ti={bad}",
+             "--events", f"Fe={bad}", "--out", str(tmp_path / "cal.csv")]
         ) == cli.EXIT_IO
 
     def test_truncated_line_file_named(self, tmp_path, capsys):
@@ -408,6 +461,24 @@ class TestCliCalibration:
         assert f"{cal}: calibration CSV lacks column(s) offset" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "   \n\n", "#\n"],
+                             ids=["empty", "blank", "comment-only"])
+    def test_empty_calibration_csv_io_exit(self, tmp_path, capsys, text):
+        run = tmp_path / "run.tpxe"
+        ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
+        rng = np.random.default_rng(3)
+        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        cal = tmp_path / "cal.csv"
+        cal.write_text(text)
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal),
+             "--out", str(tmp_path / "run.sic")]
+        ) == cli.EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"input format error: {cal}: empty calibration CSV"
+        ]
 
     @pytest.mark.parametrize(
         "rows, message",

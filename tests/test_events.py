@@ -163,6 +163,50 @@ class TestSynthesize:
             )
 
 
+def scalar_line_peak(histogram):
+    """One histogram at a time, walking out from the argmax: the oracle
+    for the vectorized pass of ``find_line_peaks``."""
+    histogram = np.asarray(histogram, dtype=float)
+    if histogram.size == 0 or histogram.max() <= 0:
+        return None
+    peak = int(np.argmax(histogram))
+    half = histogram[peak] / 2.0
+    lo = peak
+    while lo > 0 and histogram[lo - 1] >= half:
+        lo -= 1
+    hi = peak
+    while hi < histogram.size - 1 and histogram[hi + 1] >= half:
+        hi += 1
+    bins = np.arange(lo, hi + 1)
+    weights = histogram[lo : hi + 1]
+    return float(np.sum(bins * weights) / np.sum(weights))
+
+
+def oracle_block(rows):
+    return np.array(
+        [np.nan if (loc := scalar_line_peak(r)) is None else loc for r in rows]
+    )
+
+
+@st.composite
+def histogram_blocks(draw, elements):
+    """A few distinct rows, repeated in random order to a row count that
+    straddles the peak pass's chunk boundaries."""
+    n_bins = draw(st.integers(1, 12))
+    row = st.one_of(
+        st.lists(elements, min_size=n_bins, max_size=n_bins),
+        st.just([0] * n_bins),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    n_rows = draw(
+        st.one_of(st.integers(1, 20), st.integers(1, 3 * ev._PEAK_ROWS + 1))
+    )
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, len(rows), n_rows
+    )
+    return rows, order
+
+
 class TestFindLinePeaks:
     def test_single_spike(self):
         h = np.zeros(300)
@@ -184,6 +228,55 @@ class TestFindLinePeaks:
     def test_empty_histogram(self):
         assert ev.find_line_peaks(np.zeros(10)) is None
         assert ev.find_line_peaks(np.array([])) is None
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0, 5, 1, 5, 0],  # tie at the maximum: the first one wins
+            [9, 8, 1, 0],  # run touching bin 0
+            [0, 1, 8, 9],  # run touching the last bin
+            [0, 4, 4, 4, 4, 0],  # plateau
+            [1, 6, 1, 0, 2, 7, 2],  # bimodal: the taller mode
+            [3, 2, 0, 3, 3],  # tied modes: the first one's run
+            [0, 0, 0, 0],  # no hits: NaN
+        ],
+    )
+    def test_block_rows_match_oracle(self, row):
+        block = np.array([row, row[::-1], [0] * len(row)], dtype=np.int64)
+        got = ev.find_line_peaks(block)
+        assert np.array_equal(got, oracle_block(block), equal_nan=True)
+        assert ev.find_line_peaks(np.array(row)) == scalar_line_peak(row)
+
+    def test_one_column_and_empty_blocks(self):
+        got = ev.find_line_peaks(np.array([[3], [0], [1]]))
+        assert np.array_equal(got, [0.0, np.nan, 0.0], equal_nan=True)
+        assert ev.find_line_peaks(np.zeros((4, 0))).shape == (4,)
+        assert ev.find_line_peaks(np.zeros((0, 7))).shape == (0,)
+
+    @given(histogram_blocks(st.one_of(st.integers(0, 3), st.integers(0, 2**31))))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_block_equals_scalar_oracle(self, block):
+        rows, order = block
+        rows = np.array(rows, dtype=np.int64)
+        got = ev.find_line_peaks(rows[order])
+        assert np.array_equal(got, oracle_block(rows)[order], equal_nan=True)
+        for r in rows:
+            assert ev.find_line_peaks(r) == scalar_line_peak(r)
+
+    @given(
+        histogram_blocks(
+            st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=False)
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_block_matches_scalar_oracle(self, block):
+        rows, order = block
+        rows = np.array(rows, dtype=float)
+        got = ev.find_line_peaks(rows[order])
+        want = oracle_block(rows)[order]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        np.testing.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0)
 
 
 class TestFitCalibration:
