@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import analysis, events, fileio, sic
 from .analysis import AnalysisError
 from .config import AnalysisParams, ConfigError, load_config
@@ -190,13 +192,24 @@ def _cmd_calibrate(args) -> int:
         )
     # every file is parsed (and so validated) in turn, and reduced to its
     # peak map at once: one file's events are alive at a time
-    peaks = {}
+    peaks, first = {}, None
     for label, path in given:
-        if label in line_set.labels:
-            peaks[label] = events.line_peaks(events.parse_events_file(path))
-        else:
+        if label not in line_set.labels:
             events.parse_events_file(path)
-    cal = events.fit_calibration(events.stack_line_peaks(peaks, line_set), line_set)
+            continue
+        peak_map = events.line_peaks(events.parse_events_file(path))
+        if first is None:
+            first = (path, peak_map.shape)
+        elif peak_map.shape != first[1]:
+            (n_y, n_x), (m_y, m_x) = peak_map.shape, first[1]
+            raise FileFormatError(
+                f"{path}: {n_x}x{n_y} pixel matrix does not match the "
+                f"{m_x}x{m_y} matrix of line file {first[0]}"
+            )
+        peaks[label] = peak_map
+    cal = events.fit_calibration(
+        np.stack([peaks[label] for label in line_set.labels]), line_set
+    )
     events.write_calibration_csv(args.out, cal)
     alive = cal.gain.size - cal.n_dead
     print(f"calibrated {alive} pixel(s), {cal.n_dead} dead -> {args.out}")

@@ -22,7 +22,7 @@ every key has a default except the source line list.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .optics import IRIDIUM, Material, MpoGeometry, ReflectivityModel
 from .sim import DetectorSpec, Scene, Source
@@ -45,6 +45,24 @@ _DETECTOR_KEYS = {
     "n_bins": ("n_bins", int),
 }
 
+#: [analysis] key -> (AnalysisParams field, type); an absent key keeps the
+#: field's AnalysisParams default.
+_ANALYSIS_KEYS = {
+    "window_sigma_mm": ("window_sigma_mm", float),
+    "background_exclusion_mm": ("background_exclusion_mm", float),
+    "arm_half_width_mm": ("arm_half_width_mm", float),
+    "resolution_threshold": ("resolution_threshold", float),
+    "rows_averaged": ("rows_averaged", int),
+}
+
+#: [sim] key -> (RunConfig field, type); an absent key keeps the field's
+#: RunConfig default.
+_SIM_KEYS = {
+    "photons": ("photons", int),
+    "seed": ("seed", int),
+    "jobs": ("jobs", int),
+}
+
 _KNOWN = {
     "mpo": {
         "plate_side_mm",
@@ -61,14 +79,8 @@ _KNOWN = {
     "detector": set(_DETECTOR_KEYS),
     "scene": {"l_s_mm", "l_i_mm"},
     "source": {"kind", "x_mm", "y_mm", "z_mm", "width_mm", "height_mm", "lines"},
-    "sim": {"photons", "seed", "jobs"},
-    "analysis": {
-        "window_sigma_mm",
-        "background_exclusion_mm",
-        "arm_half_width_mm",
-        "resolution_threshold",
-        "rows_averaged",
-    },
+    "sim": set(_SIM_KEYS),
+    "analysis": set(_ANALYSIS_KEYS),
 }
 
 
@@ -89,11 +101,7 @@ class RunConfig:
     photons: int = 1_000_000
     seed: int = 1
     jobs: int = 1
-    analysis: AnalysisParams = None
-
-    def __post_init__(self):
-        if self.analysis is None:
-            self.analysis = AnalysisParams()
+    analysis: AnalysisParams = field(default_factory=AnalysisParams)
 
 
 def _key_lines(text: str) -> dict[tuple[str, str], int]:
@@ -136,11 +144,18 @@ def _get(parser, section, key, cast, default):
         return default
     raw = parser[section][key]
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+def _fields(parser, section, keys, cls) -> dict:
+    """Typed field values of a section's keys; an absent key keeps the
+    field's default in ``cls``."""
+    return {
+        name: _get(parser, section, key, cast, getattr(cls, name))
+        for key, (name, cast) in keys.items()
+    }
 
 
 def _parse_lines(raw: str, section: str) -> tuple[tuple[float, float], ...]:
@@ -204,10 +219,7 @@ def load_config(path) -> RunConfig:
             reflectivity=_get(parser, "mpo", "reflectivity", float, 1.0),
         )
         detector = DetectorSpec(
-            **{
-                name: _get(parser, "detector", key, cast, getattr(DetectorSpec, name))
-                for key, (name, cast) in _DETECTOR_KEYS.items()
-            }
+            **_fields(parser, "detector", _DETECTOR_KEYS, DetectorSpec)
         )
         l_s = _get(parser, "scene", "l_s_mm", float, 25.0)
         l_i = _get(parser, "scene", "l_i_mm", float, 25.0)
@@ -246,17 +258,7 @@ def load_config(path) -> RunConfig:
         scene = Scene(sources=tuple(sources), L_s=l_s, L_i=l_i)
 
         analysis = AnalysisParams(
-            window_sigma_mm=_get(parser, "analysis", "window_sigma_mm", float, 1.5),
-            background_exclusion_mm=_get(
-                parser, "analysis", "background_exclusion_mm", float, 0.5
-            ),
-            arm_half_width_mm=_get(
-                parser, "analysis", "arm_half_width_mm", float, 0.3
-            ),
-            resolution_threshold=_get(
-                parser, "analysis", "resolution_threshold", float, 0.1
-            ),
-            rows_averaged=_get(parser, "analysis", "rows_averaged", int, 3),
+            **_fields(parser, "analysis", _ANALYSIS_KEYS, AnalysisParams)
         )
     except ConfigError:
         raise
@@ -267,8 +269,6 @@ def load_config(path) -> RunConfig:
         mpo=mpo,
         detector=detector,
         scene=scene,
-        photons=_get(parser, "sim", "photons", int, 1_000_000),
-        seed=_get(parser, "sim", "seed", int, 1),
-        jobs=_get(parser, "sim", "jobs", int, 1),
         analysis=analysis,
+        **_fields(parser, "sim", _SIM_KEYS, RunConfig),
     )

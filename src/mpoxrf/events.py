@@ -4,8 +4,13 @@ Readout chips of the Timepix3 family report a time-over-threshold (ToT)
 value per pixel per hit; ToT maps to deposited energy through a per-pixel
 linear calibration fitted against fluorescence lines of known elements.
 This module defines a compact stand-in wire format for event dumps (TPXE),
-fixture generators for calibration data, the peak-find + least-squares fit
-chain, and the event-to-spectral-cube histogrammer.
+fixture generators for calibration data, the calibration chain and the
+event-to-spectral-cube histogrammer.
+
+The calibration chain has one route: each line's events go through
+:func:`line_peaks` (:func:`tot_histograms`, then :func:`find_line_peaks`)
+to a per-pixel peak map, and the maps, stacked in line-set order, go to
+:func:`fit_calibration`.
 
 TPXE format, little-endian:
 
@@ -211,7 +216,6 @@ def synthesize_line_events(
     n_per_pixel: int,
     rng,
     energy_fwhm: float = 1.12,
-    toa_start: int = 0,
 ) -> EventList:
     """Generate fixture events for one fluorescence line.
 
@@ -232,46 +236,26 @@ def synthesize_line_events(
     e_meas = line_kev + sigma * rng.standard_normal(n_total)
     tot = np.round((e_meas - offset.reshape(-1)[pix]) / gain.reshape(-1)[pix])
     tot = np.clip(tot, 0, np.iinfo(np.uint16).max).astype(np.uint16)
-    toa = (toa_start + np.arange(n_total)).astype(np.uint64)
+    toa = np.arange(n_total, dtype=np.uint64)
     return EventList(n_x=n_x, n_y=n_y, x=x, y=y, tot=tot, toa=toa)
 
 
-def tot_histograms(
-    events: EventList,
-    max_tot: int | None = None,
-    out: np.ndarray | None = None,
-    row_offset: int = 0,
-) -> np.ndarray:
-    """Per-pixel ToT histograms, shape (n_y * n_x, max_tot + 1).
+def tot_histograms(events: EventList) -> np.ndarray:
+    """Per-pixel ToT histograms, shape (n_y * n_x, max ToT + 1).
 
-    Without ``max_tot`` the width covers the largest ToT present; a given
-    width (``max_tot``, or the width of ``out``) clips larger ToT values
-    into the last bin.  With ``out`` the counts accumulate into an existing
-    histogram block (enables streaming large fixture sets in chunks);
-    ``row_offset`` shifts the pixel rows when ``events`` covers a slab of a
-    larger matrix that ``out`` describes.
+    Row ``y * n_x + x`` counts the hits of pixel (x, y), column ``t`` the
+    hits with ToT ``t``; the width covers the largest ToT present, so no
+    value is clipped.  An empty event list gives one all-zero column.
     """
-    if out is None:
-        row_offset = 0
-        n_rows = events.n_y * events.n_x
-        n_tot = (int(events.tot.max(initial=0)) if max_tot is None else max_tot) + 1
-    else:
-        n_rows, n_tot = out.shape
-    tot = events.tot
-    if max_tot is not None or out is not None:
-        tot = np.minimum(tot, min(n_tot - 1, np.iinfo(tot.dtype).max))
-    # flat index ((y + row_offset) * n_x + x) * n_tot + tot, built in place
+    n_rows = events.n_y * events.n_x
+    n_tot = int(events.tot.max(initial=0)) + 1
+    # flat index (y * n_x + x) * n_tot + tot, built in place
     flat = events.y.astype(np.intp)
-    flat += row_offset
     flat *= events.n_x
     flat += events.x
     flat *= n_tot
-    flat += tot
-    hist = np.bincount(flat, minlength=n_rows * n_tot).reshape(n_rows, n_tot)
-    if out is None:
-        return hist
-    out += hist
-    return out
+    flat += events.tot
+    return np.bincount(flat, minlength=n_rows * n_tot).reshape(n_rows, n_tot)
 
 
 #: Rows per vectorized peak pass; bounds the float temporaries of
@@ -328,18 +312,6 @@ def line_peaks(events: EventList) -> np.ndarray:
     return peaks.reshape(events.n_y, events.n_x)
 
 
-def stack_line_peaks(
-    peak_maps: dict[str, np.ndarray], line_set: LineSet
-) -> np.ndarray:
-    """The (n_lines, n_y, n_x) block of ``line_peaks`` maps in line-set order,
-    as :func:`fit_calibration` takes it; every map must cover one matrix."""
-    shape = peak_maps[line_set.labels[0]].shape
-    for label in line_set.labels:
-        if peak_maps[label].shape != shape:
-            raise ValueError(f"event matrix mismatch for line {label!r}")
-    return np.stack([peak_maps[label] for label in line_set.labels])
-
-
 def fit_calibration(
     peak_tot: np.ndarray, line_set: LineSet
 ) -> CalibrationMap:
@@ -392,21 +364,6 @@ def fit_calibration(
         residual=residual.reshape(n_y, n_x),
         dead=dead.reshape(n_y, n_x),
     )
-
-
-def calibrate_from_events(
-    per_line_events: dict[str, EventList], line_set: LineSet
-) -> CalibrationMap:
-    """Full chain: per-pixel histograms, peak location, linear fit.
-
-    ``per_line_events`` maps element labels to their fixture/measurement
-    events; every label of ``line_set`` must be present.
-    """
-    missing = [lbl for lbl in line_set.labels if lbl not in per_line_events]
-    if missing:
-        raise ValueError(f"missing event data for calibration lines: {missing}")
-    peaks = {lbl: line_peaks(per_line_events[lbl]) for lbl in line_set.labels}
-    return fit_calibration(stack_line_peaks(peaks, line_set), line_set)
 
 
 def apply_calibration(

@@ -41,12 +41,6 @@ BATCH_SIZE = 65536
 #: FWHM of a Gaussian in units of its standard deviation.
 FWHM_PER_SIGMA = 2.3548200450309493
 
-#: K-alpha energies used for the imaging scenes (values as commonly quoted
-#: for Ti and Cu fluorescence; the calibration tables in
-#: :mod:`mpoxrf.events` carry the full five-element list).
-TI_KALPHA_KEV = 4.5
-CU_KALPHA_KEV = 8.0
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 

@@ -201,20 +201,14 @@ def test_criterion_6_calibration_closure(report):
     offset = rng.uniform(-0.2, 0.2, (n_y, n_x))
     line_set = ev.default_line_set()
 
-    max_tot = int((line_set.energies.max() + 3.0) / gain.min()) + 2
-    peaks = np.full((len(line_set.lines), n_y, n_x), np.nan)
+    peaks = np.empty((len(line_set.lines), n_y, n_x))
     for k, (label, e_kev) in enumerate(line_set.lines):
-        hists = np.zeros((n_y * n_x, max_tot + 1), dtype=np.int64)
         for row0 in range(0, n_y, 8):  # stream in slabs to bound memory
             block = ev.synthesize_line_events(
                 e_kev, gain[row0 : row0 + 8], offset[row0 : row0 + 8],
                 n_per_pixel, rng,
             )
-            ev.tot_histograms(block, out=hists, row_offset=row0)
-        for p in range(n_y * n_x):
-            loc = ev.find_line_peaks(hists[p])
-            if loc is not None:
-                peaks[k, p // n_x, p % n_x] = loc
+            peaks[k, row0 : row0 + 8] = ev.line_peaks(block)
     cal = ev.fit_calibration(peaks, line_set)
     assert cal.n_dead == 0
     rel = (cal.gain - gain) / gain

@@ -8,7 +8,7 @@ import pytest
 
 from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.analysis import Image2D
-from mpoxrf.config import ConfigError, load_config
+from mpoxrf.config import AnalysisParams, ConfigError, load_config
 from mpoxrf.optics import ReflectivityModel
 from mpoxrf.sim import DetectorSpec
 
@@ -125,6 +125,36 @@ class TestConfig:
         ):
             cfg = load_config(f"configs/{name}.ini")
             assert cfg.mpo.plate_side == 20.0
+
+    #: sha256 of ``repr(load_config(...))`` per shipped config; a deliberate
+    #: change to a shipped config or to a config dataclass updates it
+    SHIPPED_CONFIG_SHA256 = {
+        "asymmetric": "cf41bd696991c46cec73d82aab063b003a4b3826c23bb49fb334ff38b1625a57",
+        "distance_35": "bdf9b44bdbe6afde22909606228822dbe25a2b61a5a8697de520c7d4a4345151",
+        "distance_45": "5a4ddc0a5385a65aafb2a8904be21a1708bd4e8978e6b55f3d235dcb39447b14",
+        "elemental": "c93a295125d7343d8b805f2b6248844eb3d04672e154669d99e502c3b9cdf174",
+        "flatfield": "0156dee640f275733729c0a5cd82164a6916fdb8da1a58661308b4ebf28bb7d1",
+        "reference": "82e34dd9d9bd66c57eefe10adf014443a2a0f118d731776aab5f7ad1e1d528fc",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
+    def test_shipped_configs_load_unchanged(self, name):
+        cfg = load_config(f"configs/{name}.ini")
+        digest = hashlib.sha256(repr(cfg).encode()).hexdigest()
+        assert digest == self.SHIPPED_CONFIG_SHA256[name]
+
+    def test_absent_sim_and_analysis_take_defaults(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text(MINIMAL.split("[sim]")[0])
+        cfg = load_config(path)
+        assert (cfg.photons, cfg.seed, cfg.jobs) == (1_000_000, 1, 1)
+        assert cfg.analysis == AnalysisParams(
+            window_sigma_mm=1.5,
+            background_exclusion_mm=0.5,
+            arm_half_width_mm=0.3,
+            resolution_threshold=0.1,
+            rows_averaged=3,
+        )
 
 
 class TestCliSimulate:
@@ -419,6 +449,27 @@ class TestCliCalibration:
             tracemalloc.stop()
         # holding the five parsed line files at once would exceed this
         assert peak < all_events_bytes, (peak, all_events_bytes)
+
+    def test_line_files_of_different_matrices_io_exit(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
+        for label, e_kev in ev.default_line_set().lines:
+            shape = (4, 8) if label == "Cu" else (4, 4)  # (n_y, n_x)
+            path = tmp_path / f"{label}.tpxe"
+            ev.write_events_file(
+                path,
+                ev.synthesize_line_events(
+                    e_kev, np.full(shape, 0.05), np.zeros(shape), 20, rng
+                ),
+            )
+            args += ["--events", f"{label}={path}"]
+        assert cli.main(args) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert (
+            f"{tmp_path / 'Cu.tpxe'}: 8x4 pixel matrix does not match the 4x4 "
+            f"matrix of line file {tmp_path / 'Ti.tpxe'}"
+        ) in err
+        assert not (tmp_path / "cal.csv").exists()
 
     def test_corrupt_events_io_exit(self, tmp_path):
         bad = tmp_path / "bad.tpxe"

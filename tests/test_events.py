@@ -163,6 +163,29 @@ class TestSynthesize:
             )
 
 
+class TestTotHistograms:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_add_at_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n = 5, 3, 400
+        x = rng.integers(0, n_x, n)
+        y = rng.integers(0, n_y, n)
+        tot = rng.integers(0, 60, n)
+        tot[:2] = [0, 60]  # the smallest and the largest ToT both occur
+        hist = ev.tot_histograms(make_events(n_x, n_y, x, y, tot))
+        want = np.zeros((n_y * n_x, 61), dtype=np.int64)
+        np.add.at(want, (y * n_x + x, tot), 1)
+        assert hist.shape == (n_y * n_x, 61)
+        assert np.array_equal(hist, want)
+        assert hist[y[0] * n_x + x[0], 0] > 0
+        assert hist[y[1] * n_x + x[1], -1] > 0
+
+    def test_empty_events(self):
+        hist = ev.tot_histograms(ev.EventList.empty(4, 3))
+        assert hist.shape == (12, 1)
+        assert not hist.any()
+
+
 def scalar_line_peak(histogram):
     """One histogram at a time, walking out from the argmax: the oracle
     for the vectorized pass of ``find_line_peaks``."""
@@ -337,7 +360,8 @@ class TestCalibrationClosure:
             label: ev.synthesize_line_events(e_kev, gain, offset, 2000, rng)
             for label, e_kev in ls.lines
         }
-        cal = ev.calibrate_from_events(per_line, ls)
+        peaks = np.stack([ev.line_peaks(per_line[label]) for label in ls.labels])
+        cal = ev.fit_calibration(peaks, ls)
         assert cal.n_dead == 0
         rel = (cal.gain - gain) / gain
         assert np.sqrt((rel**2).mean()) < 0.01
@@ -353,11 +377,6 @@ class TestCalibrationClosure:
             pk = ev.find_line_peaks(spectrum)
             e_peak = det.e_min + (pk + 0.5) * det.e_bin_width
             assert e_peak == pytest.approx(e_kev, abs=0.1), label
-
-    def test_missing_line_listed(self):
-        ls = ev.default_line_set()
-        with pytest.raises(ValueError, match="Zr"):
-            ev.calibrate_from_events({"Ti": ev.EventList.empty(4, 4)}, ls)
 
 
 class TestApplyCalibration:
