@@ -184,20 +184,25 @@ def _cmd_calibrate(args) -> int:
         if not path:
             raise ConfigError(f"--events entry {spec_item!r} is not LABEL=PATH")
         given.append((label.strip(), path))
-    given_labels = {label for label, _ in given}
+    given_labels = [label for label, _ in given]
+    repeated = sorted({lbl for lbl in given_labels if given_labels.count(lbl) > 1})
+    if repeated:
+        raise ConfigError(
+            f"--events label(s) given more than once: {', '.join(repeated)}"
+        )
     missing = [lbl for lbl in line_set.labels if lbl not in given_labels]
     if missing:
         raise ConfigError(
             f"no event file given for calibration line(s): {', '.join(missing)}"
         )
-    # every file is parsed (and so validated) in turn, and reduced to its
-    # peak map at once: one file's events are alive at a time
+    # every file is checked in turn, and a line file is reduced to its peak
+    # map straight from its records: one histogram block is alive at a time
     peaks, first = {}, None
     for label, path in given:
         if label not in line_set.labels:
-            events.parse_events_file(path)
+            events.check_events_file(path)
             continue
-        peak_map = events.line_peaks(events.parse_events_file(path))
+        peak_map = events.line_peaks_file(path)
         if first is None:
             first = (path, peak_map.shape)
         elif peak_map.shape != first[1]:

@@ -7,10 +7,13 @@ This module defines a compact stand-in wire format for event dumps (TPXE),
 fixture generators for calibration data, the calibration chain and the
 event-to-spectral-cube histogrammer.
 
-The calibration chain has one route: each line's events go through
-:func:`line_peaks` (:func:`tot_histograms`, then :func:`find_line_peaks`)
-to a per-pixel peak map, and the maps, stacked in line-set order, go to
-:func:`fit_calibration`.
+The calibration chain has one route: each line's events are histogrammed
+per pixel and go through :func:`find_line_peaks` to a per-pixel peak map,
+and the maps, stacked in line-set order, go to :func:`fit_calibration`.
+A line file takes :func:`line_peaks_file`, which histograms its records in
+chunks (:func:`tot_histograms_file`) without building an
+:class:`EventList`; events in memory take :func:`line_peaks`
+(:func:`tot_histograms`).  Both fill the same histogram block.
 
 TPXE format, little-endian:
 
@@ -24,8 +27,11 @@ TPXE format, little-endian:
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,59 +160,131 @@ def write_events_file(path, events: EventList) -> None:
         fh.write(write_events(events))
 
 
+def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
+    """(n_x, n_y, record count) of a TPXE stream of ``size`` bytes that
+    starts with ``head``; raises :class:`EventFormatError` on a truncated
+    header, bad magic or version, or fewer bytes than the declared records
+    need.  Bytes after the declared records are allowed."""
+    if len(head) < HEADER.size:
+        raise EventFormatError("truncated header", len(head))
+    magic, version, n_x, n_y, count = HEADER.unpack_from(head, 0)
+    if magic != MAGIC:
+        raise EventFormatError(f"bad magic {magic!r}", 0)
+    if version != VERSION:
+        raise EventFormatError(f"unsupported version {version}", 4)
+    if size < HEADER.size + count * RECORD_DTYPE.itemsize:
+        raise _short_stream((size - HEADER.size) // RECORD_DTYPE.itemsize, count)
+    return n_x, n_y, count
+
+
+def _short_stream(n_complete: int, count: int) -> EventFormatError:
+    return EventFormatError(
+        f"stream ends after {n_complete} of {count} records",
+        HEADER.size + n_complete * RECORD_DTYPE.itemsize,
+    )
+
+
+def _check_pixels(records: np.ndarray, n_x: int, n_y: int, first: int = 0) -> None:
+    """Raise :class:`EventFormatError` at the first record outside the
+    n_x x n_y matrix; ``first`` is the stream index of ``records[0]``."""
+    x, y = records["x"], records["y"]
+    if records.size == 0 or (x.max() < n_x and y.max() < n_y):
+        return
+    i = int(np.flatnonzero((x >= n_x) | (y >= n_y))[0])
+    raise EventFormatError(
+        f"record {first + i} pixel ({x[i]}, {y[i]}) outside {n_x}x{n_y} matrix",
+        HEADER.size + (first + i) * RECORD_DTYPE.itemsize,
+    )
+
+
+def _event_list(records: np.ndarray, n_x: int, n_y: int) -> EventList:
+    """Events viewing the fields of a checked record array."""
+    return EventList(
+        n_x=n_x,
+        n_y=n_y,
+        x=records["x"],
+        y=records["y"],
+        tot=records["tot"],
+        toa=records["toa"],
+    )
+
+
 def parse_events(data: bytes) -> EventList:
     """Parse a TPXE byte stream.
 
     Raises
     ------
     EventFormatError
-        On bad magic (offset 0), version mismatch (offset 4), a stream
-        shorter than its declared record count (offset of the first
-        incomplete byte), or a record whose pixel indices fall outside
-        the declared matrix (offset of that record).
+        On a truncated header (offset of the end of the stream), bad magic
+        (offset 0), version mismatch (offset 4), a stream shorter than its
+        declared record count (offset of the first incomplete byte), or a
+        record whose pixel indices fall outside the declared matrix (offset
+        of that record).
     """
-    if len(data) < HEADER.size:
-        raise EventFormatError("truncated header", len(data))
-    magic, version, n_x, n_y, count = HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise EventFormatError(f"bad magic {magic!r}", 0)
-    if version != VERSION:
-        raise EventFormatError(f"unsupported version {version}", 4)
-    expected = HEADER.size + count * RECORD_DTYPE.itemsize
-    if len(data) < expected:
-        n_complete = (len(data) - HEADER.size) // RECORD_DTYPE.itemsize
-        raise EventFormatError(
-            f"stream ends after {n_complete} of {count} records",
-            HEADER.size + n_complete * RECORD_DTYPE.itemsize,
-        )
+    n_x, n_y, count = _check_header(data[: HEADER.size], len(data))
     records = np.frombuffer(data, dtype=RECORD_DTYPE, count=count, offset=HEADER.size)
-    bad = np.nonzero((records["x"] >= n_x) | (records["y"] >= n_y))[0]
-    if bad.size:
-        first = int(bad[0])
-        raise EventFormatError(
-            f"record {first} pixel ({records['x'][first]}, {records['y'][first]}) "
-            f"outside {n_x}x{n_y} matrix",
-            HEADER.size + first * RECORD_DTYPE.itemsize,
-        )
-    return EventList(
-        n_x=n_x,
-        n_y=n_y,
-        x=records["x"].copy(),
-        y=records["y"].copy(),
-        tot=records["tot"].copy(),
-        toa=records["toa"].copy(),
-    )
+    _check_pixels(records, n_x, n_y)
+    return _event_list(records.copy(), n_x, n_y)
+
+
+#: Records per read of :func:`_record_chunks`: one 16 MiB buffer, so a
+#: chunked pass over a line file holds one buffer instead of the file.
+_READ_RECORDS = 1 << 20
+
+
+@contextmanager
+def _open_events(path):
+    """Open a TPXE file and check its header against the file length,
+    before any record is read; yields ``(file, n_x, n_y, count)`` with the
+    file at the first record.  A format error raised in the block names the
+    file in front of its message and keeps its byte offset.  A pipe or
+    device has no length to check, so it is refused."""
+    try:
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise FileFormatError(f"{path}: not a regular file")
+            yield (fh, *_check_header(fh.read(HEADER.size), info.st_size))
+    except EventFormatError as exc:
+        raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
+
+
+def _read_records(fh, out: np.ndarray, first: int, n_x: int, n_y: int, count: int):
+    """Fill ``out`` with the records of stream index ``first`` onward and
+    check their pixels; a file that ends early is a short stream."""
+    got = fh.readinto(out.view(np.uint8))
+    if got < out.nbytes:
+        raise _short_stream(first + got // RECORD_DTYPE.itemsize, count)
+    _check_pixels(out, n_x, n_y, first)
+
+
+def _record_chunks(fh, n_x: int, n_y: int, count: int):
+    """Yield ``(first, records)``: the file's checked records, in fills of
+    one reused buffer of up to :data:`_READ_RECORDS` records; ``first`` is
+    the stream index of ``records[0]``."""
+    buf = np.empty(min(count, _READ_RECORDS), dtype=RECORD_DTYPE)
+    for first in range(0, count, _READ_RECORDS):
+        chunk = buf[: count - first]
+        _read_records(fh, chunk, first, n_x, n_y, count)
+        yield first, chunk
 
 
 def parse_events_file(path) -> EventList:
-    """Parse a TPXE file; a format error names the file in front of its
-    message and keeps its byte offset."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return parse_events(data)
-    except EventFormatError as exc:
-        raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
+    """Parse a TPXE file: the rules and messages of :func:`parse_events`,
+    with the file named in front of the message.  The records are read
+    into one record array, which the event fields view."""
+    with _open_events(path) as (fh, n_x, n_y, count):
+        records = np.empty(count, dtype=RECORD_DTYPE)
+        _read_records(fh, records, 0, n_x, n_y, count)
+    return _event_list(records, n_x, n_y)
+
+
+def check_events_file(path) -> None:
+    """Check a TPXE file as :func:`parse_events_file` does, one buffer of
+    records at a time, without keeping them."""
+    with _open_events(path) as (fh, n_x, n_y, count):
+        for _ in _record_chunks(fh, n_x, n_y, count):
+            pass
 
 
 def synthesize_line_events(
@@ -240,6 +318,17 @@ def synthesize_line_events(
     return EventList(n_x=n_x, n_y=n_y, x=x, y=y, tot=tot, toa=toa)
 
 
+def _flat_index(x, y, tot, n_x: int, n_tot: int) -> np.ndarray:
+    """Flat index ``(y * n_x + x) * n_tot + tot`` of hits into a histogram
+    block of ``n_tot`` columns, built in place."""
+    flat = y.astype(np.intp)
+    flat *= n_x
+    flat += x
+    flat *= n_tot
+    flat += tot
+    return flat
+
+
 def tot_histograms(events: EventList) -> np.ndarray:
     """Per-pixel ToT histograms, shape (n_y * n_x, max ToT + 1).
 
@@ -249,13 +338,36 @@ def tot_histograms(events: EventList) -> np.ndarray:
     """
     n_rows = events.n_y * events.n_x
     n_tot = int(events.tot.max(initial=0)) + 1
-    # flat index (y * n_x + x) * n_tot + tot, built in place
-    flat = events.y.astype(np.intp)
-    flat *= events.n_x
-    flat += events.x
-    flat *= n_tot
-    flat += events.tot
+    flat = _flat_index(events.x, events.y, events.tot, events.n_x, n_tot)
     return np.bincount(flat, minlength=n_rows * n_tot).reshape(n_rows, n_tot)
+
+
+def tot_histograms_file(path) -> tuple[np.ndarray, tuple[int, int]]:
+    """:func:`tot_histograms` of a TPXE file's events, plus the matrix
+    shape ``(n_y, n_x)``, in two chunked passes and without an EventList.
+
+    Pass 1 checks every record and finds the largest ToT; pass 2 reads the
+    records again and adds them into one zeroed block of that width.  Both
+    passes hold one buffer of records at a time, so the memory is one
+    histogram block plus one buffer.  The format errors are those of
+    :func:`parse_events_file`.
+    """
+    with _open_events(path) as (fh, n_x, n_y, count):
+        n_tot = 1 + max(
+            (int(c["tot"].max()) for _, c in _record_chunks(fh, n_x, n_y, count)),
+            default=0,
+        )
+        hists = np.zeros((n_y * n_x, n_tot), dtype=np.int64)
+        fh.seek(HEADER.size)
+        for first, chunk in _record_chunks(fh, n_x, n_y, count):
+            if chunk["tot"].max() >= n_tot:
+                raise EventFormatError(
+                    "file changed between reads",
+                    HEADER.size + first * RECORD_DTYPE.itemsize,
+                )
+            flat = _flat_index(chunk["x"], chunk["y"], chunk["tot"], n_x, n_tot)
+            np.add.at(hists.reshape(-1), flat, 1)
+    return hists, (n_y, n_x)
 
 
 #: Rows per vectorized peak pass; bounds the float temporaries of
@@ -310,6 +422,13 @@ def line_peaks(events: EventList) -> np.ndarray:
     a pixel without hits."""
     peaks = find_line_peaks(tot_histograms(events))
     return peaks.reshape(events.n_y, events.n_x)
+
+
+def line_peaks_file(path) -> np.ndarray:
+    """:func:`line_peaks` of a TPXE file's events, histogrammed straight
+    from its records by :func:`tot_histograms_file`."""
+    hists, shape = tot_histograms_file(path)
+    return find_line_peaks(hists).reshape(shape)
 
 
 def fit_calibration(
@@ -402,45 +521,66 @@ _CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")
 
 def write_calibration_csv(path, cal: CalibrationMap) -> None:
     """CSV columns: x,y,gain,offset,residual,dead; one row per pixel, dead
-    pixels included (with NaN fit values)."""
+    pixels included (with NaN fit values).  Values are written as ``repr``
+    of Python floats, so they read back exactly."""
+    n_y, n_x = cal.gain.shape
+    y, x = np.divmod(np.arange(n_y * n_x), n_x)
+    gain, offset, residual = (
+        np.asarray(a, dtype=float).ravel().tolist()
+        for a in (cal.gain, cal.offset, cal.residual)
+    )
+    rows = "".join(
+        f"{xx},{yy},nan,nan,nan,1\n" if dead else f"{xx},{yy},{g!r},{o!r},{r!r},0\n"
+        for xx, yy, g, o, r, dead in zip(
+            x.tolist(), y.tolist(), gain, offset, residual, cal.dead.ravel().tolist()
+        )
+    )
     with open(path, "w") as fh:
         fh.write(",".join(_CAL_COLUMNS) + "\n")
-        for yy in range(cal.n_y):
-            for xx in range(cal.n_x):
-                if cal.dead[yy, xx]:
-                    fh.write(f"{xx},{yy},nan,nan,nan,1\n")
-                else:
-                    fh.write(
-                        f"{xx},{yy},{float(cal.gain[yy, xx])!r},"
-                        f"{float(cal.offset[yy, xx])!r},"
-                        f"{float(cal.residual[yy, xx])!r},0\n"
-                    )
+        fh.write(rows)
 
 
 def read_calibration_csv(path) -> CalibrationMap:
     """Read a calibration map written by :func:`write_calibration_csv`.
 
+    The header is the first line with text outside a ``#`` comment; it
+    names the columns, in any order.  Blank and comment lines are skipped.
     The matrix is (max y + 1) x (max x + 1); a pixel without a row is dead.
     A file with fewer data rows than matrix pixels is rejected before the
     maps are allocated, so a stray huge index cannot demand a huge map.
     """
-    with warnings.catch_warnings():
-        # numpy warns about a file without a header line, then fails on it;
-        # the warning becomes the error, so nothing but the error is printed
-        warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
-        try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-        except (UserWarning, IndexError):
-            raise FileFormatError(f"{path}: empty calibration CSV") from None
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: {' '.join(str(exc).split())}") from None
-    missing = [c for c in _CAL_COLUMNS if c not in (data.dtype.names or ())]
-    if missing:
-        raise FileFormatError(
-            f"{path}: calibration CSV lacks column(s) {', '.join(missing)}"
-        )
-    if data.size == 0:
+    # latin-1 decodes any byte, so a stray byte fails as a non-numeric value
+    with open(path, encoding="latin-1") as fh:
+        names = None
+        for line in fh:
+            text = line.split("#", 1)[0]
+            if text.strip():
+                names = [name.strip() for name in text.split(",")]
+                break
+        if names is None:
+            raise FileFormatError(f"{path}: empty calibration CSV")
+        missing = [c for c in _CAL_COLUMNS if c not in names]
+        if missing:
+            raise FileFormatError(
+                f"{path}: calibration CSV lacks column(s) {', '.join(missing)}"
+            )
+        with warnings.catch_warnings():
+            # numpy warns about a file without data rows; the check below
+            # turns that into the error, so only the error is printed
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}: {' '.join(str(exc).split())}") from None
+    if table.size == 0:
         raise FileFormatError(f"{path}: calibration CSV has no data rows")
+    if table.shape[1] != len(names):
+        raise FileFormatError(
+            f"{path}: calibration CSV rows have {table.shape[1]} values, "
+            f"the header names {len(names)} columns"
+        )
+    data = {c: table[:, names.index(c)] for c in _CAL_COLUMNS}
+    n_rows = table.shape[0]
     for name in ("x", "y"):
         col = data[name]
         if not np.all(np.isfinite(col) & (col >= 0) & (col == np.floor(col))):
@@ -449,10 +589,10 @@ def read_calibration_csv(path) -> CalibrationMap:
             )
     n_x = int(data["x"].max()) + 1
     n_y = int(data["y"].max()) + 1
-    if n_x * n_y > data.size:
+    if n_x * n_y > n_rows:
         raise FileFormatError(
             f"{path}: pixel indices span a {n_x}x{n_y} matrix but the "
-            f"calibration CSV has {data.size} data rows"
+            f"calibration CSV has {n_rows} data rows"
         )
     live = data["dead"] == 0
     if not np.all(np.isfinite(data["gain"][live]) & np.isfinite(data["offset"][live])):

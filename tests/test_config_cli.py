@@ -423,6 +423,18 @@ class TestCliCalibration:
         assert "calibration line(s): Fe, Zr, Ag" in err
         assert "absent.tpxe" not in err
 
+    def test_repeated_label_exits_before_reading(self, tmp_path, capsys):
+        # every line has a file, none of which exists: opening one would be
+        # exit 3, and keeping the later Cu file would fit Ag events as Cu
+        args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
+        for label in ev.default_line_set().labels:
+            args += ["--events", f"{label}={tmp_path / 'absent.tpxe'}"]
+        args += ["--events", f"Cu={tmp_path / 'absent.tpxe'}"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--events label(s) given more than once: Cu" in err
+        assert "absent.tpxe" not in err
+
     def test_one_line_file_in_memory(self, tmp_path):
         rng = np.random.default_rng(31)
         n = 64

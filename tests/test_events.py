@@ -1,9 +1,14 @@
+import os
+import stat
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoxrf import events as ev
+from mpoxrf.fileio import FileFormatError
 from mpoxrf.sim import DetectorSpec
 
 
@@ -184,6 +189,162 @@ class TestTotHistograms:
         hist = ev.tot_histograms(ev.EventList.empty(4, 3))
         assert hist.shape == (12, 1)
         assert not hist.any()
+
+
+class TestChunkedReader:
+    """``tot_histograms_file`` against the in-memory chain, with chunks of
+    a few records so every file spans several reads."""
+
+    CHUNK = 4
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(ev, "_READ_RECORDS", self.CHUNK)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 11])
+    def test_equals_in_memory_histograms(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        n_x, n_y = 5, 3
+        tot = rng.integers(0, 40, n)
+        if n:
+            tot[-1] = 90  # the largest ToT only in the last chunk
+        el = make_events(
+            n_x, n_y, rng.integers(0, n_x, n), rng.integers(0, n_y, n), tot
+        )
+        path = tmp_path / "line.tpxe"
+        ev.write_events_file(path, el)
+        hists, shape = ev.tot_histograms_file(path)
+        want = ev.tot_histograms(ev.parse_events_file(path))
+        assert shape == (n_y, n_x)
+        assert hists.dtype == want.dtype
+        assert np.array_equal(hists, want)
+        assert hists.shape == ((n_y * n_x, 91) if n else (n_y * n_x, 1))
+        assert np.array_equal(
+            ev.line_peaks_file(path), ev.line_peaks(el), equal_nan=True
+        )
+
+    @staticmethod
+    def _same_outcome(path, data):
+        """The file readers raise what ``parse_events`` raises on the same
+        bytes, with the path in front, or succeed with its events."""
+        try:
+            want = ev.parse_events(data)
+        except ev.EventFormatError as exc:
+            for read in (ev.tot_histograms_file, ev.check_events_file,
+                         ev.parse_events_file):
+                with pytest.raises(ev.EventFormatError) as err:
+                    read(path)
+                assert err.value.offset == exc.offset
+                assert str(err.value) == f"{path}: {exc}"
+            return None
+        ev.check_events_file(path)
+        assert np.array_equal(ev.tot_histograms_file(path)[0], ev.tot_histograms(want))
+        return want
+
+    def _file(self, tmp_path, data):
+        path = tmp_path / "line.tpxe"
+        path.write_bytes(data)
+        return path
+
+    @staticmethod
+    def _ten_records() -> bytes:
+        """Ten records of pixel (1, 2) in an 8x8 matrix: chunks 0-3, 4-7, 8-9."""
+        return ev.write_events(make_events(8, 8, [1] * 10, [2] * 10, range(10)))
+
+    def test_bad_pixel_in_second_chunk(self, tmp_path):
+        data = bytearray(self._ten_records())
+        rec = ev.HEADER.size + 6 * 16  # record 6: the second chunk's third
+        data[rec + 2 : rec + 4] = (8).to_bytes(2, "little")
+        path = self._file(tmp_path, bytes(data))
+        self._same_outcome(path, bytes(data))
+        with pytest.raises(ev.EventFormatError) as err:
+            ev.tot_histograms_file(path)
+        assert str(err.value) == (
+            f"{path}: record 6 pixel (1, 8) outside 8x8 matrix (byte offset {rec})"
+        )
+
+    def test_cut_inside_a_chunk(self, tmp_path):
+        data = self._ten_records()
+        cut = data[: ev.HEADER.size + 6 * 16 + 5]
+        path = self._file(tmp_path, cut)
+        self._same_outcome(path, cut)
+        with pytest.raises(ev.EventFormatError, match="stream ends after 6 of 10"):
+            ev.tot_histograms_file(path)
+
+    def test_file_shorter_than_its_size_says(self, tmp_path, monkeypatch):
+        # a file that shrinks after its length is checked ends inside a read
+        data = self._ten_records()
+        path = self._file(tmp_path, data[: ev.HEADER.size + 6 * 16 + 5])
+        # fields 0 and 6: mode and size
+        full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
+        monkeypatch.setattr(ev.os, "fstat", lambda fd: full)
+        for read in (ev.tot_histograms_file, ev.parse_events_file):
+            with pytest.raises(ev.EventFormatError) as err:
+                read(path)
+            assert err.value.offset == ev.HEADER.size + 6 * 16
+            assert "stream ends after 6 of 10 records" in str(err.value)
+
+    def test_file_changed_between_passes(self, tmp_path, monkeypatch):
+        path = self._file(tmp_path, self._ten_records())
+        real, calls = ev._record_chunks, []
+
+        def chunks(*args):
+            calls.append(args)
+            if len(calls) == 2:  # a writer raises record 9's ToT after pass 1
+                with open(path, "r+b") as fh:
+                    fh.seek(ev.HEADER.size + 9 * 16 + 4)
+                    fh.write((500).to_bytes(2, "little"))
+            return real(*args)
+
+        monkeypatch.setattr(ev, "_record_chunks", chunks)
+        with pytest.raises(ev.EventFormatError) as err:
+            ev.tot_histograms_file(path)
+        offset = ev.HEADER.size + 8 * 16  # the third chunk, records 8-9
+        assert str(err.value) == (
+            f"{path}: file changed between reads (byte offset {offset})"
+        )
+
+    def test_pipe_refused(self, tmp_path):
+        # a pipe has no length to check the record count against
+        path = tmp_path / "fifo.tpxe"
+        os.mkfifo(path)
+        writer = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # keeps open() from blocking
+        try:
+            for read in (ev.tot_histograms_file, ev.parse_events_file):
+                with pytest.raises(FileFormatError, match="not a regular file"):
+                    read(path)
+        finally:
+            os.close(writer)
+
+    def test_trailing_bytes_accepted(self, tmp_path):
+        data = self._ten_records()
+        data += b"\xff" * 21
+        path = self._file(tmp_path, data)
+        assert self._same_outcome(path, data) is not None
+
+    def test_peak_memory_below_in_memory_chain(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ev, "_READ_RECORDS", 4096)
+        n = 64
+        path = tmp_path / "cu.tpxe"
+        ev.write_events_file(
+            path,
+            ev.synthesize_line_events(
+                8.0, np.ones((n, n)), np.zeros((n, n)), 50,
+                np.random.default_rng(2),
+            ),
+        )
+        peaks = {}
+        for name, run in (
+            ("file", lambda: ev.line_peaks_file(path)),
+            ("memory", lambda: ev.line_peaks(ev.parse_events_file(path))),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["file"] < peaks["memory"], peaks
 
 
 def scalar_line_peak(histogram):
