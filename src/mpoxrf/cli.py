@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis, events, fileio, sic
 from .analysis import AnalysisError
 from .config import AnalysisParams, ConfigError, load_config
-from .events import EventFormatError, LineSet, default_line_set
+from .events import LineSet, default_line_set
 from .fileio import FileFormatError
 from .optics import PathClass
 from .sim import DetectorSpec, simulate
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EventFormatError, sic.SicFormatError, FileFormatError) as exc:
+    except FileFormatError as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -19,16 +19,14 @@ TPXE format, little-endian:
 
     magic  "TPXE"          4 bytes
     u32    version = 1
-    u32    n_x
-    u32    n_y
+    u32    n_x             1..65536
+    u32    n_y             1..65536
     u64    record count
     records, 16 bytes each: u16 x, u16 y, u16 tot, u16 reserved=0, u64 toa
 """
 
 from __future__ import annotations
 
-import os
-import stat
 import struct
 import warnings
 from contextlib import contextmanager
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import FileFormatError
+from .fileio import FileFormatError, open_binary
 from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage, _bin_hits
 
 MAGIC = b"TPXE"
@@ -45,6 +43,8 @@ HEADER = struct.Struct("<4sIIIQ")
 RECORD_DTYPE = np.dtype(
     [("x", "<u2"), ("y", "<u2"), ("tot", "<u2"), ("reserved", "<u2"), ("toa", "<u8")]
 )
+#: Largest matrix side a u16 pixel coordinate can address.
+MAX_SIDE = 1 << 16
 
 #: K-alpha energies (keV) of the five standard calibration elements.
 KALPHA_KEV = {
@@ -56,7 +56,7 @@ KALPHA_KEV = {
 }
 
 
-class EventFormatError(ValueError):
+class EventFormatError(FileFormatError):
     """A TPXE stream failed to parse; ``offset`` is the failing byte."""
 
     def __init__(self, message: str, offset: int):
@@ -144,27 +144,36 @@ class CalibrationMap:
         return int(np.count_nonzero(self.dead))
 
 
-def write_events(events: EventList) -> bytes:
-    """Serialize events to TPXE bytes (round-trip exact)."""
+def _header_and_records(events: EventList) -> tuple[bytes, np.ndarray]:
+    """The TPXE header and record array of ``events``."""
     header = HEADER.pack(MAGIC, VERSION, events.n_x, events.n_y, len(events))
     records = np.zeros(len(events), dtype=RECORD_DTYPE)
     records["x"] = events.x
     records["y"] = events.y
     records["tot"] = events.tot
     records["toa"] = events.toa
+    return header, records
+
+
+def write_events(events: EventList) -> bytes:
+    """Serialize events to TPXE bytes (round-trip exact)."""
+    header, records = _header_and_records(events)
     return header + records.tobytes()
 
 
 def write_events_file(path, events: EventList) -> None:
+    header, records = _header_and_records(events)
     with open(path, "wb") as fh:
-        fh.write(write_events(events))
+        fh.write(header)
+        fh.write(records)
 
 
 def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
     """(n_x, n_y, record count) of a TPXE stream of ``size`` bytes that
     starts with ``head``; raises :class:`EventFormatError` on a truncated
-    header, bad magic or version, or fewer bytes than the declared records
-    need.  Bytes after the declared records are allowed."""
+    header, bad magic or version, a matrix side outside 1..65536 (the u16
+    pixel coordinates address no more), or fewer bytes than the declared
+    records need.  Bytes after the declared records are allowed."""
     if len(head) < HEADER.size:
         raise EventFormatError("truncated header", len(head))
     magic, version, n_x, n_y, count = HEADER.unpack_from(head, 0)
@@ -172,6 +181,9 @@ def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
         raise EventFormatError(f"bad magic {magic!r}", 0)
     if version != VERSION:
         raise EventFormatError(f"unsupported version {version}", 4)
+    for name, side, offset in (("n_x", n_x, 8), ("n_y", n_y, 12)):
+        if not 1 <= side <= MAX_SIDE:
+            raise EventFormatError(f"{name} {side} outside 1..{MAX_SIDE}", offset)
     if size < HEADER.size + count * RECORD_DTYPE.itemsize:
         raise _short_stream((size - HEADER.size) // RECORD_DTYPE.itemsize, count)
     return n_x, n_y, count
@@ -216,7 +228,8 @@ def parse_events(data: bytes) -> EventList:
     ------
     EventFormatError
         On a truncated header (offset of the end of the stream), bad magic
-        (offset 0), version mismatch (offset 4), a stream shorter than its
+        (offset 0), version mismatch (offset 4), an ``n_x`` or ``n_y`` of 0
+        or above 65536 (offset 8 or 12), a stream shorter than its
         declared record count (offset of the first incomplete byte), or a
         record whose pixel indices fall outside the declared matrix (offset
         of that record).
@@ -234,17 +247,14 @@ _READ_RECORDS = 1 << 20
 
 @contextmanager
 def _open_events(path):
-    """Open a TPXE file and check its header against the file length,
-    before any record is read; yields ``(file, n_x, n_y, count)`` with the
-    file at the first record.  A format error raised in the block names the
-    file in front of its message and keeps its byte offset.  A pipe or
-    device has no length to check, so it is refused."""
+    """Open a TPXE file (a regular file, see :func:`open_binary`) and check
+    its header against the file length, before any record is read; yields
+    ``(file, n_x, n_y, count)`` with the file at the first record.  A
+    format error raised in the block names the file in front of its message
+    and keeps its byte offset."""
     try:
-        with open(path, "rb") as fh:
-            info = os.fstat(fh.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise FileFormatError(f"{path}: not a regular file")
-            yield (fh, *_check_header(fh.read(HEADER.size), info.st_size))
+        with open_binary(path) as (fh, size):
+            yield (fh, *_check_header(fh.read(HEADER.size), size))
     except EventFormatError as exc:
         raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
 
@@ -498,22 +508,39 @@ def apply_calibration(
         raise ValueError("calibration map does not match the event matrix")
     if (detector.n_x, detector.n_y) != (events.n_x, events.n_y):
         raise ValueError("detector does not match the event matrix")
-    stats = SimStats(n_photons=len(events))
-    pix_y = events.y.astype(np.int64)
-    pix_x = events.x.astype(np.int64)
+    stats = SimStats()
+    cube = SpectralImage.empty(detector, photons=len(events), stats=stats)
+    counts = cube.counts.reshape(-1)
+    # in slices of _READ_RECORDS events, so the index and energy
+    # temporaries stay bounded whatever the run length
+    for first in range(0, len(events), _READ_RECORDS):
+        part = slice(first, first + _READ_RECORDS)
+        stats.add(
+            _bin_calibrated(
+                events.x[part], events.y[part], events.tot[part], cal, detector,
+                counts,
+            )
+        )
+    return cube
+
+
+def _bin_calibrated(x, y, tot, cal, detector, counts) -> SimStats:
+    """Add the calibrated hits of one slice of events into the flat cube
+    ``counts``; returns the slice's tallies."""
+    stats = SimStats(n_photons=x.size)
+    pix_y = y.astype(np.int64)
+    pix_x = x.astype(np.int64)
     alive = np.nonzero(~cal.dead[pix_y, pix_x])[0]
-    stats.dead_pixel_drops = len(events) - alive.size
+    stats.dead_pixel_drops = x.size - alive.size
 
     pix_y = pix_y[alive]
     pix_x = pix_x[alive]
     energy = (
-        cal.gain[pix_y, pix_x] * events.tot[alive].astype(float)
-        + cal.offset[pix_y, pix_x]
+        cal.gain[pix_y, pix_x] * tot[alive].astype(float) + cal.offset[pix_y, pix_x]
     )
     _, (idx, cnt) = _bin_hits(pix_x, pix_y, energy, detector, stats)
-    cube = SpectralImage.empty(detector, photons=len(events), stats=stats)
-    cube.counts.reshape(-1)[idx] += cnt.astype(np.uint64)
-    return cube
+    counts[idx] += cnt.astype(np.uint64)
+    return stats
 
 
 _CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")

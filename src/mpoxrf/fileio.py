@@ -1,8 +1,12 @@
-"""Text export/import: PGM previews, image CSV, profile CSV, ATF CSV."""
+"""Text export/import: PGM previews, image CSV, profile CSV, ATF CSV; the
+one opener of the binary inputs."""
 
 from __future__ import annotations
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -10,7 +14,22 @@ from .analysis import Atf, Image2D, PsfProfile
 
 
 class FileFormatError(ValueError):
-    """A text export could not be read back."""
+    """An input file is malformed or of the wrong kind."""
+
+
+@contextmanager
+def open_binary(path):
+    """Open a binary input for reading; yields ``(file, length)``.
+
+    A reader checks the header's declared size against ``length`` before it
+    allocates or reads the body.  A pipe or device has no length to check,
+    so anything but a regular file is refused with :class:`FileFormatError`.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise FileFormatError(f"{path}: not a regular file")
+        yield fh, info.st_size
 
 
 def write_pgm(path, image: Image2D, lo_percentile=1.0, hi_percentile=99.0) -> None:

@@ -12,7 +12,9 @@ Little-endian layout:
 
 Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  A readable
 cube has n_x, n_y, n_bins >= 1, a finite e_min and a positive, finite bin
-width and pitch.  Write/read round-trips are byte-exact.
+width and pitch.  Write/read round-trips are byte-exact.  Only a regular
+file is read: its length is checked against the header before the counts
+are allocated.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ import struct
 
 import numpy as np
 
+from .fileio import FileFormatError, open_binary
 from .sim import SpectralImage
 
 MAGIC = b"SIC1"
 HEADER = struct.Struct("<4sIIIdddQQ")
-
-
-class SicFormatError(ValueError):
-    pass
 
 
 def write_sic(path, cube: SpectralImage) -> None:
@@ -47,37 +46,47 @@ def write_sic(path, cube: SpectralImage) -> None:
     counts = np.ascontiguousarray(cube.counts, dtype="<u8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(counts.tobytes())
+        fh.write(counts)
 
 
 def read_sic(path) -> SpectralImage:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < HEADER.size:
-        raise SicFormatError(f"{path}: too short for a SIC header ({len(data)} bytes)")
-    magic, n_x, n_y, n_bins, e_min, width, pitch, seed, photons = HEADER.unpack_from(
-        data, 0
-    )
-    if magic != MAGIC:
-        raise SicFormatError(f"{path}: bad magic {magic!r}")
-    if min(n_x, n_y, n_bins) == 0:
-        raise SicFormatError(f"{path}: empty {n_x}x{n_y}x{n_bins} cube")
-    if not (math.isfinite(e_min) and 0 < width < math.inf and 0 < pitch < math.inf):
-        raise SicFormatError(
-            f"{path}: invalid energy axis (e_min {e_min}, bin width {width}) or "
-            f"pixel pitch {pitch}"
+    """Read a SIC file; raises :class:`FileFormatError` on a malformed
+    header, a length that does not match it, or a path that is not a
+    regular file.  The counts are read once, straight into the cube."""
+    with open_binary(path) as (fh, size):
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise FileFormatError(
+                f"{path}: too short for a SIC header ({len(head)} bytes)"
+            )
+        magic, n_x, n_y, n_bins, e_min, width, pitch, seed, photons = (
+            HEADER.unpack(head)
         )
-    expected = HEADER.size + 8 * n_x * n_y * n_bins
-    if len(data) != expected:
-        raise SicFormatError(
-            f"{path}: file length {len(data)} != expected {expected} "
-            f"for a {n_x}x{n_y}x{n_bins} cube"
-        )
-    counts = np.frombuffer(data, dtype="<u8", offset=HEADER.size).reshape(
-        n_y, n_x, n_bins
-    )
+        if magic != MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if min(n_x, n_y, n_bins) == 0:
+            raise FileFormatError(f"{path}: empty {n_x}x{n_y}x{n_bins} cube")
+        if not (
+            math.isfinite(e_min) and 0 < width < math.inf and 0 < pitch < math.inf
+        ):
+            raise FileFormatError(
+                f"{path}: invalid energy axis (e_min {e_min}, bin width {width}) or "
+                f"pixel pitch {pitch}"
+            )
+        expected = HEADER.size + 8 * n_x * n_y * n_bins
+        if size != expected:
+            raise FileFormatError(
+                f"{path}: file length {size} != expected {expected} "
+                f"for a {n_x}x{n_y}x{n_bins} cube"
+            )
+        counts = np.empty((n_y, n_x, n_bins), dtype="<u8")
+        got = fh.readinto(counts)
+        if got < counts.nbytes:
+            raise FileFormatError(
+                f"{path}: file ends after {HEADER.size + got} of {expected} bytes"
+            )
     return SpectralImage(
-        counts=counts.copy(),
+        counts=counts,
         e_min=e_min,
         e_bin_width=width,
         pixel_pitch_um=pitch,

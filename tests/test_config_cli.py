@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -462,6 +464,23 @@ class TestCliCalibration:
         # holding the five parsed line files at once would exceed this
         assert peak < all_events_bytes, (peak, all_events_bytes)
 
+    @pytest.mark.parametrize("side", [0, 2**20])
+    def test_unaddressable_matrix_io_exit(self, tmp_path, capsys, side):
+        # 2**20 squared would ask for a terabyte-sized histogram block; a 0x0
+        # matrix would give a calibration without rows
+        path = tmp_path / "Ti.tpxe"
+        path.write_bytes(ev.HEADER.pack(ev.MAGIC, ev.VERSION, side, side, 0))
+        out = tmp_path / "cal.csv"
+        assert cli.main(
+            ["calibrate", "--lines", "Ti:4.5,Fe:6.4", "--events", f"Ti={path}",
+             "--events", f"Fe={path}", "--out", str(out)]
+        ) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"input format error: {path}: n_x {side} outside 1..65536 "
+            "(byte offset 8)\n"
+        )
+        assert not out.exists()
+
     def test_line_files_of_different_matrices_io_exit(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
@@ -622,8 +641,74 @@ class TestSicFormat:
         sic.write_sic(path, cube)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(sic.SicFormatError, match="length"):
+        with pytest.raises(fileio.FileFormatError, match="length"):
             sic.read_sic(path)
+
+    @staticmethod
+    def _cube(shape):
+        from mpoxrf.sim import SpectralImage
+
+        return SpectralImage(
+            counts=np.zeros(shape, np.uint64),
+            e_min=0.0,
+            e_bin_width=0.25,
+            pixel_pitch_um=55.0,
+        )
+
+    def test_write_copies_no_cube(self, tmp_path):
+        cube = self._cube((256, 256, 100))  # 50 MiB of counts
+        tracemalloc.start()
+        try:
+            sic.write_sic(tmp_path / "c.sic", cube)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_read_holds_one_cube(self, tmp_path):
+        cube = self._cube((256, 256, 100))
+        cube.counts[5, 7, 9] = 3
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, cube)
+        tracemalloc.start()
+        try:
+            back = sic.read_sic(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cube.counts.nbytes + (1 << 20), peak
+        assert np.array_equal(back.counts, cube.counts)
+
+    def test_pipe_io_exit(self, tmp_path, capsys):
+        # a pipe has no length to check the header against
+        path = tmp_path / "fifo.sic"
+        os.mkfifo(path)
+        writer = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # keeps open() from blocking
+        try:
+            assert cli.main(
+                ["window", "--cube", str(path), "--lo", "0", "--hi", "1",
+                 "--out-prefix", str(tmp_path / "x")]
+            ) == cli.EXIT_IO
+        finally:
+            os.close(writer)
+        assert capsys.readouterr().err == (
+            f"input format error: {path}: not a regular file\n"
+        )
+
+    def test_file_shorter_than_its_size_says(self, tmp_path, monkeypatch):
+        # a file that shrinks after its length is checked ends inside the read
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, self._cube((2, 3, 4)))
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        # fields 0 and 6: mode and size
+        full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: full)
+        with pytest.raises(fileio.FileFormatError) as err:
+            sic.read_sic(path)
+        assert str(err.value) == (
+            f"{path}: file ends after {len(data) - 8} of {len(data)} bytes"
+        )
 
     @pytest.mark.parametrize(
         "field, value",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpoxrf import events as ev
+from mpoxrf import events as ev, fileio
 from mpoxrf.fileio import FileFormatError
 from mpoxrf.sim import DetectorSpec
 
@@ -114,6 +114,29 @@ class TestTpxeFormat:
     def test_truncated_header(self):
         with pytest.raises(ev.EventFormatError):
             ev.parse_events(b"TPXE\x01")
+
+    @pytest.mark.parametrize(
+        "n_x, n_y, offset",
+        [(0, 8, 8), (8, 0, 12), (0, 0, 8), (65537, 8, 8), (8, 2**20, 12),
+         (2**20, 2**20, 8)],
+    )
+    def test_matrix_side_outside_u16_range(self, n_x, n_y, offset):
+        # a u16 coordinate addresses sides of 1..65536
+        data = ev.HEADER.pack(ev.MAGIC, ev.VERSION, n_x, n_y, 0)
+        with pytest.raises(ev.EventFormatError) as err:
+            ev.parse_events(data)
+        assert err.value.offset == offset
+        name, side = ("n_x", n_x) if offset == 8 else ("n_y", n_y)
+        assert err.value.message == f"{name} {side} outside 1..65536"
+
+    def test_largest_addressable_matrix(self):
+        data = ev.HEADER.pack(ev.MAGIC, ev.VERSION, 65536, 65536, 0)
+        back = ev.parse_events(data)
+        assert (back.n_x, back.n_y, len(back)) == (65536, 65536, 0)
+
+    def test_format_error_is_file_format_error(self):
+        # the CLI maps FileFormatError, and so every TPXE error, to exit 3
+        assert issubclass(ev.EventFormatError, FileFormatError)
 
     def test_file_error_names_path(self, tmp_path):
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
@@ -277,7 +300,7 @@ class TestChunkedReader:
         path = self._file(tmp_path, data[: ev.HEADER.size + 6 * 16 + 5])
         # fields 0 and 6: mode and size
         full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
-        monkeypatch.setattr(ev.os, "fstat", lambda fd: full)
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: full)
         for read in (ev.tot_histograms_file, ev.parse_events_file):
             with pytest.raises(ev.EventFormatError) as err:
                 read(path)
@@ -315,6 +338,13 @@ class TestChunkedReader:
                     read(path)
         finally:
             os.close(writer)
+
+    @pytest.mark.parametrize("side", [0, 2**20])
+    def test_unaddressable_matrix(self, tmp_path, side):
+        # 0 records: the header alone decides, before any block is allocated
+        data = ev.HEADER.pack(ev.MAGIC, ev.VERSION, side, side, 0)
+        path = self._file(tmp_path, data)
+        assert self._same_outcome(path, data) is None
 
     def test_trailing_bytes_accepted(self, tmp_path):
         data = self._ten_records()
@@ -606,6 +636,22 @@ class TestApplyCalibration:
         )
         assert cube.counts.sum() == s.detected
         assert cube.counts[0, 1].sum() == cube.counts[3, 2].sum() == 0
+
+    def test_slices_equal_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        cal = self.identity_cal(4)
+        cal.dead[2, 0] = True
+        det = DetectorSpec(n_x=4, n_y=4, e_min=1.0, n_bins=60)
+        n = 200
+        el = make_events(
+            4, 4, rng.integers(0, 4, n), rng.integers(0, 4, n), rng.integers(0, 25, n)
+        )
+        whole = ev.apply_calibration(el, cal, det)
+        monkeypatch.setattr(ev, "_READ_RECORDS", 3)  # 67 slices, the last of 2
+        sliced = ev.apply_calibration(el, cal, det)
+        assert np.array_equal(sliced.counts, whole.counts)
+        assert vars(sliced.stats) == vars(whole.stats)
+        assert sliced.stats.n_photons == sliced.photons == n
 
     def test_band_edges(self):
         cal = self.identity_cal()

@@ -156,7 +156,7 @@ class TestReadSic:
         path.write_bytes(raw)
         try:
             cube = sic.read_sic(path)
-        except sic.SicFormatError:
+        except fileio.FileFormatError:
             return
         assert cube.counts.size * 8 + sic.HEADER.size == len(raw)
         assert cube.counts.size > 0
