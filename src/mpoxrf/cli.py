@@ -196,22 +196,22 @@ def _cmd_calibrate(args) -> int:
             f"no event file given for calibration line(s): {', '.join(missing)}"
         )
     # every file is checked in turn, and a line file is reduced to its peak
-    # map straight from its records: one histogram block is alive at a time
+    # map slice by slice: one histogram block is alive at a time
     peaks, first = {}, None
     for label, path in given:
-        if label not in line_set.labels:
-            events.check_events_file(path)
-            continue
-        peak_map = events.line_peaks_file(path)
-        if first is None:
-            first = (path, peak_map.shape)
-        elif peak_map.shape != first[1]:
-            (n_y, n_x), (m_y, m_x) = peak_map.shape, first[1]
-            raise FileFormatError(
-                f"{path}: {n_x}x{n_y} pixel matrix does not match the "
-                f"{m_x}x{m_y} matrix of line file {first[0]}"
-            )
-        peaks[label] = peak_map
+        with events.open_events(path) as source:
+            if label not in line_set.labels:
+                for _ in source.slices():
+                    pass
+                continue
+            if first is None:
+                first = (path, source.n_x, source.n_y)
+            elif (source.n_x, source.n_y) != first[1:]:
+                raise FileFormatError(
+                    f"{path}: {source.n_x}x{source.n_y} pixel matrix does not "
+                    f"match the {first[1]}x{first[2]} matrix of line file {first[0]}"
+                )
+            peaks[label] = events.line_peaks(source)
     cal = events.fit_calibration(
         np.stack([peaks[label] for label in line_set.labels]), line_set
     )
@@ -222,24 +222,25 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_apply_cal(args) -> int:
-    ev = events.parse_events_file(args.events)
-    cal = events.read_calibration_csv(args.cal)
-    if (cal.n_x, cal.n_y) != (ev.n_x, ev.n_y):
-        raise FileFormatError(
-            f"{args.events}: {ev.n_x}x{ev.n_y} pixel matrix does not match the "
-            f"{cal.n_x}x{cal.n_y} calibration {args.cal}"
+    # the matrices are compared before any record is read
+    with events.open_events(args.events) as source:
+        cal = events.read_calibration_csv(args.cal)
+        if (cal.n_x, cal.n_y) != (source.n_x, source.n_y):
+            raise FileFormatError(
+                f"{args.events}: {source.n_x}x{source.n_y} pixel matrix does not "
+                f"match the {cal.n_x}x{cal.n_y} calibration {args.cal}"
+            )
+        detector = DetectorSpec(
+            n_x=source.n_x,
+            n_y=source.n_y,
+            pitch=args.pitch_um,
+            energy_fwhm=0.0,
+            threshold=args.threshold,
+            e_min=args.e_min,
+            e_bin_width=args.bin_width,
+            n_bins=args.n_bins,
         )
-    detector = DetectorSpec(
-        n_x=ev.n_x,
-        n_y=ev.n_y,
-        pitch=args.pitch_um,
-        energy_fwhm=0.0,
-        threshold=args.threshold,
-        e_min=args.e_min,
-        e_bin_width=args.bin_width,
-        n_bins=args.n_bins,
-    )
-    cube = events.apply_calibration(ev, cal, detector)
+        cube = events.apply_calibration(source, cal, detector)
     sic.write_sic(args.out, cube)
     s = cube.stats
     print(

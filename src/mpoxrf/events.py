@@ -7,13 +7,13 @@ This module defines a compact stand-in wire format for event dumps (TPXE),
 fixture generators for calibration data, the calibration chain and the
 event-to-spectral-cube histogrammer.
 
-The calibration chain has one route: each line's events are histogrammed
-per pixel and go through :func:`find_line_peaks` to a per-pixel peak map,
-and the maps, stacked in line-set order, go to :func:`fit_calibration`.
-A line file takes :func:`line_peaks_file`, which histograms its records in
-chunks (:func:`tot_histograms_file`) without building an
-:class:`EventList`; events in memory take :func:`line_peaks`
-(:func:`tot_histograms`).  Both fill the same histogram block.
+The calibration chain has one route: :func:`line_peaks` histograms each
+line's events per pixel (:func:`tot_histograms`) and reduces them to a
+peak map (:func:`find_line_peaks`); the maps, stacked in line-set order,
+go to :func:`fit_calibration`, and :func:`apply_calibration` bins a run.
+Each step takes an event source, an :class:`EventList` or a TPXE file
+opened with :func:`open_events`, and works through its ``slices()``, so a
+file's records pass through one reused 16 MiB buffer, never all at once.
 
 TPXE format, little-endian:
 
@@ -78,6 +78,16 @@ class EventList:
 
     def __len__(self) -> int:
         return self.x.size
+
+    def slices(self):
+        """Yield views of consecutive runs of at most :data:`_READ_RECORDS`
+        events, in order."""
+        for first in range(0, len(self), _READ_RECORDS):
+            part = slice(first, first + _READ_RECORDS)
+            yield EventList(
+                self.n_x, self.n_y,
+                self.x[part], self.y[part], self.tot[part], self.toa[part],
+            )
 
     @classmethod
     def empty(cls, n_x: int, n_y: int) -> "EventList":
@@ -240,61 +250,67 @@ def parse_events(data: bytes) -> EventList:
     return _event_list(records.copy(), n_x, n_y)
 
 
-#: Records per read of :func:`_record_chunks`: one 16 MiB buffer, so a
-#: chunked pass over a line file holds one buffer instead of the file.
+#: Events per slice of an event source: a file's slice is one 16 MiB buffer.
 _READ_RECORDS = 1 << 20
 
 
+class EventFile:
+    """The events of an open TPXE file, read as they are needed; made by
+    :func:`open_events`.  Every record read is checked as
+    :func:`parse_events` checks it."""
+
+    def __init__(self, fh, n_x: int, n_y: int, count: int):
+        self._fh = fh
+        self.n_x = n_x
+        self.n_y = n_y
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _fill(self, out: np.ndarray, first: int) -> None:
+        """Fill ``out`` with the records of stream index ``first`` onward
+        and check their pixels; a file that ends early is a short stream."""
+        self._fh.seek(HEADER.size + first * RECORD_DTYPE.itemsize)
+        got = self._fh.readinto(out.view(np.uint8))
+        if got < out.nbytes:
+            raise _short_stream(first + got // RECORD_DTYPE.itemsize, self._count)
+        _check_pixels(out, self.n_x, self.n_y, first)
+
+    def slices(self):
+        """Yield the file's events from the first record on, as
+        :class:`EventList` views of one reused buffer of at most
+        :data:`_READ_RECORDS` records; a view holds its events until the
+        next one is yielded."""
+        buf = np.empty(min(self._count, _READ_RECORDS), dtype=RECORD_DTYPE)
+        for first in range(0, self._count, _READ_RECORDS):
+            records = buf[: self._count - first]
+            self._fill(records, first)
+            yield _event_list(records, self.n_x, self.n_y)
+
+
 @contextmanager
-def _open_events(path):
-    """Open a TPXE file (a regular file, see :func:`open_binary`) and check
-    its header against the file length, before any record is read; yields
-    ``(file, n_x, n_y, count)`` with the file at the first record.  A
-    format error raised in the block names the file in front of its message
-    and keeps its byte offset."""
+def open_events(path):
+    """Open a TPXE file (a regular file, see :func:`open_binary`) as an
+    event source, and check its header against the file length before any
+    record is read; yields an :class:`EventFile`.  A format error raised in
+    the block names the file in front of its message and keeps its byte
+    offset."""
     try:
         with open_binary(path) as (fh, size):
-            yield (fh, *_check_header(fh.read(HEADER.size), size))
+            yield EventFile(fh, *_check_header(fh.read(HEADER.size), size))
     except EventFormatError as exc:
         raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
-
-
-def _read_records(fh, out: np.ndarray, first: int, n_x: int, n_y: int, count: int):
-    """Fill ``out`` with the records of stream index ``first`` onward and
-    check their pixels; a file that ends early is a short stream."""
-    got = fh.readinto(out.view(np.uint8))
-    if got < out.nbytes:
-        raise _short_stream(first + got // RECORD_DTYPE.itemsize, count)
-    _check_pixels(out, n_x, n_y, first)
-
-
-def _record_chunks(fh, n_x: int, n_y: int, count: int):
-    """Yield ``(first, records)``: the file's checked records, in fills of
-    one reused buffer of up to :data:`_READ_RECORDS` records; ``first`` is
-    the stream index of ``records[0]``."""
-    buf = np.empty(min(count, _READ_RECORDS), dtype=RECORD_DTYPE)
-    for first in range(0, count, _READ_RECORDS):
-        chunk = buf[: count - first]
-        _read_records(fh, chunk, first, n_x, n_y, count)
-        yield first, chunk
 
 
 def parse_events_file(path) -> EventList:
     """Parse a TPXE file: the rules and messages of :func:`parse_events`,
     with the file named in front of the message.  The records are read
     into one record array, which the event fields view."""
-    with _open_events(path) as (fh, n_x, n_y, count):
-        records = np.empty(count, dtype=RECORD_DTYPE)
-        _read_records(fh, records, 0, n_x, n_y, count)
-    return _event_list(records, n_x, n_y)
-
-
-def check_events_file(path) -> None:
-    """Check a TPXE file as :func:`parse_events_file` does, one buffer of
-    records at a time, without keeping them."""
-    with _open_events(path) as (fh, n_x, n_y, count):
-        for _ in _record_chunks(fh, n_x, n_y, count):
-            pass
+    with open_events(path) as source:
+        records = np.empty(len(source), dtype=RECORD_DTYPE)
+        source._fill(records, 0)
+    return _event_list(records, source.n_x, source.n_y)
 
 
 def synthesize_line_events(
@@ -339,45 +355,31 @@ def _flat_index(x, y, tot, n_x: int, n_tot: int) -> np.ndarray:
     return flat
 
 
-def tot_histograms(events: EventList) -> np.ndarray:
+def tot_histograms(events: EventList | EventFile) -> np.ndarray:
     """Per-pixel ToT histograms, shape (n_y * n_x, max ToT + 1).
 
     Row ``y * n_x + x`` counts the hits of pixel (x, y), column ``t`` the
     hits with ToT ``t``; the width covers the largest ToT present, so no
-    value is clipped.  An empty event list gives one all-zero column.
+    value is clipped.  An empty source gives one all-zero column.
+
+    Pass 1 over the slices of the event source finds the largest ToT;
+    pass 2 adds each slice into one zeroed block of that width.
     """
-    n_rows = events.n_y * events.n_x
-    n_tot = int(events.tot.max(initial=0)) + 1
-    flat = _flat_index(events.x, events.y, events.tot, events.n_x, n_tot)
-    return np.bincount(flat, minlength=n_rows * n_tot).reshape(n_rows, n_tot)
-
-
-def tot_histograms_file(path) -> tuple[np.ndarray, tuple[int, int]]:
-    """:func:`tot_histograms` of a TPXE file's events, plus the matrix
-    shape ``(n_y, n_x)``, in two chunked passes and without an EventList.
-
-    Pass 1 checks every record and finds the largest ToT; pass 2 reads the
-    records again and adds them into one zeroed block of that width.  Both
-    passes hold one buffer of records at a time, so the memory is one
-    histogram block plus one buffer.  The format errors are those of
-    :func:`parse_events_file`.
-    """
-    with _open_events(path) as (fh, n_x, n_y, count):
-        n_tot = 1 + max(
-            (int(c["tot"].max()) for _, c in _record_chunks(fh, n_x, n_y, count)),
-            default=0,
-        )
-        hists = np.zeros((n_y * n_x, n_tot), dtype=np.int64)
-        fh.seek(HEADER.size)
-        for first, chunk in _record_chunks(fh, n_x, n_y, count):
-            if chunk["tot"].max() >= n_tot:
-                raise EventFormatError(
-                    "file changed between reads",
-                    HEADER.size + first * RECORD_DTYPE.itemsize,
-                )
-            flat = _flat_index(chunk["x"], chunk["y"], chunk["tot"], n_x, n_tot)
-            np.add.at(hists.reshape(-1), flat, 1)
-    return hists, (n_y, n_x)
+    n_tot = 1 + max((int(part.tot.max()) for part in events.slices()), default=0)
+    hists = np.zeros((events.n_y * events.n_x, n_tot), dtype=np.int64)
+    first = 0
+    for part in events.slices():
+        # a file is read again in pass 2; a ToT beyond pass 1's largest
+        # means it changed in between, and would index past its pixel's row
+        if part.tot.max() >= n_tot:
+            raise EventFormatError(
+                "file changed between reads",
+                HEADER.size + first * RECORD_DTYPE.itemsize,
+            )
+        flat = _flat_index(part.x, part.y, part.tot, events.n_x, n_tot)
+        np.add.at(hists.reshape(-1), flat, 1)
+        first += len(part)
+    return hists
 
 
 #: Rows per vectorized peak pass; bounds the float temporaries of
@@ -427,18 +429,11 @@ def find_line_peaks(histogram: np.ndarray) -> float | None | np.ndarray:
     return out
 
 
-def line_peaks(events: EventList) -> np.ndarray:
+def line_peaks(events: EventList | EventFile) -> np.ndarray:
     """Peak ToT of one line's events per pixel, shape (n_y, n_x); NaN marks
     a pixel without hits."""
     peaks = find_line_peaks(tot_histograms(events))
     return peaks.reshape(events.n_y, events.n_x)
-
-
-def line_peaks_file(path) -> np.ndarray:
-    """:func:`line_peaks` of a TPXE file's events, histogrammed straight
-    from its records by :func:`tot_histograms_file`."""
-    hists, shape = tot_histograms_file(path)
-    return find_line_peaks(hists).reshape(shape)
 
 
 def fit_calibration(
@@ -496,13 +491,14 @@ def fit_calibration(
 
 
 def apply_calibration(
-    events: EventList, cal: CalibrationMap, detector: DetectorSpec
+    events: EventList | EventFile, cal: CalibrationMap, detector: DetectorSpec
 ) -> SpectralImage:
     """Histogram calibrated events into a spectral cube.
 
     Events on dead pixels are dropped and counted in the cube's stats; the
     rest pass the detector stage of :func:`mpoxrf.sim.simulate`.
-    ``detector`` must describe the events' pixel matrix.
+    ``detector`` must describe the events' pixel matrix.  The event source
+    is binned slice by slice, so the temporaries stay bounded.
     """
     if (cal.n_x, cal.n_y) != (events.n_x, events.n_y):
         raise ValueError("calibration map does not match the event matrix")
@@ -511,16 +507,8 @@ def apply_calibration(
     stats = SimStats()
     cube = SpectralImage.empty(detector, photons=len(events), stats=stats)
     counts = cube.counts.reshape(-1)
-    # in slices of _READ_RECORDS events, so the index and energy
-    # temporaries stay bounded whatever the run length
-    for first in range(0, len(events), _READ_RECORDS):
-        part = slice(first, first + _READ_RECORDS)
-        stats.add(
-            _bin_calibrated(
-                events.x[part], events.y[part], events.tot[part], cal, detector,
-                counts,
-            )
-        )
+    for part in events.slices():
+        stats.add(_bin_calibrated(part.x, part.y, part.tot, cal, detector, counts))
     return cube
 
 

@@ -51,13 +51,19 @@ def write_pgm(path, image: Image2D, lo_percentile=1.0, hi_percentile=99.0) -> No
             fh.write("\n")
 
 
+def _write_rows(fh, rows) -> None:
+    """One comma-separated line per row of a 2-D array; each value is the
+    ``repr`` of its Python float, so the text reads back exactly."""
+    for row in np.asarray(rows, dtype=float).tolist():
+        fh.write(",".join(map(repr, row)))
+        fh.write("\n")
+
+
 def write_image_csv(path, image: Image2D) -> None:
     """Exact pixel values, one row per line, with a pitch header comment."""
     with open(path, "w") as fh:
         fh.write(f"# n_x={image.n_x} n_y={image.n_y} pitch_um={image.pitch_um!r}\n")
-        for row in image.values:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        _write_rows(fh, image.values)
 
 
 def read_image_csv(path) -> Image2D:
@@ -112,20 +118,13 @@ def _first_bad_row(path, lines) -> str:
 def write_profile_csv(path, profile: PsfProfile) -> None:
     with open(path, "w") as fh:
         fh.write("position_mm,intensity\n")
-        for pos, val in zip(profile.positions, profile.intensities):
-            fh.write(f"{float(pos)!r},{float(val)!r}\n")
+        _write_rows(fh, np.column_stack((profile.positions, profile.intensities)))
 
 
 def write_atf_csv(path, transfer: Atf) -> None:
     """ATF grid with the x-frequency axis as the header row and the
     y frequency as the first column, lp/mm."""
     with open(path, "w") as fh:
-        fh.write("freq_y_lp_mm\\freq_x_lp_mm")
-        for fx in transfer.freq_x:
-            fh.write(f",{float(fx)!r}")
-        fh.write("\n")
-        for j, fy in enumerate(transfer.freq_y):
-            fh.write(f"{float(fy)!r}")
-            for value in transfer.amplitude[j]:
-                fh.write(f",{float(value)!r}")
-            fh.write("\n")
+        fh.write("freq_y_lp_mm\\freq_x_lp_mm,")
+        _write_rows(fh, [transfer.freq_x])
+        _write_rows(fh, np.column_stack((transfer.freq_y, transfer.amplitude)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mpoxrf import cli, events as ev, fileio, sic
-from mpoxrf.analysis import Image2D
+from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
 from mpoxrf.optics import ReflectivityModel
 from mpoxrf.sim import DetectorSpec
@@ -529,6 +529,75 @@ class TestCliCalibration:
         assert "Cu.tpxe" not in err
         assert not (tmp_path / "cal.csv").exists()
 
+    def test_apply_cal_matrix_checked_before_records(self, tmp_path, capsys):
+        # a 4x4 run against a 2x2 calibration; its second record is outside
+        # even the 4x4 matrix, and is never read
+        run = tmp_path / "run.tpxe"
+        ev.write_events_file(
+            run,
+            ev.EventList(
+                n_x=4,
+                n_y=4,
+                x=np.array([1, 9], np.uint16),
+                y=np.array([1, 0], np.uint16),
+                tot=np.array([8, 8], np.uint16),
+                toa=np.arange(2, dtype=np.uint64),
+            ),
+        )
+        cal = tmp_path / "cal.csv"
+        ev.write_calibration_csv(
+            cal,
+            ev.CalibrationMap(
+                gain=np.ones((2, 2)),
+                offset=np.zeros((2, 2)),
+                residual=np.zeros((2, 2)),
+                dead=np.zeros((2, 2), dtype=bool),
+            ),
+        )
+        out = tmp_path / "run.sic"
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal), "--out", str(out)]
+        ) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"input format error: {run}: 4x4 pixel matrix does not match the "
+            f"2x2 calibration {cal}\n"
+        )
+        assert not out.exists()
+
+    def test_apply_cal_holds_one_buffer(self, tmp_path, monkeypatch):
+        n = 64
+        run = tmp_path / "run.tpxe"
+        ev.write_events_file(
+            run,
+            ev.synthesize_line_events(
+                8.0, np.ones((n, n)), np.zeros((n, n)), 50, np.random.default_rng(6)
+            ),
+        )
+        cal = tmp_path / "cal.csv"
+        ev.write_calibration_csv(
+            cal,
+            ev.CalibrationMap(
+                gain=np.ones((n, n)),
+                offset=np.zeros((n, n)),
+                residual=np.zeros((n, n)),
+                dead=np.zeros((n, n), dtype=bool),
+            ),
+        )
+        monkeypatch.setattr(ev, "_READ_RECORDS", 4096)
+        records_bytes = run.stat().st_size - ev.HEADER.size  # 3.2 MB
+        tracemalloc.start()
+        try:
+            assert cli.main(
+                ["apply-cal", "--events", str(run), "--cal", str(cal),
+                 "--out", str(tmp_path / "run.sic"), "--n-bins", "10"]
+            ) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 0.3 MB cube, the calibration maps and one 64 kB record buffer
+        # with its temporaries; holding the run file's records would exceed it
+        assert peak < records_bytes, (peak, records_bytes)
+
     def test_calibration_missing_column_io_exit(self, tmp_path, capsys):
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
@@ -745,6 +814,31 @@ class TestImageCsv:
         back = fileio.read_image_csv(path)
         assert np.array_equal(back.values, img.values)
         assert back.pitch_um == 55.0
+
+    def test_writers_exact_text(self, tmp_path):
+        # each value is written as the repr of its Python float
+        values = np.array([[1e-17, 123456.789], [0.0, 2.5]])
+        fileio.write_image_csv(tmp_path / "img.csv", Image2D(values, pitch_um=55.0))
+        assert (tmp_path / "img.csv").read_text() == (
+            "# n_x=2 n_y=2 pitch_um=55.0\n1e-17,123456.789\n0.0,2.5\n"
+        )
+        fileio.write_atf_csv(
+            tmp_path / "atf.csv",
+            Atf(amplitude=values, freq_x=np.array([0.0, -9.0]),
+                freq_y=np.array([0.0, 1e-17])),
+        )
+        assert (tmp_path / "atf.csv").read_text() == (
+            "freq_y_lp_mm\\freq_x_lp_mm,0.0,-9.0\n"
+            "0.0,1e-17,123456.789\n1e-17,0.0,2.5\n"
+        )
+        fileio.write_profile_csv(
+            tmp_path / "profile.csv",
+            PsfProfile(ProfileAxis.HORIZONTAL, positions=np.array([-0.5, 0.5]),
+                       intensities=np.array([123456.789, 1e-17])),
+        )
+        assert (tmp_path / "profile.csv").read_text() == (
+            "position_mm,intensity\n-0.5,123456.789\n0.5,1e-17\n"
+        )
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "img.csv"

@@ -193,20 +193,24 @@ class TestSynthesize:
 
 class TestTotHistograms:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_add_at_oracle(self, seed):
+    def test_equals_add_at_oracle(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         n_x, n_y, n = 5, 3, 400
         x = rng.integers(0, n_x, n)
         y = rng.integers(0, n_y, n)
         tot = rng.integers(0, 60, n)
         tot[:2] = [0, 60]  # the smallest and the largest ToT both occur
-        hist = ev.tot_histograms(make_events(n_x, n_y, x, y, tot))
         want = np.zeros((n_y * n_x, 61), dtype=np.int64)
         np.add.at(want, (y * n_x + x, tot), 1)
-        assert hist.shape == (n_y * n_x, 61)
-        assert np.array_equal(hist, want)
-        assert hist[y[0] * n_x + x[0], 0] > 0
-        assert hist[y[1] * n_x + x[1], -1] > 0
+        events = make_events(n_x, n_y, x, y, tot)
+        whole = ev.tot_histograms(events)
+        monkeypatch.setattr(ev, "_READ_RECORDS", 7)  # 58 slices, the last of 1
+        assert len(list(events.slices())) == 58
+        for hist in (whole, ev.tot_histograms(events)):
+            assert hist.shape == (n_y * n_x, 61)
+            assert np.array_equal(hist, want)
+            assert hist[y[0] * n_x + x[0], 0] > 0
+            assert hist[y[1] * n_x + x[1], -1] > 0
 
     def test_empty_events(self):
         hist = ev.tot_histograms(ev.EventList.empty(4, 3))
@@ -215,8 +219,8 @@ class TestTotHistograms:
 
 
 class TestChunkedReader:
-    """``tot_histograms_file`` against the in-memory chain, with chunks of
-    a few records so every file spans several reads."""
+    """The file source of :func:`ev.open_events` against the in-memory
+    chain, with slices of a few records so every file spans several reads."""
 
     CHUNK = 4
 
@@ -224,44 +228,78 @@ class TestChunkedReader:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(ev, "_READ_RECORDS", self.CHUNK)
 
+    @staticmethod
+    def _histograms(path):
+        with ev.open_events(path) as source:
+            return ev.tot_histograms(source)
+
+    @staticmethod
+    def _check(path):
+        with ev.open_events(path) as source:
+            for _ in source.slices():
+                pass
+
     @pytest.mark.parametrize("n", [0, 1, 4, 8, 11])
     def test_equals_in_memory_histograms(self, tmp_path, n):
         rng = np.random.default_rng(n)
         n_x, n_y = 5, 3
         tot = rng.integers(0, 40, n)
         if n:
-            tot[-1] = 90  # the largest ToT only in the last chunk
+            tot[-1] = 90  # the largest ToT only in the last slice
         el = make_events(
             n_x, n_y, rng.integers(0, n_x, n), rng.integers(0, n_y, n), tot
         )
         path = tmp_path / "line.tpxe"
         ev.write_events_file(path, el)
-        hists, shape = ev.tot_histograms_file(path)
+        with ev.open_events(path) as source:
+            assert (source.n_x, source.n_y, len(source)) == (n_x, n_y, n)
+            hists = ev.tot_histograms(source)
+            peaks = ev.line_peaks(source)
         want = ev.tot_histograms(ev.parse_events_file(path))
-        assert shape == (n_y, n_x)
         assert hists.dtype == want.dtype
         assert np.array_equal(hists, want)
         assert hists.shape == ((n_y * n_x, 91) if n else (n_y * n_x, 1))
-        assert np.array_equal(
-            ev.line_peaks_file(path), ev.line_peaks(el), equal_nan=True
-        )
+        assert np.array_equal(peaks, ev.line_peaks(el), equal_nan=True)
 
-    @staticmethod
-    def _same_outcome(path, data):
+    def test_apply_calibration_equals_in_memory(self, tmp_path):
+        rng = np.random.default_rng(23)
+        n = 4
+        cal = ev.CalibrationMap(
+            gain=rng.uniform(0.5, 1.5, (n, n)),
+            offset=rng.uniform(-0.5, 0.5, (n, n)),
+            residual=np.zeros((n, n)),
+            dead=np.zeros((n, n), dtype=bool),
+        )
+        cal.dead[1, 2] = True
+        det = DetectorSpec(n_x=n, n_y=n, e_min=1.0, n_bins=60)
+        k = 30  # 8 slices, the last of 2
+        el = make_events(
+            n, n, rng.integers(0, n, k), rng.integers(0, n, k), rng.integers(0, 25, k)
+        )
+        path = tmp_path / "run.tpxe"
+        ev.write_events_file(path, el)
+        with ev.open_events(path) as source:
+            from_file = ev.apply_calibration(source, cal, det)
+        in_memory = ev.apply_calibration(el, cal, det)
+        assert np.array_equal(from_file.counts, in_memory.counts)
+        assert vars(from_file.stats) == vars(in_memory.stats)
+        assert from_file.stats.dead_pixel_drops > 0
+        assert from_file.stats.n_photons == from_file.photons == k
+
+    def _same_outcome(self, path, data):
         """The file readers raise what ``parse_events`` raises on the same
         bytes, with the path in front, or succeed with its events."""
         try:
             want = ev.parse_events(data)
         except ev.EventFormatError as exc:
-            for read in (ev.tot_histograms_file, ev.check_events_file,
-                         ev.parse_events_file):
+            for read in (self._histograms, self._check, ev.parse_events_file):
                 with pytest.raises(ev.EventFormatError) as err:
                     read(path)
                 assert err.value.offset == exc.offset
                 assert str(err.value) == f"{path}: {exc}"
             return None
-        ev.check_events_file(path)
-        assert np.array_equal(ev.tot_histograms_file(path)[0], ev.tot_histograms(want))
+        self._check(path)
+        assert np.array_equal(self._histograms(path), ev.tot_histograms(want))
         return want
 
     def _file(self, tmp_path, data):
@@ -271,17 +309,17 @@ class TestChunkedReader:
 
     @staticmethod
     def _ten_records() -> bytes:
-        """Ten records of pixel (1, 2) in an 8x8 matrix: chunks 0-3, 4-7, 8-9."""
+        """Ten records of pixel (1, 2) in an 8x8 matrix: slices 0-3, 4-7, 8-9."""
         return ev.write_events(make_events(8, 8, [1] * 10, [2] * 10, range(10)))
 
     def test_bad_pixel_in_second_chunk(self, tmp_path):
         data = bytearray(self._ten_records())
-        rec = ev.HEADER.size + 6 * 16  # record 6: the second chunk's third
+        rec = ev.HEADER.size + 6 * 16  # record 6: the second slice's third
         data[rec + 2 : rec + 4] = (8).to_bytes(2, "little")
         path = self._file(tmp_path, bytes(data))
         self._same_outcome(path, bytes(data))
         with pytest.raises(ev.EventFormatError) as err:
-            ev.tot_histograms_file(path)
+            self._histograms(path)
         assert str(err.value) == (
             f"{path}: record 6 pixel (1, 8) outside 8x8 matrix (byte offset {rec})"
         )
@@ -292,7 +330,7 @@ class TestChunkedReader:
         path = self._file(tmp_path, cut)
         self._same_outcome(path, cut)
         with pytest.raises(ev.EventFormatError, match="stream ends after 6 of 10"):
-            ev.tot_histograms_file(path)
+            self._histograms(path)
 
     def test_file_shorter_than_its_size_says(self, tmp_path, monkeypatch):
         # a file that shrinks after its length is checked ends inside a read
@@ -301,7 +339,7 @@ class TestChunkedReader:
         # fields 0 and 6: mode and size
         full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
         monkeypatch.setattr(fileio.os, "fstat", lambda fd: full)
-        for read in (ev.tot_histograms_file, ev.parse_events_file):
+        for read in (self._histograms, self._check, ev.parse_events_file):
             with pytest.raises(ev.EventFormatError) as err:
                 read(path)
             assert err.value.offset == ev.HEADER.size + 6 * 16
@@ -309,20 +347,20 @@ class TestChunkedReader:
 
     def test_file_changed_between_passes(self, tmp_path, monkeypatch):
         path = self._file(tmp_path, self._ten_records())
-        real, calls = ev._record_chunks, []
+        real, calls = ev.EventFile.slices, []
 
-        def chunks(*args):
-            calls.append(args)
+        def slices(source):
+            calls.append(source)
             if len(calls) == 2:  # a writer raises record 9's ToT after pass 1
                 with open(path, "r+b") as fh:
                     fh.seek(ev.HEADER.size + 9 * 16 + 4)
                     fh.write((500).to_bytes(2, "little"))
-            return real(*args)
+            return real(source)
 
-        monkeypatch.setattr(ev, "_record_chunks", chunks)
+        monkeypatch.setattr(ev.EventFile, "slices", slices)
         with pytest.raises(ev.EventFormatError) as err:
-            ev.tot_histograms_file(path)
-        offset = ev.HEADER.size + 8 * 16  # the third chunk, records 8-9
+            self._histograms(path)
+        offset = ev.HEADER.size + 8 * 16  # the third slice, records 8-9
         assert str(err.value) == (
             f"{path}: file changed between reads (byte offset {offset})"
         )
@@ -333,7 +371,7 @@ class TestChunkedReader:
         os.mkfifo(path)
         writer = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # keeps open() from blocking
         try:
-            for read in (ev.tot_histograms_file, ev.parse_events_file):
+            for read in (self._histograms, ev.parse_events_file):
                 with pytest.raises(FileFormatError, match="not a regular file"):
                     read(path)
         finally:
@@ -363,9 +401,14 @@ class TestChunkedReader:
                 np.random.default_rng(2),
             ),
         )
+
+        def from_file():
+            with ev.open_events(path) as source:
+                ev.line_peaks(source)
+
         peaks = {}
         for name, run in (
-            ("file", lambda: ev.line_peaks_file(path)),
+            ("file", from_file),
             ("memory", lambda: ev.line_peaks(ev.parse_events_file(path))),
         ):
             tracemalloc.start()

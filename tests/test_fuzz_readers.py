@@ -1,7 +1,7 @@
 """Fuzz the binary readers: any byte string parses or raises the reader's
 format error, and the CLI maps a bad file to exit 3, never to another code
-or an uncaught exception.  The chunked TPXE reader of the calibration
-path raises exactly what the in-memory parser raises, or agrees with it.
+or an uncaught exception.  The TPXE file source of the calibration path
+raises exactly what the in-memory parser raises, or agrees with it.
 
 The corrupted inputs start from small valid TPXE and SIC files.  Besides
 flipping random bits, they may rewrite one header field with any value of
@@ -126,7 +126,7 @@ class TestParseEvents:
     @FUZZ
     @given(data=tpxe_inputs())
     def test_chunked_reader_agrees(self, workdir, data):
-        # three records per read: the valid file's four records take two
+        # three records per slice: the valid file's four records take two
         path = workdir / "chunked.tpxe"
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
@@ -135,15 +135,18 @@ class TestParseEvents:
                 events = ev.parse_events(data)
             except ev.EventFormatError as exc:
                 with pytest.raises(ev.EventFormatError) as err:
-                    ev.tot_histograms_file(path)
+                    with ev.open_events(path) as source:
+                        ev.tot_histograms(source)
                 assert err.value.message == f"{path}: {exc.message}"
                 assert err.value.offset == exc.offset
                 return
-            if events.n_x * events.n_y > 4096:  # no histogram block that large
-                ev.check_events_file(path)
-                return
-            hists, shape = ev.tot_histograms_file(path)
-        assert shape == (events.n_y, events.n_x)
+            with ev.open_events(path) as source:
+                assert (source.n_x, source.n_y) == (events.n_x, events.n_y)
+                if events.n_x * events.n_y > 4096:  # no histogram block that large
+                    for _ in source.slices():
+                        pass
+                    return
+                hists = ev.tot_histograms(source)
         assert np.array_equal(hists, ev.tot_histograms(events))
 
 
