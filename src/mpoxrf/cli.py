@@ -7,6 +7,7 @@ format error, 4 analysis error (no peak, empty region, ...).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from .config import AnalysisParams, ConfigError, load_config
 from .events import LineSet, default_line_set
 from .fileio import FileFormatError
 from .optics import PathClass
-from .sim import DetectorSpec, simulate
+from .sim import DetectorSpec, run_tasks, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,6 +177,26 @@ def _parse_line_list(raw: str) -> LineSet:
     return LineSet(tuple(pairs))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _file_peaks(task: tuple[str, bool]) -> np.ndarray | None:
+    """Peak map of the line file ``path`` of a ``(path, is_line)`` task; any
+    other event file is read through, so every record is checked, and
+    gives None."""
+    path, is_line = task
+    with events.open_events(path) as source:
+        if is_line:
+            return events.line_peaks(source)
+        for _ in source.slices():
+            pass
+    return None
+
+
 def _cmd_calibrate(args) -> int:
     line_set = _parse_line_list(args.lines) if args.lines else default_line_set()
     given = []
@@ -195,14 +216,13 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(
             f"no event file given for calibration line(s): {', '.join(missing)}"
         )
-    # every file is checked in turn, and a line file is reduced to its peak
-    # map slice by slice: one histogram block is alive at a time
-    peaks, first = {}, None
+    # headers first: every file is opened in argument order, and each line
+    # file's matrix is compared with the first one's, before any record is
+    # read or any histogram block is allocated
+    first = None
     for label, path in given:
         with events.open_events(path) as source:
             if label not in line_set.labels:
-                for _ in source.slices():
-                    pass
                 continue
             if first is None:
                 first = (path, source.n_x, source.n_y)
@@ -211,7 +231,12 @@ def _cmd_calibrate(args) -> int:
                     f"{path}: {source.n_x}x{source.n_y} pixel matrix does not "
                     f"match the {first[1]}x{first[2]} matrix of line file {first[0]}"
                 )
-            peaks[label] = events.line_peaks(source)
+    # each worker reduces one file at a time to its peak map, so a process
+    # holds at most one histogram block; errors are raised in argument
+    # order, and list() drains the pool before the maps are used
+    tasks = [(path, label in line_set.labels) for label, path in given]
+    results = run_tasks(_file_peaks, tasks, min(len(tasks), _available_cpus()))
+    peaks = dict(zip(given_labels, list(results)))
     cal = events.fit_calibration(
         np.stack([peaks[label] for label in line_set.labels]), line_set
     )

@@ -64,6 +64,11 @@ class EventFormatError(FileFormatError):
         self.message = message
         self.offset = offset
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so the error pickles across a
+        # process pool with its message and offset
+        return type(self), (self.message, self.offset)
+
 
 @dataclass
 class EventList:

@@ -507,12 +507,24 @@ def simulate(
                 flat = total.class_images[cls].reshape(-1)
                 flat[pi] += pc.astype(np.uint64)
 
-    if n_workers == 1 or n_batches <= 1:
-        for task in tasks:
-            _merge(_run_batch(task))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for result in pool.map(_run_batch, tasks):
-                _merge(result)
+    for result in run_tasks(_run_batch, tasks, n_workers):
+        _merge(result)
 
     return image
+
+
+def run_tasks(fn, tasks: list, n_workers: int):
+    """Yield ``fn(task)`` for each of ``tasks``, in order.
+
+    With one worker or at most one task, ``fn`` runs in this process;
+    otherwise in a pool of ``n_workers`` processes, which needs ``fn`` to
+    be a module-level function and the tasks and results to pickle.  A
+    task's exception is raised where its result would have been yielded,
+    after the tasks not yet started are cancelled and the running ones
+    have ended.
+    """
+    if n_workers == 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        yield from pool.map(fn, tasks)

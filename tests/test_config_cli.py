@@ -336,7 +336,9 @@ class TestCliCalibration:
     CAL_CSV_SHA256 = "466668a04a99e0e0f448d3fd4707112c61563c493610fa38a2d4d927d787b582"
     CU_SIC_SHA256 = "70f6ef9c2db177f728f0a2a66697a47c39fcec69cdfd3326d49225cba9c7735b"
 
-    def test_calibrate_and_apply(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calibrate_and_apply(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: workers)
         rng = np.random.default_rng(12)
         n = 8
         gain = rng.uniform(0.04, 0.06, (n, n))
@@ -437,7 +439,10 @@ class TestCliCalibration:
         assert "--events label(s) given more than once: Cu" in err
         assert "absent.tpxe" not in err
 
-    def test_one_line_file_in_memory(self, tmp_path):
+    def test_one_line_file_in_memory(self, tmp_path, monkeypatch):
+        # one worker: the histogram blocks live in this process, where
+        # tracemalloc sees them
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
         rng = np.random.default_rng(31)
         n = 64
         gain = rng.uniform(0.10, 0.15, (n, n))
@@ -528,6 +533,54 @@ class TestCliCalibration:
         assert f"{tmp_path / 'Zr.tpxe'}: stream ends after 199 of 200 records" in err
         assert "Cu.tpxe" not in err
         assert not (tmp_path / "cal.csv").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_record_in_worker_io_exit(self, tmp_path, capsys, monkeypatch, workers):
+        # the Cu file's header is valid; record 21, in its second 16-record
+        # slice, is outside the matrix, so the worker reading it raises
+        monkeypatch.setattr(cli, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(ev, "_READ_RECORDS", 16)
+        rng = np.random.default_rng(8)
+        gain, offset = np.full((2, 2), 0.05), np.zeros((2, 2))
+        out = tmp_path / "cal.csv"
+        args = ["calibrate", "--out", str(out)]
+        for label, e_kev in ev.default_line_set().lines:
+            events = ev.synthesize_line_events(e_kev, gain, offset, 10, rng)
+            if label == "Cu":
+                events.x[21] = 2
+            path = tmp_path / f"{label}.tpxe"
+            ev.write_events_file(path, events)
+            args += ["--events", f"{label}={path}"]
+        assert cli.main(args) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"input format error: {tmp_path / 'Cu.tpxe'}: record 21 pixel (2, 1) "
+            f"outside 2x2 matrix (byte offset {ev.HEADER.size + 21 * 16})\n"
+        )
+        assert not out.exists()
+
+    def test_headers_checked_before_records(self, tmp_path, capsys):
+        # Ti, the first line file, has a bad record; Fe, the second, a bad
+        # magic: the header error is found first, before any record is read
+        rng = np.random.default_rng(4)
+        gain, offset = np.full((2, 2), 0.05), np.zeros((2, 2))
+        out = tmp_path / "cal.csv"
+        args = ["calibrate", "--out", str(out)]
+        for label, e_kev in ev.default_line_set().lines:
+            events = ev.synthesize_line_events(e_kev, gain, offset, 10, rng)
+            if label == "Ti":
+                events.y[3] = 7
+            data = ev.write_events(events)
+            if label == "Fe":
+                data = b"XXXX" + data[4:]
+            path = tmp_path / f"{label}.tpxe"
+            path.write_bytes(data)
+            args += ["--events", f"{label}={path}"]
+        assert cli.main(args) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"input format error: {tmp_path / 'Fe.tpxe'}: bad magic b'XXXX' "
+            "(byte offset 0)\n"
+        )
+        assert not out.exists()
 
     def test_apply_cal_matrix_checked_before_records(self, tmp_path, capsys):
         # a 4x4 run against a 2x2 calibration; its second record is outside

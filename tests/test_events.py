@@ -1,4 +1,5 @@
 import os
+import pickle
 import stat
 import tracemalloc
 
@@ -137,6 +138,17 @@ class TestTpxeFormat:
     def test_format_error_is_file_format_error(self):
         # the CLI maps FileFormatError, and so every TPXE error, to exit 3
         assert issubclass(ev.EventFormatError, FileFormatError)
+
+    def test_format_error_pickles(self):
+        # a pool worker's error reaches the parent pickled: it must come back
+        # whole, not as a TypeError that breaks the pool
+        err = ev.EventFormatError(
+            "run.tpxe: record 3 pixel (9, 0) outside 8x8 matrix", 72
+        )
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ev.EventFormatError
+        assert (back.message, back.offset) == (err.message, err.offset)
+        assert str(back) == str(err)
 
     def test_file_error_names_path(self, tmp_path):
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])

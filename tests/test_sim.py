@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from mpoxrf.sim import (
     _bin_hits,
     _sample_emission_arrays,
     batch_seed,
+    run_tasks,
     simulate,
 )
 
@@ -389,6 +391,37 @@ class TestBatchSeeding:
         assert batch_seed(42, 0) == batch_seed(42, 0)
         assert batch_seed(42, 0) != batch_seed(43, 0)
         assert all(0 <= s < 2**64 for s in seeds)
+
+
+def _fail_or_mark(task):
+    """Raise for a task without a path; else sleep briefly and create it."""
+    path, delay, message = task
+    time.sleep(delay)
+    if path is None:
+        raise ValueError(message)
+    path.touch()
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_results_in_task_order(self, n_workers):
+        assert list(run_tasks(abs, [-3, 1, -2, 0], n_workers)) == [3, 1, 2, 0]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_first_failing_task_raises(self, n_workers):
+        # the second task fails first; the serial loop meets the first one's
+        # error, and so must the pool
+        tasks = [(None, 0.3, "first"), (None, 0.0, "second")]
+        with pytest.raises(ValueError, match="first"):
+            list(run_tasks(_fail_or_mark, tasks, n_workers))
+
+    def test_error_cancels_pending_tasks(self, tmp_path):
+        tasks = [(None, 0.0, "fails")]
+        tasks += [(tmp_path / f"{i}", 0.1, "") for i in range(40)]
+        with pytest.raises(ValueError, match="fails"):
+            list(run_tasks(_fail_or_mark, tasks, 2))
+        # the running and already queued tasks end; the others never start
+        assert len(list(tmp_path.iterdir())) < 20
 
 
 class TestSimulate:
