@@ -13,7 +13,11 @@ peak map (:func:`find_line_peaks`); the maps, stacked in line-set order,
 go to :func:`fit_calibration`, and :func:`apply_calibration` bins a run.
 Each step takes an event source, an :class:`EventList` or a TPXE file
 opened with :func:`open_events`, and works through its ``slices()``, so a
-file's records pass through one reused 16 MiB buffer, never all at once.
+file's records pass through one reused 4 MiB buffer, never all at once.
+The kernels size their integer types from their input: a ToT histogram
+block counts in the narrowest unsigned type that holds the source's
+record count, and the flat indices of both kernels in the narrowest that
+addresses their block, so every temporary scales with the slice.
 
 TPXE format, little-endian:
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import FileFormatError, open_binary
-from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage, _bin_hits
+from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage, _cube_index
 
 MAGIC = b"TPXE"
 VERSION = 1
@@ -255,8 +259,9 @@ def parse_events(data: bytes) -> EventList:
     return _event_list(records.copy(), n_x, n_y)
 
 
-#: Events per slice of an event source: a file's slice is one 16 MiB buffer.
-_READ_RECORDS = 1 << 20
+#: Events per slice of an event source: a file's slice is one 4 MiB buffer,
+#: and every temporary of the histogram and binning kernels scales with it.
+_READ_RECORDS = 1 << 18
 
 
 class EventFile:
@@ -338,25 +343,29 @@ def synthesize_line_events(
         raise ValueError("all gains must be positive")
     n_y, n_x = gain.shape
     n_total = n_y * n_x * n_per_pixel
-    pix = np.repeat(np.arange(n_y * n_x), n_per_pixel)
-    x = (pix % n_x).astype(np.uint16)
-    y = (pix // n_x).astype(np.uint16)
-    sigma = energy_fwhm / FWHM_PER_SIGMA
-    e_meas = line_kev + sigma * rng.standard_normal(n_total)
-    tot = np.round((e_meas - offset.reshape(-1)[pix]) / gain.reshape(-1)[pix])
-    tot = np.clip(tot, 0, np.iinfo(np.uint16).max).astype(np.uint16)
+    # one row of hits per pixel, so each pixel's gain and offset broadcast
+    # over its row and no per-hit copy of the maps is made
+    e_meas = rng.standard_normal((n_y * n_x, n_per_pixel))
+    e_meas *= energy_fwhm / FWHM_PER_SIGMA
+    e_meas += line_kev
+    e_meas -= offset.reshape(-1, 1)
+    e_meas /= gain.reshape(-1, 1)
+    np.round(e_meas, out=e_meas)
+    np.clip(e_meas, 0, np.iinfo(np.uint16).max, out=e_meas)
+    x = np.repeat(np.tile(np.arange(n_x, dtype=np.uint16), n_y), n_per_pixel)
+    y = np.repeat(np.arange(n_y, dtype=np.uint16), n_x * n_per_pixel)
+    tot = e_meas.astype(np.uint16).reshape(-1)
     toa = np.arange(n_total, dtype=np.uint64)
     return EventList(n_x=n_x, n_y=n_y, x=x, y=y, tot=tot, toa=toa)
 
 
-def _flat_index(x, y, tot, n_x: int, n_tot: int) -> np.ndarray:
-    """Flat index ``(y * n_x + x) * n_tot + tot`` of hits into a histogram
-    block of ``n_tot`` columns, built in place."""
-    flat = y.astype(np.intp)
+def _pixel_index(x, y, n_x: int, size: int) -> np.ndarray:
+    """Flat pixel index ``y * n_x + x`` of hits, built in place in the
+    narrowest unsigned type that holds ``size``, the size of the block the
+    caller indexes with it; no step of that indexing can then wrap."""
+    flat = y.astype(np.min_scalar_type(size))
     flat *= n_x
     flat += x
-    flat *= n_tot
-    flat += tot
     return flat
 
 
@@ -367,11 +376,20 @@ def tot_histograms(events: EventList | EventFile) -> np.ndarray:
     hits with ToT ``t``; the width covers the largest ToT present, so no
     value is clipped.  An empty source gives one all-zero column.
 
+    The counts' dtype is the narrowest unsigned integer type that holds
+    the source's record count (``np.min_scalar_type(len(events))``: uint32
+    from 65,536 to about 4.3e9 records), so no count can wrap; the block
+    takes ``n_y * n_x * (max ToT + 1)`` times that type's size in bytes.
+
     Pass 1 over the slices of the event source finds the largest ToT;
     pass 2 adds each slice into one zeroed block of that width.
     """
     n_tot = 1 + max((int(part.tot.max()) for part in events.slices()), default=0)
-    hists = np.zeros((events.n_y * events.n_x, n_tot), dtype=np.int64)
+    hists = np.zeros(
+        (events.n_y * events.n_x, n_tot), dtype=np.min_scalar_type(len(events))
+    )
+    # a Python 1 would make np.add.at cast each add and leave its fast loop
+    one = hists.dtype.type(1)
     first = 0
     for part in events.slices():
         # a file is read again in pass 2; a ToT beyond pass 1's largest
@@ -381,8 +399,10 @@ def tot_histograms(events: EventList | EventFile) -> np.ndarray:
                 "file changed between reads",
                 HEADER.size + first * RECORD_DTYPE.itemsize,
             )
-        flat = _flat_index(part.x, part.y, part.tot, events.n_x, n_tot)
-        np.add.at(hists.reshape(-1), flat, 1)
+        flat = _pixel_index(part.x, part.y, events.n_x, hists.size)
+        flat *= n_tot
+        flat += part.tot
+        np.add.at(hists.reshape(-1), flat, one)
         first += len(part)
     return hists
 
@@ -521,18 +541,14 @@ def _bin_calibrated(x, y, tot, cal, detector, counts) -> SimStats:
     """Add the calibrated hits of one slice of events into the flat cube
     ``counts``; returns the slice's tallies."""
     stats = SimStats(n_photons=x.size)
-    pix_y = y.astype(np.int64)
-    pix_x = x.astype(np.int64)
-    alive = np.nonzero(~cal.dead[pix_y, pix_x])[0]
-    stats.dead_pixel_drops = x.size - alive.size
+    pix = _pixel_index(x, y, cal.n_x, counts.size)
+    alive = ~cal.dead.reshape(-1)[pix]
+    pix = pix[alive]
+    stats.dead_pixel_drops = x.size - pix.size
 
-    pix_y = pix_y[alive]
-    pix_x = pix_x[alive]
-    energy = (
-        cal.gain[pix_y, pix_x] * tot[alive].astype(float) + cal.offset[pix_y, pix_x]
-    )
-    _, (idx, cnt) = _bin_hits(pix_x, pix_y, energy, detector, stats)
-    counts[idx] += cnt.astype(np.uint64)
+    energy = cal.gain.reshape(-1)[pix] * tot[alive] + cal.offset.reshape(-1)[pix]
+    _, flat = _cube_index(pix, energy, detector, stats)
+    np.add.at(counts, flat, np.uint64(1))
     return stats
 
 

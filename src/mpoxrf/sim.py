@@ -355,12 +355,13 @@ def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
 _CLASS_ORDER = tuple(PathClass)
 
 
-def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
+def _cube_index(pix, energy, detector: DetectorSpec, stats: SimStats):
     """Threshold, energy band and cube index for hits on the pixel matrix.
 
-    Fills the ``below_threshold``, ``out_of_band`` and ``detected`` tallies
-    of ``stats``; returns the counted-hit mask and the sparse cube increment
-    ``(flat index, count)`` in SIC order ``((y*n_x) + x)*n_bins + bin``.
+    ``pix`` is each hit's pixel ``y*n_x + x``, in an integer type that can
+    address the cube.  Fills the ``below_threshold``, ``out_of_band`` and
+    ``detected`` tallies of ``stats``; returns the counted-hit mask and the
+    counted hits' flat cube indices in SIC order ``pix*n_bins + bin``.
     """
     above = energy >= detector.threshold
     e_bin = np.floor((energy - detector.e_min) / detector.e_bin_width).astype(np.int64)
@@ -368,7 +369,14 @@ def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
     stats.below_threshold = int(above.size - np.count_nonzero(above))
     stats.detected = int(np.count_nonzero(hit))
     stats.out_of_band = int(above.size) - stats.below_threshold - stats.detected
-    flat = ((iy[hit] * detector.n_x) + ix[hit]) * detector.n_bins + e_bin[hit]
+    return hit, pix[hit] * detector.n_bins + e_bin[hit]
+
+
+def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
+    """:func:`_cube_index` of hits at pixel columns ``ix`` and rows ``iy``;
+    returns the counted-hit mask and the sparse cube increment
+    ``(flat index, count)``."""
+    hit, flat = _cube_index(iy * detector.n_x + ix, energy, detector, stats)
     return hit, np.unique(flat, return_counts=True)
 
 

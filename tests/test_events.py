@@ -202,6 +202,37 @@ class TestSynthesize:
                 8.0, np.zeros((2, 2)), np.zeros((2, 2)), 5, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("fwhm", [1.12, 0.0])
+    def test_equals_repeat_and_gather_formula(self, fwhm):
+        n_y, n_x, n = 3, 5, 7
+        rng = np.random.default_rng(8)
+        gain = rng.uniform(0.02, 0.06, (n_y, n_x))
+        offset = rng.uniform(-0.5, 0.5, (n_y, n_x))
+        offset[0, 1] = 9.0  # ToT below 0, clipped to 0
+        gain[2, 3] = 1e-5  # ToT above the u16 range, clipped to 65535
+        el = ev.synthesize_line_events(
+            8.0, gain, offset, n, np.random.default_rng(9), energy_fwhm=fwhm
+        )
+        # one flat pixel index per hit, the maps gathered through it
+        pix = np.repeat(np.arange(n_y * n_x), n)
+        e_meas = 8.0 + fwhm / ev.FWHM_PER_SIGMA * np.random.default_rng(
+            9
+        ).standard_normal(pix.size)
+        tot = np.round((e_meas - offset.reshape(-1)[pix]) / gain.reshape(-1)[pix])
+        want = ev.EventList(
+            n_x, n_y,
+            x=(pix % n_x).astype(np.uint16),
+            y=(pix // n_x).astype(np.uint16),
+            tot=np.clip(tot, 0, 65535).astype(np.uint16),
+            toa=np.arange(pix.size, dtype=np.uint64),
+        )
+        assert (el.n_x, el.n_y) == (n_x, n_y)
+        for name in ("x", "y", "tot", "toa"):
+            got, ref = getattr(el, name), getattr(want, name)
+            assert got.dtype == ref.dtype, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert {0, 65535} <= set(el.tot.tolist())
+
 
 class TestTotHistograms:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -228,6 +259,25 @@ class TestTotHistograms:
         hist = ev.tot_histograms(ev.EventList.empty(4, 3))
         assert hist.shape == (12, 1)
         assert not hist.any()
+
+    @pytest.mark.parametrize("read_records", [None, 4096])
+    @pytest.mark.parametrize("n", [0, 255, 256, 65_535, 65_536, 70_000])
+    def test_narrow_counts_do_not_wrap(self, tmp_path, monkeypatch, n, read_records):
+        # every hit in one pixel-ToT bin: the count type is the narrowest
+        # that holds the record count, and the bin still counts all of them
+        if read_records:
+            monkeypatch.setattr(ev, "_READ_RECORDS", read_records)
+        el = make_events(3, 2, [2] * n, [1] * n, [7] * n)
+        path = tmp_path / "line.tpxe"
+        ev.write_events_file(path, el)
+        with ev.open_events(path) as source:
+            from_file = ev.tot_histograms(source)
+        for hist in (ev.tot_histograms(el), from_file):
+            assert hist.dtype == np.min_scalar_type(n)
+            assert hist.shape == ((6, 8) if n else (6, 1))
+            assert int(hist.sum(dtype=np.uint64)) == n
+            if n:
+                assert int(hist[1 * 3 + 2, 7]) == n
 
 
 class TestChunkedReader:
@@ -707,6 +757,99 @@ class TestApplyCalibration:
         assert np.array_equal(sliced.counts, whole.counts)
         assert vars(sliced.stats) == vars(whole.stats)
         assert sliced.stats.n_photons == sliced.photons == n
+
+    @staticmethod
+    def unique_oracle(el, cal, det):
+        """The cube and tallies of ``el`` by 2-D map gathers and a sorted
+        ``np.unique`` of the flat cube indices, in one pass."""
+        py, px = el.y.astype(np.int64), el.x.astype(np.int64)
+        alive = np.nonzero(~cal.dead[py, px])[0]
+        py, px = py[alive], px[alive]
+        energy = cal.gain[py, px] * el.tot[alive].astype(float) + cal.offset[py, px]
+        above = energy >= det.threshold
+        e_bin = np.floor((energy - det.e_min) / det.e_bin_width).astype(np.int64)
+        hit = above & (e_bin >= 0) & (e_bin < det.n_bins)
+        flat = ((py[hit] * det.n_x) + px[hit]) * det.n_bins + e_bin[hit]
+        idx, cnt = np.unique(flat, return_counts=True)
+        counts = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
+        counts.reshape(-1)[idx] += cnt.astype(np.uint64)
+        tallies = {
+            "dead_pixel_drops": len(el) - alive.size,
+            "below_threshold": int(np.count_nonzero(~above)),
+            "out_of_band": int(np.count_nonzero(above & ~hit)),
+            "detected": int(np.count_nonzero(hit)),
+        }
+        return counts, tallies
+
+    @pytest.mark.parametrize("read_records", [3, 4096, None])
+    def test_equals_unique_oracle(self, tmp_path, monkeypatch, read_records):
+        rng = np.random.default_rng(24)
+        n_x, n_y, n = 5, 3, 9000
+        cal = ev.CalibrationMap(
+            gain=rng.uniform(0.04, 0.06, (n_y, n_x)),
+            offset=rng.uniform(-0.2, 0.2, (n_y, n_x)),
+            residual=np.zeros((n_y, n_x)),
+            dead=np.zeros((n_y, n_x), dtype=bool),
+        )
+        cal.dead[0, 4] = cal.dead[2, 1] = True
+        cal.gain[cal.dead] = cal.offset[cal.dead] = np.nan
+        # band [1, 16) keV, threshold 2 keV; ToT 0..399 spans about 0..24 keV
+        det = DetectorSpec(
+            n_x=n_x, n_y=n_y, e_min=1.0, e_bin_width=0.05, n_bins=300, threshold=2.0
+        )
+        el = make_events(
+            n_x, n_y,
+            rng.integers(0, n_x, n), rng.integers(0, n_y, n), rng.integers(0, 400, n),
+        )
+        want, tallies = self.unique_oracle(el, cal, det)
+        assert min(tallies.values()) > 0
+        path = tmp_path / "run.tpxe"
+        ev.write_events_file(path, el)
+        if read_records:
+            monkeypatch.setattr(ev, "_READ_RECORDS", read_records)
+        with ev.open_events(path) as source:
+            from_file = ev.apply_calibration(source, cal, det)
+        for cube in (ev.apply_calibration(el, cal, det), from_file):
+            assert cube.counts.dtype == want.dtype
+            assert np.array_equal(cube.counts, want)
+            assert {k: getattr(cube.stats, k) for k in tallies} == tallies
+            assert cube.stats.n_photons == n
+
+    def test_peak_memory_bounded_by_slice(self, tmp_path, monkeypatch):
+        # binning holds the cube, one record buffer and temporaries of a
+        # few bytes per event of one slice, whatever the run's length
+        read_records = 1 << 14
+        monkeypatch.setattr(ev, "_READ_RECORDS", read_records)
+        rng = np.random.default_rng(25)
+        n_x, n_y, n = 16, 12, 100_000
+        cal = ev.CalibrationMap(
+            gain=rng.uniform(0.04, 0.06, (n_y, n_x)),
+            offset=rng.uniform(-0.2, 0.2, (n_y, n_x)),
+            residual=np.zeros((n_y, n_x)),
+            dead=rng.random((n_y, n_x)) < 0.1,
+        )
+        det = DetectorSpec(
+            n_x=n_x, n_y=n_y, e_min=0.0, e_bin_width=0.05, n_bins=512, threshold=2.0
+        )
+        path = tmp_path / "run.tpxe"
+        ev.write_events_file(
+            path,
+            make_events(
+                n_x, n_y,
+                rng.integers(0, n_x, n), rng.integers(0, n_y, n),
+                rng.integers(0, 600, n),
+            ),
+        )
+        buffer = read_records * ev.RECORD_DTYPE.itemsize
+        tracemalloc.start()
+        try:
+            with ev.open_events(path) as source:
+                cube = ev.apply_calibration(source, cal, det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.stats.detected > 0
+        assert peak < cube.counts.nbytes + buffer + 3 * buffer, peak
 
     def test_band_edges(self):
         cal = self.identity_cal()
