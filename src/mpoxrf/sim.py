@@ -4,9 +4,10 @@ The chain for every photon is: sample an emission point and a direction
 aimed at the plate, find the pore it enters (or the web that swallows it),
 unfold its in-channel trajectory, propagate the survivors to the detector
 plane, smear the energy with the detector response, and bin the hit into a
-pixel x energy cube.  Only photons aimed inside their source's acceptance
-box can survive the channels; the others are drawn as web and wall tallies
-without being transported.  The transport steps are the array kernels of
+pixel x energy cube.  Only photons aimed inside the acceptance window
+about their own emission point can survive the channels; the others are
+drawn as web and wall tallies without being transported.  The windows are
+computed once per run.  The transport steps are the array kernels of
 :mod:`mpoxrf.optics`; this module owns emission, batching and the detector
 stage, which :func:`mpoxrf.events.apply_calibration` shares.
 
@@ -218,106 +219,189 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=batch_seed(seed, batch_index)))
 
 
-#: Relative widening of the acceptance-box slope limit.  Any superset of
-#: the surviving plate targets keeps the sampler exact; the margin covers
+#: Relative widening of the acceptance reach.  Any superset of the
+#: surviving plate targets keeps the sampler exact; the margin covers
 #: rounding at the inclusive ``angle <= theta_c`` tie and the ``n == 0``
 #: edge of the unfolding.
-_BOX_MARGIN = 1e-6
+_REACH_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class _AcceptanceBoxes:
-    """Per-source plate regions outside which every photon dies (arrays
+class _AcceptanceWindows:
+    """Per-source acceptance windows on the plate entrance face (arrays
     indexed like ``scene.sources``).
 
-    ``x_lo``/``z_lo`` and ``x_len``/``z_len`` are the box corner and sides
-    clipped to the plate, mm; ``area_frac`` is the box's share of the plate
-    area and ``open_frac`` the open-area fraction of the plate outside it.
+    A photon emitted at ``(ex, ez)`` can leave a channel only if its plate
+    target lies in its window, ``[max(e - reach, -half), min(e + reach,
+    half)]`` on each axis (:func:`_window`).  ``in_frac`` is the chance
+    that a uniform plate target lands in its photon's window, averaged over
+    the source's emission extent; ``open_frac`` is the open-area share of
+    the targets outside it.  ``knots[k]`` holds source k's
+    ``((x, x_len), (z, z_len))``: the breakpoints of the window length over
+    the emission extent and the length there, at most four per axis.
     """
 
-    x_lo: np.ndarray
-    z_lo: np.ndarray
-    x_len: np.ndarray
-    z_len: np.ndarray
-    area_frac: np.ndarray
+    half: float
+    reach: np.ndarray
+    in_frac: np.ndarray
     open_frac: np.ndarray
+    knots: tuple
 
 
-def _acceptance_boxes(scene: Scene, geometry: MpoGeometry) -> _AcceptanceBoxes:
-    """Acceptance box of each source on the plate entrance face.
+def _window(e, reach, half):
+    """Lower edge and length (mm) of the acceptance window about emission
+    coordinate ``e`` on one plate axis; the length is 0 when the window
+    misses the plate."""
+    lo = np.maximum(e - reach, -half)
+    return lo, np.maximum(np.minimum(e + reach, half) - lo, 0.0)
+
+
+def _trapezoid(y, x):
+    """Integral of the piecewise-linear function through ``(x, y)``."""
+    return float(((y[1:] + y[:-1]) * np.diff(x)).sum() / 2.0)
+
+
+def _axis_window(center, extent, reach, half, geometry: MpoGeometry):
+    """One axis of a source's acceptance window over its uniform emission
+    extent ``center -+ extent / 2``.
+
+    Returns the knots and window lengths of the in-window emission density
+    (:func:`_sample_by_length`), the mean window length and the mean open
+    length of the window.  Both lengths are piecewise linear in the
+    emission coordinate: the window length bends where a window edge meets
+    a plate edge (``+-half +- reach``), the open length also where one
+    meets a pore edge (``pore edge +- reach``), so the trapezoid rule over
+    those breakpoints is exact.  A point source (``extent == 0``) has one
+    knot, and its means are the lengths at it.
+    """
+    if extent == 0:
+        knots = np.array([center])
+        lo, length = _window(knots, reach, half)
+        return knots, length, length[0], _open_length(lo, lo + length, geometry)[0]
+    # the window is empty beyond +-(half + reach)
+    first = max(center - extent / 2.0, -half - reach)
+    last = min(center + extent / 2.0, half + reach)
+    if last <= first:
+        return np.array([center]), np.zeros(1), 0.0, 0.0
+    knots = np.unique(np.clip([first, last, -half + reach, half - reach], first, last))
+    _, length = _window(knots, reach, half)
+
+    p_mm = geometry.pitch_p * 1e-3
+    half_w_mm = geometry.pore_width_w * 1e-3 / 2.0
+    cells = np.arange(math.floor(-half / p_mm) - 1, math.ceil(half / p_mm) + 2) * p_mm
+    edges = np.concatenate((cells - half_w_mm, cells + half_w_mm))
+    edges = edges[np.abs(edges) <= half]
+    bends = np.unique(
+        np.clip(np.concatenate((knots, edges - reach, edges + reach)), first, last)
+    )
+    lo, bend_length = _window(bends, reach, half)
+    opened = _open_length(lo, lo + bend_length, geometry)
+    return (
+        knots,
+        length,
+        _trapezoid(length, knots) / extent,
+        _trapezoid(opened, bends) / extent,
+    )
+
+
+def _acceptance_windows(scene: Scene, geometry: MpoGeometry) -> _AcceptanceWindows:
+    """Acceptance windows of every source, computed once per run.
 
     A ray leaves a channel only if, in each plane, it either crosses
     without touching a wall (|slope| <= w/t) or reflects below the critical
     angle (|slope| <= tan theta_c, largest at the source's lowest line
-    energy).  So a plate target farther than (-y) * s_max from the source
-    extent, s_max the larger of the two, is absorbed for certain: on the
-    web if it misses the openings, else at the walls.
+    energy).  So a plate target farther than the reach (-y) * s_max from
+    its own emission point, s_max the larger of the two, is absorbed for
+    certain: on the web if it misses the openings, else at the walls.
+    Emission point and target are independent and uniform, and the window
+    is a product of two axes, so the in-window chance and the open area
+    outside the window are products of the per-axis means of
+    :func:`_axis_window`.
     """
     half = geometry.plate_side / 2.0
     w_over_t = geometry.pore_width_w / (geometry.thickness_t * 1e3)
     theta_c_1kev = critical_angle_deg(1.0, geometry.coating)
-    rows = []
+    reach, knots, rows = [], [], []
     for src in scene.sources:
         px, py, pz = src.position
         if py >= 0:
             raise ValueError("sources must sit on the sample side of the plate (y < 0)")
         e_min = min(e for e, _ in src.lines)
         s_max = max(math.tan(math.radians(theta_c_1kev / e_min)), w_over_t)
-        reach = -py * s_max * (1.0 + _BOX_MARGIN)
-        x_lo = max(px - src.width / 2.0 - reach, -half)
-        x_hi = min(px + src.width / 2.0 + reach, half)
-        z_lo = max(pz - src.height / 2.0 - reach, -half)
-        z_hi = min(pz + src.height / 2.0 + reach, half)
-        rows.append((x_lo, max(x_hi - x_lo, 0.0), z_lo, max(z_hi - z_lo, 0.0)))
-    x_lo, x_len, z_lo, z_len = (np.array(col) for col in zip(*rows))
+        r = -py * s_max * (1.0 + _REACH_MARGIN)
+        kx, lx, mean_x, open_x = _axis_window(px, src.width, r, half, geometry)
+        kz, lz, mean_z, open_z = _axis_window(pz, src.height, r, half, geometry)
+        reach.append(r)
+        knots.append(((kx, lx), (kz, lz)))
+        rows.append((mean_x, mean_z, open_x, open_z))
+    mean_x, mean_z, open_x, open_z = (np.array(col) for col in zip(*rows))
 
     plate_area = geometry.plate_side**2
-    box_area = x_len * z_len
+    in_area = mean_x * mean_z
     plate_open = _open_length(-half, half, geometry) ** 2
-    box_open = _open_length(x_lo, x_lo + x_len, geometry) * _open_length(
-        z_lo, z_lo + z_len, geometry
-    )
-    outside = plate_area - box_area  # 0 when the box covers the plate
-    open_frac = (plate_open - box_open) / np.where(outside > 0, outside, 1.0)
-    return _AcceptanceBoxes(
-        x_lo=x_lo,
-        z_lo=z_lo,
-        x_len=x_len,
-        z_len=z_len,
-        area_frac=np.clip(box_area / plate_area, 0.0, 1.0),
+    outside = plate_area - in_area  # 0 when every window covers the plate
+    open_frac = (plate_open - open_x * open_z) / np.where(outside > 0, outside, 1.0)
+    return _AcceptanceWindows(
+        half=half,
+        reach=np.array(reach),
+        in_frac=np.clip(in_area / plate_area, 0.0, 1.0),
         open_frac=np.clip(open_frac, 0.0, 1.0),
+        knots=tuple(knots),
     )
 
 
-def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
+def _sample_by_length(knots, length, u):
+    """Emission coordinates with density proportional to the window length,
+    linear between ``knots``, by the inverse CDF of the uniforms ``u``.  A
+    single knot is a point source."""
+    if knots.size == 1:
+        return np.full(u.shape, knots[0])
+    dx = np.diff(knots)
+    mass = np.concatenate(([0.0], np.cumsum((length[1:] + length[:-1]) * dx / 2.0)))
+    q = u * mass[-1]
+    j = np.minimum(np.searchsorted(mass, q, side="right") - 1, dx.size - 1)
+    q -= mass[j]
+    l0 = length[j]
+    slope = (length[j + 1] - l0) / dx[j]
+    # the root of l0 x + slope x^2 / 2 = q, in a form stable for either sign
+    den = l0 + np.sqrt(np.maximum(l0 * l0 + 2.0 * slope * q, 0.0))
+    x = 2.0 * q / np.where(den > 0, den, 1.0)
+    return knots[j] + np.minimum(x, dx[j])
+
+
+def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n: int, rng):
     """Emission sampling for ``n`` photons aimed uniformly at the plate.
 
-    Only photons whose plate target falls in their source's acceptance box
-    (:func:`_acceptance_boxes`) are sampled ray by ray; the rest are
-    certain losses and are drawn as tallies.  Per source, the photon count
-    is multinomial in the intensities, the in-box count binomial in the
-    box's area fraction, and the out-of-box web count binomial in the
-    closed-area fraction outside the box, so every tally keeps the
-    distribution of full-plate sampling.
+    Only photons whose plate target falls in their own acceptance window
+    (``windows``, from :func:`_acceptance_windows`) are sampled ray by ray;
+    the rest are certain losses and are drawn as tallies.  Per source, the
+    photon count is multinomial in the intensities, the in-window count
+    binomial in ``in_frac``, and the out-of-window web count binomial in
+    the closed-area share outside the windows, so every tally keeps the
+    distribution of full-plate sampling.  An in-window photon's emission
+    coordinate has density proportional to its window length on each axis
+    (uniform for a window that does not meet a plate edge), and its target
+    is uniform in its window: together the full-plate photons conditioned
+    on landing in their windows.
 
-    Draw order is fixed (source counts, in-box counts, out-of-box web
-    counts, then for the in-box photons rect offsets, line pick, plate
-    target) so a batch is reproducible from its rng alone.  Returns the
-    in-box photons' emission points, plate targets, slopes and energies,
-    and the out-of-box ``(web_absorbed, wall_absorbed)`` tallies.
+    Draw order is fixed (source counts, in-window counts, out-of-window web
+    counts, then for the in-window photons one uniform per emission axis,
+    the line pick, one uniform per target axis) so a batch is reproducible
+    from its rng alone.  Returns the in-window photons' emission points,
+    plate targets, slopes and energies, and the out-of-window
+    ``(web_absorbed, wall_absorbed)`` tallies.
     """
     sources = scene.sources
-    box = _acceptance_boxes(scene, geometry)
     src_weights = np.array([s.total_intensity for s in sources], dtype=float)
     n_src = rng.multinomial(n, src_weights / src_weights.sum())
-    n_box = rng.binomial(n_src, box.area_frac)
-    n_web = rng.binomial(n_src - n_box, 1.0 - box.open_frac)
+    n_in = rng.binomial(n_src, windows.in_frac)
+    n_web = rng.binomial(n_src - n_in, 1.0 - windows.open_frac)
     web_absorbed = int(n_web.sum())
-    wall_absorbed = int(n - n_box.sum()) - web_absorbed
+    wall_absorbed = int(n - n_in.sum()) - web_absorbed
 
-    m = int(n_box.sum())
-    u_rect_x = rng.random(m)
-    u_rect_z = rng.random(m)
+    m = int(n_in.sum())
+    u_emit_x = rng.random(m)
+    u_emit_z = rng.random(m)
     u_line = rng.random(m)
     u_target_x = rng.random(m)
     u_target_z = rng.random(m)
@@ -328,15 +412,17 @@ def _sample_emission_arrays(scene: Scene, geometry: MpoGeometry, n: int, rng):
     target_x = np.empty(m)
     target_z = np.empty(m)
     energy = np.empty(m)
-    stop = np.cumsum(n_box)
+    stop = np.cumsum(n_in)
     for k, src in enumerate(sources):
-        sel = slice(stop[k] - n_box[k], stop[k])  # in-box photons of source k
-        px, py, pz = src.position
-        ex[sel] = px + (u_rect_x[sel] - 0.5) * src.width
-        ez[sel] = pz + (u_rect_z[sel] - 0.5) * src.height
-        ey[sel] = py
-        target_x[sel] = box.x_lo[k] + u_target_x[sel] * box.x_len[k]
-        target_z[sel] = box.z_lo[k] + u_target_z[sel] * box.z_len[k]
+        sel = slice(stop[k] - n_in[k], stop[k])  # in-window photons of source k
+        (kx, lx), (kz, lz) = windows.knots[k]
+        ex[sel] = _sample_by_length(kx, lx, u_emit_x[sel])
+        ez[sel] = _sample_by_length(kz, lz, u_emit_z[sel])
+        ey[sel] = src.position[1]
+        lo_x, len_x = _window(ex[sel], windows.reach[k], windows.half)
+        lo_z, len_z = _window(ez[sel], windows.reach[k], windows.half)
+        target_x[sel] = lo_x + u_target_x[sel] * len_x
+        target_z[sel] = lo_z + u_target_z[sel] * len_z
         line_e = np.array([e for e, _ in src.lines])
         line_w = np.array([w for _, w in src.lines], dtype=float)
         line_cdf = np.cumsum(line_w) / line_w.sum()
@@ -382,15 +468,15 @@ def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
 
 def _run_batch(args):
     """Transport one seeded batch; returns sparse cube increments + tallies."""
-    (scene, geometry, detector, seed, batch_index, n, want_class_images) = args
+    (scene, geometry, windows, detector, seed, batch_index, n, want_class_images) = args
     rng = _batch_rng(seed, batch_index)
     stats = SimStats(n_photons=n)
 
     (_, _, _, tx, tz, slope_x, slope_z, energy), (web_out, wall_out) = (
-        _sample_emission_arrays(scene, geometry, n, rng)
+        _sample_emission_arrays(scene, windows, n, rng)
     )
 
-    # in-box plate targets lie on the plate, so each meets a pore or the web
+    # in-window plate targets lie on the plate, so each meets a pore or the web
     ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
     idx = np.nonzero(in_pore)[0]
     stats.web_absorbed = web_out + int(tx.size - idx.size)
@@ -492,11 +578,13 @@ def simulate(
             for cls in _CLASS_ORDER
         }
 
+    windows = _acceptance_windows(scene, mpo)
     n_batches = (n_photons + BATCH_SIZE - 1) // BATCH_SIZE
     tasks = [
         (
             scene,
             mpo,
+            windows,
             detector,
             seed,
             b,
@@ -525,14 +613,14 @@ def run_tasks(fn, tasks: list, n_workers: int):
     """Yield ``fn(task)`` for each of ``tasks``, in order.
 
     With one worker or at most one task, ``fn`` runs in this process;
-    otherwise in a pool of ``n_workers`` processes, which needs ``fn`` to
-    be a module-level function and the tasks and results to pickle.  A
-    task's exception is raised where its result would have been yielded,
-    after the tasks not yet started are cancelled and the running ones
-    have ended.
+    otherwise in a pool of ``min(n_workers, len(tasks))`` processes, which
+    needs ``fn`` to be a module-level function and the tasks and results to
+    pickle.  A task's exception is raised where its result would have been
+    yielded, after the tasks not yet started are cancelled and the running
+    ones have ended.
     """
     if n_workers == 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
         yield from pool.map(fn, tasks)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from collections import Counter
@@ -28,16 +29,19 @@ from mpoxrf.sim import (
     Scene,
     Source,
     SimStats,
-    _acceptance_boxes,
+    _acceptance_windows,
+    _axis_window,
     _batch_rng,
     _bin_hits,
     _sample_emission_arrays,
+    _window,
     batch_seed,
     run_tasks,
     simulate,
 )
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def cu_scene(L_s=25.0, L_i=25.0, x=0.0, z=0.0):
@@ -114,10 +118,11 @@ class TestSourceValidation:
             DetectorSpec(e_bin_width=0.0)
 
 
-def in_box_draws(scene, n, seed, batch=0, geometry=GEOM):
-    """The in-box emission arrays and out-of-box (web, wall) tallies of one
-    batch's draws."""
-    return _sample_emission_arrays(scene, geometry, n, _batch_rng(seed, batch))
+def in_window_draws(scene, n, seed, batch=0, geometry=GEOM):
+    """The in-window emission arrays and out-of-window (web, wall) tallies
+    of one batch's draws."""
+    windows = _acceptance_windows(scene, geometry)
+    return _sample_emission_arrays(scene, windows, n, _batch_rng(seed, batch))
 
 
 class TestSampleEmission:
@@ -126,11 +131,11 @@ class TestSampleEmission:
         scene = cu_scene()
         n = 1_000_000
         s_max = GEOM.pore_width_w / (GEOM.thickness_t * 1e3)
-        (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_box_draws(scene, n, 1)
+        (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_window_draws(scene, n, 1)
         assert tx.size > 1000
         assert np.all(np.abs(sx) <= s_max * (1 + 1e-6))
         assert np.all(np.abs(sz) <= s_max * (1 + 1e-6))
-        assert np.abs(sx).max() > 0.99 * s_max  # the box is not oversized
+        assert np.abs(sx).max() > 0.99 * s_max  # the window is not oversized
         # every target lies on the plate, so no photon misses it
         half = GEOM.plate_side / 2
         assert np.all(np.abs(tx) <= half) and np.all(np.abs(tz) <= half)
@@ -142,7 +147,7 @@ class TestSampleEmission:
     def test_line_intensity_fractions(self):
         src = Source("two", ((4.0, 1.0), (8.0, 3.0)), (0, -25, 0))
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
-        (*_, energy), _ = in_box_draws(scene, 10_000_000, 17)
+        (*_, energy), _ = in_window_draws(scene, 10_000_000, 17)
         assert energy.size > 20_000
         frac = np.mean(energy == 8.0)
         assert frac == pytest.approx(0.75, abs=0.01)
@@ -150,12 +155,12 @@ class TestSampleEmission:
     def test_rect_source_uniform(self):
         src = Source("rect", ((8.0, 1.0),), (1.0, -25.0, -2.0), width=4.0, height=2.0)
         scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
-        (ex, _, ez, *_), _ = in_box_draws(scene, 1_000_000, 3)
+        (ex, _, ez, *_), _ = in_window_draws(scene, 10_000_000, 3)
         n = ex.size
         assert n > 10_000
-        # emission points do not depend on the target, so the in-box ones
-        # stay uniform over the rectangle:
-        # mean = center +- 3 sigma/sqrt(N)
+        # no window meets a plate edge, so every window has the same
+        # length and the in-window emission points stay uniform over the
+        # rectangle: mean = center +- 3 sigma/sqrt(N)
         tol_x = 3 * (4.0 / math.sqrt(12)) / math.sqrt(n)
         tol_z = 3 * (2.0 / math.sqrt(12)) / math.sqrt(n)
         assert ex.mean() == pytest.approx(1.0, abs=tol_x)
@@ -166,18 +171,52 @@ class TestSampleEmission:
         good = Source("good", ((8.0, 1.0),), (0.0, -25.0, 0.0))
         bad = Source("bad", ((8.0, 1.0),), (0.0, 5.0, 0.0))
         with pytest.raises(ValueError, match="sample side"):
-            _sample_emission_arrays(
-                Scene(sources=(bad,), L_s=25.0, L_i=25.0), GEOM, 10,
-                np.random.default_rng(0),
-            )
-        # checked per source, even when no photon of the batch reaches it
+            _acceptance_windows(Scene(sources=(bad,), L_s=25.0, L_i=25.0), GEOM)
+        # checked per source before any photon is drawn, even when no photon
+        # of the run would reach it
         faint = Source("bad", ((8.0, 1e-12),), (0.0, 5.0, 0.0))
         for scene, n in (
             (Scene(sources=(good, faint), L_s=25.0, L_i=25.0), 1000),
             (Scene(sources=(bad,), L_s=25.0, L_i=25.0), 0),
         ):
             with pytest.raises(ValueError, match="sample side"):
-                _sample_emission_arrays(scene, GEOM, n, np.random.default_rng(0))
+                simulate(scene, GEOM, DetectorSpec(), n, seed=0)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            # straddles the +x plate edge: the window shrinks toward it
+            Source("edge", ((8.0, 1.0),), (9.3, -25.0, 0.0), width=1.7, height=0.9),
+            # wider than the plate: nothing is emitted in-window beyond
+            # half + reach
+            Source("wide", ((8.0, 1.0),), (0.0, -25.0, 0.0), width=24.0, height=0.9),
+        ],
+        ids=["edge", "wide"],
+    )
+    def test_in_window_emission_density_follows_window_length(self, src):
+        # the full-plate photons that land in their own window have emission
+        # density proportional to the window length; their targets are
+        # uniform in the window
+        scene = Scene(sources=(src,), L_s=25.0, L_i=25.0)
+        (ex, _, _, tx, *_), _ = in_window_draws(scene, 40_000_000, 23)
+        assert ex.size > 20_000
+        reach = _acceptance_windows(scene, GEOM).reach[0]
+        half = GEOM.plate_side / 2
+        edges = np.linspace(-src.width / 2, src.width / 2, 41) + src.position[0]
+        fine = np.linspace(edges[0], edges[-1], 40 * 1000 + 1)
+        fine = (fine[1:] + fine[:-1]) / 2  # midpoints, 1000 per bin
+        length = np.maximum(
+            np.minimum(fine + reach, half) - np.maximum(fine - reach, -half), 0
+        )
+        expected = length.reshape(40, 1000).sum(axis=1)
+        expected = expected / expected.sum() * ex.size
+        observed = np.histogram(ex, edges)[0]
+        assert observed[expected == 0].sum() == 0
+        assert ex.max() <= half + reach
+        assert goodness_p(observed, expected) > ALPHA
+        lo, width = _window(ex, reach, half)
+        share = np.histogram((tx - lo) / width, np.linspace(0, 1, 21))[0]
+        assert goodness_p(share, np.full(20, ex.size / 20)) > ALPHA
 
 
 def open_area_by_cells(x_lo, x_hi, z_lo, z_hi, geometry=GEOM):
@@ -185,66 +224,107 @@ def open_area_by_cells(x_lo, x_hi, z_lo, z_hi, geometry=GEOM):
     time."""
     p = geometry.pitch_p * 1e-3
     h = geometry.pore_width_w * 1e-3 / 2
-    total = 0.0
-    for i in range(math.floor(x_lo / p) - 1, math.ceil(x_hi / p) + 2):
-        dx = min(x_hi, i * p + h) - max(x_lo, i * p - h)
-        if dx <= 0:
-            continue
-        for j in range(math.floor(z_lo / p) - 1, math.ceil(z_hi / p) + 2):
-            dz = min(z_hi, j * p + h) - max(z_lo, j * p - h)
-            if dz > 0:
-                total += dx * dz
-    return total
+
+    def overlaps(lo, hi):  # of [lo, hi] with each cell's opening
+        centers = np.arange(math.floor(lo / p) - 1, math.ceil(hi / p) + 2) * p
+        return np.minimum(hi, centers + h) - np.maximum(lo, centers - h)
+
+    dx, dz = overlaps(x_lo, x_hi), overlaps(z_lo, z_hi)
+    both = (dx[:, None] > 0) & (dz[None, :] > 0)
+    return float((dx[:, None] * dz[None, :])[both].sum())
 
 
-class TestAcceptanceBox:
-    def scenes(self):
-        ti_cu = ((4.5, 1.0), (8.0, 1.0))
-        yield cu_scene()
-        yield Scene(
-            sources=(
-                Source("ti", ((4.5, 1.0),), (-1.5, -25.0, -1.5)),
-                Source("cu", ((8.0, 1.0),), (1.5, -25.0, 1.5)),
-            ),
-            L_s=25.0,
-            L_i=25.0,
-        )
-        # clipped by the plate edge, and beyond it
-        yield Scene(
-            sources=(
-                Source("edge", ti_cu, (9.3, -40.0, -3.21), width=1.7, height=0.9),
-                Source("off", ti_cu, (14.0, -25.0, 0.0)),
-            ),
-            L_s=25.0,
-            L_i=25.0,
-        )
+def window_scenes():
+    """Scenes whose windows meet the plate edges in every way: a point
+    source, two points of different reach, a rect straddling an edge and a
+    point beyond it, a rect wider than the plate, a 1e-6 mm rect and the
+    shipped flat emitter."""
+    ti_cu = ((4.5, 1.0), (8.0, 1.0))
+    yield cu_scene()
+    yield Scene(
+        sources=(
+            Source("ti", ((4.5, 1.0),), (-1.5, -25.0, -1.5)),
+            Source("cu", ((8.0, 1.0),), (1.5, -25.0, 1.5)),
+        ),
+        L_s=25.0,
+        L_i=25.0,
+    )
+    yield Scene(
+        sources=(
+            Source("edge", ti_cu, (9.3, -40.0, -3.21), width=1.7, height=0.9),
+            Source("off", ti_cu, (14.0, -25.0, 0.0)),
+        ),
+        L_s=25.0,
+        L_i=25.0,
+    )
+    yield Scene(
+        sources=(
+            Source("wide", ti_cu, (0.7, -25.0, 9.8), width=23.0, height=1.5),
+            Source("tiny", ((8.0, 1.0),), (-4.2, -30.0, 2.1), width=1e-6, height=1e-6),
+        ),
+        L_s=25.0,
+        L_i=25.0,
+    )
+    yield load_config(CONFIGS / "flatfield.ini").scene
 
-    def test_open_fraction_matches_cell_sum(self):
+
+class TestAcceptanceWindow:
+    @staticmethod
+    def brute_axis_means(center, extent, reach, n_grid=2400):
+        """Mean window length and open length over a midpoint grid of
+        emission coordinates; the open length is the open area of the
+        window times one pore-high strip, cell by cell, over the strip's
+        height."""
         half = GEOM.plate_side / 2
-        plate_open = open_area_by_cells(-half, half, -half, half)
-        assert plate_open == pytest.approx(0.64 * GEOM.plate_side**2, rel=1e-9)
-        n_checked = 0
-        for scene in self.scenes():
-            box = _acceptance_boxes(scene, GEOM)
-            for k in range(len(scene.sources)):
-                x_lo, z_lo = box.x_lo[k], box.z_lo[k]
-                x_hi, z_hi = x_lo + box.x_len[k], z_lo + box.z_len[k]
-                box_area = box.x_len[k] * box.z_len[k]
-                assert box.area_frac[k] == pytest.approx(
-                    box_area / GEOM.plate_side**2, rel=1e-12
-                )
-                inside = open_area_by_cells(x_lo, x_hi, z_lo, z_hi) if box_area else 0
-                q = (plate_open - inside) / (GEOM.plate_side**2 - box_area)
-                assert box.open_frac[k] == pytest.approx(q, rel=1e-9)
-                n_checked += 1
-        assert n_checked == 5
-        box = _acceptance_boxes(next(self.scenes()), GEOM)
-        assert box.area_frac[0] == pytest.approx(1.74e-3, rel=0.01)
+        w = GEOM.pore_width_w * 1e-3
+        grid = center + extent * ((np.arange(n_grid) + 0.5) / n_grid - 0.5)
+        lengths, opened = [], []
+        for e in grid[:1] if extent == 0 else grid:
+            lo, hi = max(e - reach, -half), min(e + reach, half)
+            lengths.append(max(hi - lo, 0.0))
+            strip = open_area_by_cells(lo, hi, -w / 2, w / 2) if hi > lo else 0.0
+            opened.append(strip / w)
+        return np.mean(lengths), np.mean(opened)
 
-    def test_box_side_follows_lowest_line(self):
-        # tan(theta_c) at 4.5 keV beats w/t; at 8 keV w/t sets the side
-        cu = _acceptance_boxes(cu_scene(), GEOM)
-        two = _acceptance_boxes(
+    def test_mean_lengths_match_cell_sums(self):
+        half = GEOM.plate_side / 2
+        plate_area = GEOM.plate_side**2
+        plate_open = open_area_by_cells(-half, half, -half, half)
+        assert plate_open == pytest.approx(0.64 * plate_area, rel=1e-9)
+        n_checked = 0
+        for scene in window_scenes():
+            windows = _acceptance_windows(scene, GEOM)
+            for k, src in enumerate(scene.sources):
+                px, _, pz = src.position
+                r = windows.reach[k]
+                means = []
+                for center, extent in ((px, src.width), (pz, src.height)):
+                    *_, mean_len, mean_open = _axis_window(
+                        center, extent, r, half, GEOM
+                    )
+                    brute_len, brute_open = self.brute_axis_means(center, extent, r)
+                    assert mean_len == pytest.approx(brute_len, rel=1e-5, abs=1e-12)
+                    assert mean_open == pytest.approx(brute_open, rel=1e-5, abs=1e-12)
+                    means.append((brute_len, brute_open))
+                (len_x, open_x), (len_z, open_z) = means
+                in_area = len_x * len_z
+                assert windows.in_frac[k] == pytest.approx(
+                    in_area / plate_area, rel=1e-6, abs=1e-15
+                )
+                q = (plate_open - open_x * open_z) / (plate_area - in_area)
+                assert windows.open_frac[k] == pytest.approx(q, rel=1e-6)
+                n_checked += 1
+        assert n_checked == 8
+        cu = _acceptance_windows(cu_scene(), GEOM)
+        assert cu.in_frac[0] == pytest.approx(1.74e-3, rel=0.01)
+        # the flat emitter: about as small a share as a point source
+        flat = _acceptance_windows(load_config(CONFIGS / "flatfield.ini").scene, GEOM)
+        assert flat.in_frac[0] == pytest.approx(1.7e-3, rel=0.05)
+
+    def test_reach_follows_lowest_line(self):
+        # tan(theta_c) at 4.5 keV beats w/t; at 8 keV w/t sets the reach
+        cu = _acceptance_windows(cu_scene(), GEOM)
+        two = _acceptance_windows(
             Scene(
                 sources=(Source("x", ((8.0, 1.0), (4.5, 0.1)), (0, -25, 0)),),
                 L_s=25.0,
@@ -253,47 +333,59 @@ class TestAcceptanceBox:
             GEOM,
         )
         theta = math.radians(critical_angle_deg(4.5, GEOM.coating))
-        assert cu.x_len[0] == pytest.approx(2 * 25.0 / 60.0, rel=1e-5)
-        assert two.x_len[0] == pytest.approx(2 * 25.0 * math.tan(theta), rel=1e-5)
+        assert cu.reach[0] == pytest.approx(25.0 / 60.0, rel=1e-5)
+        assert two.reach[0] == pytest.approx(25.0 * math.tan(theta), rel=1e-5)
+        # a point source's window is the full 2 * reach square on the plate
+        (_, len_x), (_, len_z) = cu.knots[0]
+        assert len_x[0] == len_z[0] == pytest.approx(2 * 25.0 / 60.0, rel=1e-5)
 
-    def test_targets_outside_box_are_absorbed(self):
-        # replay rays from the source extent's corners to plate targets
-        # just outside the box (and anywhere outside it) through the
-        # scalar oracle: none leaves the channel
+    def test_targets_outside_window_are_absorbed(self):
+        # replay in-window photons' emission points to plate targets just
+        # outside their own window (and anywhere outside it), at every line
+        # of their source, through the scalar oracle: none leaves the channel
         rng = np.random.default_rng(8)
         half = GEOM.plate_side / 2
         n_rays = 0
-        for scene in self.scenes():
-            box = _acceptance_boxes(scene, GEOM)
+        for scene in window_scenes():
+            windows = _acceptance_windows(scene, GEOM)
+            (ex, ey, ez, tx, tz, *_), _ = in_window_draws(scene, 6_000_000, 2)
             for k, src in enumerate(scene.sources):
-                x_lo, z_lo = box.x_lo[k], box.z_lo[k]
-                x_hi, z_hi = x_lo + box.x_len[k], z_lo + box.z_len[k]
                 px, py, pz = src.position
-                corners = [
-                    (px + a * src.width / 2, pz + b * src.height / 2)
-                    for a in (-1, 0, 1) for b in (-1, 0, 1)
-                ]
-                targets = []
-                for _ in range(300):
-                    along = rng.uniform(-half, half)
-                    eps = rng.uniform(1e-9, 2e-3)
-                    targets += [
-                        (x_hi + eps, along), (x_lo - eps, along),
-                        (along, z_hi + eps), (along, z_lo - eps),
-                        tuple(rng.uniform(-half, half, 2)),
-                    ]
-                for tx, tz in targets:
-                    if not (abs(tx) <= half and abs(tz) <= half):
-                        continue
-                    if x_lo <= tx <= x_hi and z_lo <= tz <= z_hi:
-                        continue
-                    for ex, ez in corners:
+                mine = np.nonzero(
+                    (ey == py)
+                    & (np.abs(ex - px) <= src.width / 2)
+                    & (np.abs(ez - pz) <= src.height / 2)
+                )[0]
+                if src.width == 0:
+                    mine = mine[:1]  # every photon of a point has one window
+                r = windows.reach[k]
+                # every drawn target lies in its own window
+                assert np.all(np.abs(tx[mine] - ex[mine]) <= r)
+                assert np.all(np.abs(tz[mine] - ez[mine]) <= r)
+                for i in mine[:60]:
+                    (x_lo,), (x_len,) = _window(np.array([ex[i]]), r, half)
+                    (z_lo,), (z_len,) = _window(np.array([ez[i]]), r, half)
+                    x_hi, z_hi = x_lo + x_len, z_lo + z_len
+                    targets = []
+                    for _ in range(40):
+                        along = rng.uniform(-half, half)
+                        eps = rng.uniform(1e-9, 2e-3)
+                        targets += [
+                            (x_hi + eps, along), (x_lo - eps, along),
+                            (along, z_hi + eps), (along, z_lo - eps),
+                            tuple(rng.uniform(-half, half, 2)),
+                        ]
+                    for t_x, t_z in targets:
+                        if not (abs(t_x) <= half and abs(t_z) <= half):
+                            continue
+                        if x_lo <= t_x <= x_hi and z_lo <= t_z <= z_hi:
+                            continue
                         for energy, _ in src.lines:
                             fate = replay_ray(
-                                tx, tz, (tx - ex) / -py, (tz - ez) / -py,
+                                t_x, t_z, (t_x - ex[i]) / -py, (t_z - ez[i]) / -py,
                                 energy, scene.L_i,
                             )[0]
-                            assert fate in ("web", "wall"), (src, tx, tz, ex, ez)
+                            assert fate in ("web", "wall"), (src, t_x, t_z, i)
                             n_rays += 1
         assert n_rays > 50_000
 
@@ -415,6 +507,30 @@ class TestRunTasks:
         with pytest.raises(ValueError, match="first"):
             list(run_tasks(_fail_or_mark, tasks, n_workers))
 
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        # a pool starts all its workers at the first submit under fork, so
+        # asking for more workers than tasks must not start them
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("mpoxrf.sim.ProcessPoolExecutor", Recorder)
+        assert list(run_tasks(abs, [-1, 2], 64)) == [1, 2]
+        assert list(run_tasks(abs, [-1, 2, -3], 2)) == [1, 2, 3]
+        assert list(run_tasks(abs, [-1], 64)) == [1]  # one task: no pool
+        assert sizes == [2, 2]
+
     def test_error_cancels_pending_tasks(self, tmp_path):
         tasks = [(None, 0.0, "fails")]
         tasks += [(tmp_path / f"{i}", 0.1, "") for i in range(40)]
@@ -451,6 +567,27 @@ class TestSimulate:
         c3 = simulate(n_photons=200_000, seed=9, n_workers=3, **kwargs)
         assert np.array_equal(c1.counts, c3.counts)
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            (
+                "reference",
+                "0eaa2b417b030579720c9a592bbe4e8e5044773d01e44bab930fb266bf4b1973",
+            ),
+            (
+                "elemental",
+                "b807b75cda62ef1dbfa12f4fa2bfee8da104aa7c411d01290c2b4e6bc8cd266f",
+            ),
+        ],
+    )
+    def test_point_source_streams_pinned(self, name, digest):
+        # sha256 of the cube that the per-source acceptance-box sampler made:
+        # a point source is the zero-extent case of the acceptance window,
+        # so its draws, and the cube, stay byte-identical
+        cfg = load_config(CONFIGS / f"{name}.ini")
+        cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
+        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == digest
+
     def test_seed_changes_stream(self):
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
         a = simulate(n_photons=100_000, seed=1, **kwargs)
@@ -459,9 +596,9 @@ class TestSimulate:
 
     def test_matches_scalar_chain(self):
         # with FWHM=0 and the binary model, a batch is a deterministic
-        # function of its in-box emission arrays; replay every batch ray by
+        # function of its in-window emission arrays; replay every batch ray by
         # ray through independent scalar arithmetic and compare cube,
-        # tallies and class counts exactly.  The out-of-box photons are
+        # tallies and class counts exactly.  The out-of-window photons are
         # certain losses, tallied without transport.
         det = DetectorSpec(energy_fwhm=0.0)
         scene = cu_scene()
@@ -477,7 +614,7 @@ class TestSimulate:
         z0 = -det.n_y * pitch_mm / 2
         for b in range(21):
             n_b = min(BATCH_SIZE, n - b * BATCH_SIZE)
-            (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_box_draws(
+            (_, _, _, tx, tz, sx, sz, energy), (web, wall) = in_window_draws(
                 scene, n_b, 31, batch=b
             )
             assert web + wall + tx.size == n_b
@@ -611,7 +748,7 @@ class TestConstantPerBounceRoulette:
 
 
 def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
-    """The sampler the acceptance box replaced: every photon gets a uniform
+    """The sampler the acceptance windows replaced: every photon gets a uniform
     plate target and runs through the transport kernels and the detector
     stage.  Returns (stats, cube counts)."""
     rng = np.random.default_rng(seed)
@@ -681,6 +818,14 @@ def homogeneity_p(a, b):
     return chi2_sf(chi2, table.shape[1] - 1)
 
 
+def goodness_p(observed, expected):
+    """p-value of the chi-square test that counts ``observed`` follow the
+    expected counts ``expected`` (categories expected empty are dropped)."""
+    seen = expected > 0
+    chi2 = float(((observed - expected)[seen] ** 2 / expected[seen]).sum())
+    return chi2_sf(chi2, int(seen.sum()) - 1)
+
+
 def two_proportion_p(k1, k2, n):
     """Two-sided p-value that k1/n and k2/n estimate one proportion."""
     pooled = (k1 + k2) / (2 * n)
@@ -688,14 +833,17 @@ def two_proportion_p(k1, k2, n):
     return math.erfc(abs(z) / math.sqrt(2))
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EQUIVALENCE_PHOTONS = 4_000_000
 ALPHA = 1e-3
 
 
 def equivalence_case(name):
-    cfg = load_config(CONFIGS / "reference.ini")
+    """(scene, geometry, detector, photon budget, image block side) of one
+    case of :class:`TestFullPlateEquivalence`."""
+    config = "flatfield.ini" if name == "flatfield" else "reference.ini"
+    cfg = load_config(CONFIGS / config)
     scene, geom = cfg.scene, cfg.mpo
+    n, block = EQUIVALENCE_PHOTONS, 4
     if name == "two-line-rect":
         lines = ((4.5, 1.0), (8.0, 2.0))
         scene = replace(
@@ -709,52 +857,71 @@ def equivalence_case(name):
             geom, reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
             reflectivity=0.8,
         )
-    return scene, geom, cfg.detector
+    elif name == "flatfield":
+        block = 32  # the flat spreads its counts: no 4x4 block holds 10
+    elif name == "plate-edge":
+        # one rect straddling the +z plate edge, one wider than the plate
+        scene = replace(
+            scene,
+            sources=(
+                Source(
+                    "edge", ((8.0, 1.0),), (-6.5, -25.0, 9.4), width=2.0, height=1.6
+                ),
+                Source(
+                    "wide", ((4.5, 1.0), (8.0, 1.0)), (0.5, -25.0, -2.0),
+                    width=26.0, height=3.0,
+                ),
+            ),
+        )
+        n, block = 6_000_000, 32
+    return scene, geom, cfg.detector, n, block
 
 
 class TestFullPlateEquivalence:
-    """The acceptance-box sampler against the full-plate sampler it
+    """The acceptance-window sampler against the full-plate sampler it
     replaced, at equal photon budgets: tallies, class counts and the
     [6, 9) keV image must be statistically indistinguishable."""
 
     @pytest.fixture(
-        scope="class", params=["reference", "two-line-rect", "constant-per-bounce"]
+        scope="class",
+        params=[
+            "reference", "two-line-rect", "constant-per-bounce", "flatfield",
+            "plate-edge",
+        ],
     )
     def runs(self, request):
-        scene, geom, det = equivalence_case(request.param)
-        n = EQUIVALENCE_PHOTONS
-        box = simulate(scene, geom, det, n, seed=5)
+        scene, geom, det, n, block = equivalence_case(request.param)
+        windowed = simulate(scene, geom, det, n, seed=5)
         full_stats, full_counts = full_plate_oracle(scene, geom, det, n, seed=6)
         lo, hi = 24, 36  # [6, 9) keV at 0.25 keV bins
 
-        def image(counts):  # 4x4-pixel blocks
+        def image(counts):  # block x block pixels
             img = counts[:, :, lo:hi].sum(axis=2)
-            return img.reshape(det.n_y // 4, 4, det.n_x // 4, 4).sum(axis=(1, 3))
+            shape = (det.n_y // block, block, det.n_x // block, block)
+            return img.reshape(shape).sum(axis=(1, 3))
 
-        return box.stats, image(box.counts), full_stats, image(full_counts)
+        return n, windowed.stats, image(windowed.counts), full_stats, image(full_counts)
 
     def test_web_and_wall_fractions(self, runs):
-        box, _, full, _ = runs
+        n, windowed, _, full, _ = runs
         for tally in ("web_absorbed", "wall_absorbed"):
-            p = two_proportion_p(
-                getattr(box, tally), getattr(full, tally), EQUIVALENCE_PHOTONS
-            )
+            p = two_proportion_p(getattr(windowed, tally), getattr(full, tally), n)
             assert p > ALPHA, tally
 
     def test_class_counts_and_detected(self, runs):
-        box, _, full, _ = runs
+        n, windowed, _, full, _ = runs
         assert full.detected > 1500
         cells = []
-        for stats in (box, full):
+        for stats in (windowed, full):
             per_class = [stats.class_counts[cls] for cls in PathClass]
-            cells.append(per_class + [EQUIVALENCE_PHOTONS - stats.detected])
+            cells.append(per_class + [n - stats.detected])
         assert homogeneity_p(*cells) > ALPHA
 
     def test_windowed_image(self, runs):
-        _, box_img, _, full_img = runs
+        _, _, sampled, _, full_img = runs
         # blocks with fewer than 10 counts in both images are pooled
-        big = (box_img + full_img) >= 10
+        big = (sampled + full_img) >= 10
         assert big.sum() >= 10
-        a = np.append(box_img[big], box_img[~big].sum())
+        a = np.append(sampled[big], sampled[~big].sum())
         b = np.append(full_img[big], full_img[~big].sum())
         assert homogeneity_p(a, b) > ALPHA
