@@ -41,13 +41,13 @@ def write_pgm(path, image: Image2D, lo_percentile=1.0, hi_percentile=99.0) -> No
     if hi <= lo:
         hi = lo + 1.0
     scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
-    pixels = np.round(scaled * 65535).astype(int)
+    pixels = np.round(scaled * 65535).astype(int).tolist()
     with open(path, "w") as fh:
         fh.write("P2\n")
         fh.write(f"# pitch_um={image.pitch_um!r}\n")
         fh.write(f"{image.n_x} {image.n_y}\n65535\n")
         for row in pixels:
-            fh.write(" ".join(str(v) for v in row))
+            fh.write(" ".join(map(str, row)))
             fh.write("\n")
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import stat
+import threading
 import tracemalloc
 import warnings
 
@@ -777,15 +778,84 @@ class TestSicFormat:
             pixel_pitch_um=55.0,
         )
 
-    def test_write_copies_no_cube(self, tmp_path):
-        cube = self._cube((256, 256, 100))  # 50 MiB of counts
-        tracemalloc.start()
+    @staticmethod
+    def _dense_bytes(cube):
+        return sic.HEADER.pack(
+            sic.MAGIC, cube.n_x, cube.n_y, cube.n_bins, cube.e_min,
+            cube.e_bin_width, cube.pixel_pitch_um, cube.seed, cube.photons,
+        ) + cube.counts.tobytes()
+
+    @pytest.mark.parametrize("kind", ["zero", "last", "dense", "odd"])
+    def test_bytes_on_disk_are_dense_layout(self, tmp_path, kind):
+        # holes read back as zeros: the file's bytes are the v1 layout
+        shape = (255, 3, 99) if kind == "odd" else (64, 64, 10)
+        cube = self._cube(shape)
+        if kind == "last":
+            cube.counts[-1, -1, -1] = 1
+        elif kind == "dense":
+            cube.counts[:] = np.random.default_rng(3).integers(0, 2**63, shape)
+        elif kind == "odd":
+            cube.counts[::7, :, ::5] = 11  # a 605,880-byte body: no whole blocks
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, cube)
+        assert path.read_bytes() == self._dense_bytes(cube)
+        assert np.array_equal(sic.read_sic(path).counts, cube.counts)
+
+    def test_file_without_holes_reads_back(self, tmp_path):
+        cube = self._cube((40, 30, 50))
+        cube.counts[3, 4, 5] = 6
+        cube.counts[-1, -1, -1] = 2**64 - 1
+        path = tmp_path / "c.sic"
+        path.write_bytes(self._dense_bytes(cube))
+        assert np.array_equal(sic.read_sic(path).counts, cube.counts)
+
+    @staticmethod
+    def _fs_reports_holes(tmp_path):
+        probe = tmp_path / "probe"
+        with open(probe, "wb") as fh:
+            fh.write(b"x")
+            fh.truncate(1 << 20)
+        info = probe.stat()
+        probe.unlink()
+        return info.st_blocks * 512 < info.st_size
+
+    def test_zero_blocks_are_holes(self, tmp_path):
+        if not self._fs_reports_holes(tmp_path):
+            pytest.skip("the file system here allocates holes")
+        cube = self._cube((256, 256, 100))
+        cube.counts[5, 7, 9] = 3
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, cube)
+        info = path.stat()
+        assert info.st_size == 56 + cube.counts.nbytes
+        assert info.st_blocks * 512 < info.st_size / 10, info.st_blocks
+
+    def test_write_to_pipe_is_dense(self, tmp_path):
+        cube = self._cube((16, 16, 40))
+        cube.counts[2, 3, 4] = 5
+        path = tmp_path / "out.fifo"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()),
+                                  daemon=True)
+        reader.start()
         try:
-            sic.write_sic(tmp_path / "c.sic", cube)
-            _, peak = tracemalloc.get_traced_memory()
+            sic.write_sic(path, cube)
         finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
+            reader.join(timeout=30)
+        assert got == [self._dense_bytes(cube)]
+
+    def test_write_copies_no_cube(self, tmp_path):
+        # the odd shape's body is no whole number of blocks: no padded copy
+        for shape in [(256, 256, 100), (255, 256, 99)]:
+            cube = self._cube(shape)  # 50 MiB of counts
+            tracemalloc.start()
+            try:
+                sic.write_sic(tmp_path / "c.sic", cube)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (shape, peak)
 
     def test_read_holds_one_cube(self, tmp_path):
         cube = self._cube((256, 256, 100))
@@ -891,6 +961,24 @@ class TestImageCsv:
         )
         assert (tmp_path / "profile.csv").read_text() == (
             "position_mm,intensity\n-0.5,123456.789\n0.5,1e-17\n"
+        )
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_pgm_text(self, tmp_path, constant):
+        # the text of formatting each numpy pixel on its own; a constant
+        # image takes the hi <= lo branch
+        rng = np.random.default_rng(8)
+        values = np.full((9, 13), 4.25) if constant else rng.gamma(2.0, 50.0, (9, 13))
+        img = Image2D(values=values, pitch_um=55.0)
+        fileio.write_pgm(tmp_path / "img.pgm", img)
+        lo, hi = np.percentile(values, 1.0), np.percentile(values, 99.0)
+        if hi <= lo:
+            hi = lo + 1.0
+        pixels = np.round(np.clip((values - lo) / (hi - lo), 0.0, 1.0) * 65535)
+        rows = "".join(" ".join(str(v) for v in row) + "\n"
+                       for row in pixels.astype(int))
+        assert (tmp_path / "img.pgm").read_text() == (
+            "P2\n# pitch_um=55.0\n13 9\n65535\n" + rows
         )
 
     def test_missing_header_rejected(self, tmp_path):

@@ -9,6 +9,7 @@ its type, so zero or huge matrix sizes and record counts and NaN, infinite
 or negative energy axes and pitches are all reached.
 """
 
+import os
 import re
 import struct
 
@@ -176,6 +177,40 @@ class TestReadSic:
              "--out-prefix", str(workdir / "img")]
         )
         assert code in (cli.EXIT_OK, cli.EXIT_IO)
+
+
+class TestSicHoles:
+    @FUZZ
+    @given(data=st.data())
+    def test_sparse_write_is_dense_bytes(self, workdir, data):
+        # counts are drawn anywhere and on both sides of each block edge
+        block = os.stat(workdir).st_blksize
+        n_y, n_x = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        n_bins = data.draw(st.integers(1, 3 * block // 8))
+        size = n_y * n_x * n_bins
+        edges = [i for k in range(1, (size * 8 + sic.HEADER.size) // block + 1)
+                 for i in ((k * block - sic.HEADER.size) // 8 + d for d in (-1, 0))
+                 if i < size]
+        index = st.integers(0, size - 1)
+        if edges:
+            index |= st.sampled_from(edges)
+        cells = data.draw(st.dictionaries(index, st.integers(1, 2**64 - 1),
+                                          max_size=8))
+        counts = np.zeros((n_y, n_x, n_bins), np.uint64)
+        counts.reshape(-1)[list(cells)] = list(cells.values())
+        cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
+                             pixel_pitch_um=55.0, seed=7, photons=len(cells))
+        path = workdir / "holes.sic"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sic, "MIN_HOLE_BLOCKS",
+                       data.draw(st.sampled_from([1, sic.MIN_HOLE_BLOCKS])))
+            sic.write_sic(path, cube)
+        assert path.read_bytes() == sic.HEADER.pack(
+            sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, len(cells)
+        ) + counts.tobytes()
+        back = sic.read_sic(path)
+        assert np.array_equal(back.counts, counts)
+        assert (back.seed, back.photons) == (7, len(cells))
 
 
 VALID_IMAGE_CSV = b"# n_x=3 n_y=2 pitch_um=55.0\n0.0,1.5,2.0\n3.0,4.0,5.25\n"
