@@ -191,14 +191,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     _check_keys(parser, _key_lines(text), path)
 
-    coating = IRIDIUM
-    if _get(parser, "mpo", "coating_name", str, None) is not None:
-        coating = Material(
-            name=_get(parser, "mpo", "coating_name", str, "Ir"),
-            Z=_get(parser, "mpo", "coating_z", int, IRIDIUM.Z),
-            A=_get(parser, "mpo", "coating_a", float, IRIDIUM.A),
-            rho=_get(parser, "mpo", "coating_rho_g_cm3", float, IRIDIUM.rho),
-        )
     model_name = _get(parser, "mpo", "reflectivity_model", str, "binary").lower()
     try:
         model = ReflectivityModel(model_name)
@@ -214,7 +206,12 @@ def load_config(path) -> RunConfig:
             thickness_t=_get(parser, "mpo", "thickness_mm", float, 1.2),
             pore_width_w=_get(parser, "mpo", "pore_width_um", float, 20.0),
             pitch_p=_get(parser, "mpo", "pitch_um", float, 25.0),
-            coating=coating,
+            coating=Material(
+                name=_get(parser, "mpo", "coating_name", str, IRIDIUM.name),
+                Z=_get(parser, "mpo", "coating_z", int, IRIDIUM.Z),
+                A=_get(parser, "mpo", "coating_a", float, IRIDIUM.A),
+                rho=_get(parser, "mpo", "coating_rho_g_cm3", float, IRIDIUM.rho),
+            ),
             reflectivity_model=model,
             reflectivity=_get(parser, "mpo", "reflectivity", float, 1.0),
         )

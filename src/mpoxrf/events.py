@@ -112,8 +112,9 @@ class EventList:
 
 @dataclass(frozen=True)
 class LineSet:
-    """Calibration lines: (element label, K-alpha energy keV) pairs,
-    strictly increasing in energy; a linear fit needs at least two."""
+    """Calibration lines: (element label, K-alpha energy keV) pairs with
+    distinct labels, strictly increasing in energy; a linear fit needs at
+    least two."""
 
     lines: tuple[tuple[str, float], ...]
 
@@ -123,6 +124,9 @@ class LineSet:
         energies = [e for _, e in self.lines]
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise ValueError(f"line energies must be strictly increasing: {energies}")
+        labels = [lbl for lbl, _ in self.lines]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"line labels must be distinct: {labels}")
 
     @property
     def energies(self) -> np.ndarray:

@@ -438,9 +438,6 @@ def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n: int, r
     )
 
 
-_CLASS_ORDER = tuple(PathClass)
-
-
 def _cube_index(pix, energy, detector: DetectorSpec, stats: SimStats):
     """Threshold, energy band and cube index for hits on the pixel matrix.
 
@@ -458,17 +455,15 @@ def _cube_index(pix, energy, detector: DetectorSpec, stats: SimStats):
     return hit, pix[hit] * detector.n_bins + e_bin[hit]
 
 
-def _bin_hits(ix, iy, energy, detector: DetectorSpec, stats: SimStats):
-    """:func:`_cube_index` of hits at pixel columns ``ix`` and rows ``iy``;
-    returns the counted-hit mask and the sparse cube increment
-    ``(flat index, count)``."""
-    hit, flat = _cube_index(iy * detector.n_x + ix, energy, detector, stats)
-    return hit, np.unique(flat, return_counts=True)
-
-
 def _run_batch(args):
-    """Transport one seeded batch; returns sparse cube increments + tallies."""
-    (scene, geometry, windows, detector, seed, batch_index, n, want_class_images) = args
+    """Transport one seeded batch.
+
+    Returns ``(flat, class_flat, stats)``: the counted hits' flat cube
+    indices (:func:`_cube_index`), the same hits' flat indices
+    ``class * n_y * n_x + pixel`` into a ``(len(PathClass), n_y, n_x)``
+    class-image stack, both unsorted with repeats kept, and the tallies.
+    """
+    scene, geometry, windows, detector, seed, batch_index, n = args
     rng = _batch_rng(seed, batch_index)
     stats = SimStats(n_photons=n)
 
@@ -517,26 +512,13 @@ def _run_batch(args):
     iy = np.floor((z_det - z0) / pitch_mm).astype(np.int64)
     on_det = (ix >= 0) & (ix < detector.n_x) & (iy >= 0) & (iy < detector.n_y)
     stats.off_detector = int(keep.size - np.count_nonzero(on_det))
-    ix, iy, e_meas, keep = ix[on_det], iy[on_det], e_meas[on_det], keep[on_det]
+    pix = (iy * detector.n_x + ix)[on_det]
 
-    hit, (cube_idx, cube_cnt) = _bin_hits(ix, iy, e_meas, detector, stats)
-
-    class_code = _class_codes(n_x[keep[hit]], n_z[keep[hit]])
-    counts_by_class = np.bincount(class_code, minlength=len(_CLASS_ORDER))
-    stats.class_counts = {
-        cls: int(counts_by_class[c]) for c, cls in enumerate(_CLASS_ORDER)
-    }
-
-    class_sparse = None
-    if want_class_images:
-        pix_flat = iy[hit] * detector.n_x + ix[hit]
-        class_sparse = {}
-        for c, cls in enumerate(_CLASS_ORDER):
-            sel = class_code == c
-            pi, pc = np.unique(pix_flat[sel], return_counts=True)
-            class_sparse[cls] = (pi, pc)
-
-    return cube_idx, cube_cnt, stats, class_sparse
+    hit, flat = _cube_index(pix, e_meas[on_det], detector, stats)
+    keep = keep[on_det][hit]
+    # int8 codes: widen before scaling by the image size
+    class_code = _class_codes(n_x[keep], n_z[keep]).astype(np.int64)
+    return flat, class_code * (detector.n_y * detector.n_x) + pix[hit], stats
 
 
 def simulate(
@@ -546,17 +528,17 @@ def simulate(
     n_photons: int,
     seed: int = 0,
     n_workers: int = 1,
-    class_images: bool = False,
 ) -> SpectralImage:
     """Run the full transport chain for ``n_photons`` photons.
 
     Deterministic for fixed (scene, mpo, detector, n_photons, seed): the
     photon stream is partitioned into BATCH_SIZE batches, each seeded by
-    :func:`batch_seed`, and batch histograms merge by integer addition, so
+    :func:`batch_seed`, and batch hits merge by integer addition, so
     results are bit-identical for any ``n_workers``.
 
-    With ``class_images=True`` the returned stats carry one 2-D hit image
-    per :class:`~mpoxrf.optics.PathClass` (summed over energy bins).
+    The returned stats carry one 2-D hit image per
+    :class:`~mpoxrf.optics.PathClass` (summed over energy bins) and the
+    class counts, the sums of those images.
     """
     if n_photons < 0:
         raise ValueError("n_photons must be >= 0")
@@ -572,11 +554,8 @@ def simulate(
         stats=total,
     )
     cube = image.counts.reshape(-1)
-    if class_images:
-        total.class_images = {
-            cls: np.zeros((detector.n_y, detector.n_x), dtype=np.uint64)
-            for cls in _CLASS_ORDER
-        }
+    classes = np.zeros((len(PathClass), detector.n_y, detector.n_x), np.uint64)
+    total.class_images = dict(zip(PathClass, classes))
 
     windows = _acceptance_windows(scene, mpo)
     n_batches = (n_photons + BATCH_SIZE - 1) // BATCH_SIZE
@@ -589,23 +568,15 @@ def simulate(
             seed,
             b,
             min(BATCH_SIZE, n_photons - b * BATCH_SIZE),
-            class_images,
         )
         for b in range(n_batches)
     ]
-
-    def _merge(result):
-        cube_idx, cube_cnt, stats, class_sparse = result
-        cube[cube_idx] += cube_cnt.astype(np.uint64)
+    for flat, class_flat, stats in run_tasks(_run_batch, tasks, n_workers):
+        np.add.at(cube, flat, np.uint64(1))
+        np.add.at(classes.reshape(-1), class_flat, np.uint64(1))
         total.add(stats)
-        if class_sparse is not None:
-            for cls, (pi, pc) in class_sparse.items():
-                flat = total.class_images[cls].reshape(-1)
-                flat[pi] += pc.astype(np.uint64)
 
-    for result in run_tasks(_run_batch, tasks, n_workers):
-        _merge(result)
-
+    total.class_counts = dict(zip(PathClass, classes.sum(axis=(1, 2)).tolist()))
     return image
 
 

@@ -119,7 +119,7 @@ def test_criterion_4_energy_dependent_arms(report):
     for label, energy, seed in (("Ti", 4.5, 91), ("Cu", 8.0, 92)):
         cube = simulate(
             point_scene(energy, label=label), ARM_MPO, det, 200_000_000,
-            seed=seed, class_images=True,
+            seed=seed,
         )
         img = an.energy_window(cube, 0.0, 25.0)
         center = an.find_psf_center(img)

@@ -146,6 +146,15 @@ class TestConfig:
         digest = hashlib.sha256(repr(cfg).encode()).hexdigest()
         assert digest == self.SHIPPED_CONFIG_SHA256[name]
 
+    def test_coating_keys_without_name(self, tmp_path):
+        # like every other key, an absent coating_name keeps its default
+        # and leaves the other coating keys in force
+        path = tmp_path / "gold.ini"
+        gold = "coating_z = 79\ncoating_a = 196.97\ncoating_rho_g_cm3 = 19.32\n"
+        path.write_text(MINIMAL.replace("[detector]", gold + "\n[detector]"))
+        coating = load_config(path).mpo.coating
+        assert (coating.Z, coating.A, coating.rho) == (79, 196.97, 19.32)
+
     def test_absent_sim_and_analysis_take_defaults(self, tmp_path):
         path = tmp_path / "bare.ini"
         path.write_text(MINIMAL.split("[sim]")[0])
@@ -439,6 +448,25 @@ class TestCliCalibration:
         err = capsys.readouterr().err
         assert "--events label(s) given more than once: Cu" in err
         assert "absent.tpxe" not in err
+
+    def test_repeated_line_label_exits_before_writing(self, tmp_path, capsys):
+        # both lines would be fitted from the one A file: every pixel dead
+        path = tmp_path / "a.tpxe"
+        rng = np.random.default_rng(5)
+        ev.write_events_file(
+            path,
+            ev.synthesize_line_events(
+                8.05, np.full((4, 4), 0.05), np.zeros((4, 4)), 50, rng
+            ),
+        )
+        out = tmp_path / "cal.csv"
+        code = cli.main(
+            ["calibrate", "--lines", "A:4.5,A:8.05", "--events", f"A={path}",
+             "--out", str(out)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "line labels must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_line_file_in_memory(self, tmp_path, monkeypatch):
         # one worker: the histogram blocks live in this process, where

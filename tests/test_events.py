@@ -881,6 +881,11 @@ class TestLineSet:
         with pytest.raises(ValueError):
             ev.LineSet((("A", 8.0),))
 
+    def test_rejects_repeated_label(self):
+        # each label names one event file, so a repeat fits one file twice
+        with pytest.raises(ValueError, match="distinct"):
+            ev.LineSet((("A", 4.5), ("A", 8.05)))
+
 
 class TestCalibrationCsv:
     def test_roundtrip(self, tmp_path):

@@ -32,7 +32,7 @@ from mpoxrf.sim import (
     _acceptance_windows,
     _axis_window,
     _batch_rng,
-    _bin_hits,
+    _cube_index,
     _sample_emission_arrays,
     _window,
     batch_seed,
@@ -411,10 +411,7 @@ class TestProjectToDetector:
         # L_s = L_i (unit magnification, erect image); at 8 keV no ray
         # bounces twice in a plane, so CENTRAL_FOCUS is exactly (1, 1)
         det = DetectorSpec()
-        cube = simulate(
-            cu_scene(x=0.6, z=-0.4), GEOM, det, 2_000_000, seed=11,
-            class_images=True,
-        )
+        cube = simulate(cu_scene(x=0.6, z=-0.4), GEOM, det, 2_000_000, seed=11)
         focus = cube.stats.class_images[PathClass.CENTRAL_FOCUS]
         assert focus.sum() > 20
         iy, ix = np.nonzero(focus)
@@ -693,9 +690,7 @@ class TestSimulate:
         assert arm_x + arm_z - peak > quadrant  # arms beat the quadrants
 
     def test_class_images_cover_detected(self):
-        cube = simulate(
-            cu_scene(), GEOM, DetectorSpec(), 400_000, seed=6, class_images=True
-        )
+        cube = simulate(cu_scene(), GEOM, DetectorSpec(), 400_000, seed=6)
         per_class = {k: int(v.sum()) for k, v in cube.stats.class_images.items()}
         assert sum(per_class.values()) == cube.stats.detected
         assert per_class == {
@@ -716,6 +711,11 @@ class TestSimulate:
         b = simulate(n_photons=n, seed=4, n_workers=2, **kwargs)
         assert np.array_equal(a.counts, b.counts)
         assert a.stats.n_photons == n
+        # the pool results merge into the same class images and counts
+        for cls in PathClass:
+            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
+        assert a.stats.class_counts == b.stats.class_counts
+        assert sum(a.stats.class_counts.values()) == a.stats.detected > 0
 
 
 class TestConstantPerBounceRoulette:
@@ -780,8 +780,9 @@ def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
         iy = np.floor(z_det / pitch_mm + detector.n_y / 2).astype(np.int64)
         on = alive & (ix >= 0) & (ix < detector.n_x) & (iy >= 0) & (iy < detector.n_y)
         stats = SimStats()
-        hit, (idx, cnt) = _bin_hits(ix[on], iy[on], e_meas[on], detector, stats)
-        counts.reshape(-1)[idx] += cnt.astype(np.uint64)
+        pix = iy[on] * detector.n_x + ix[on]
+        hit, flat = _cube_index(pix, e_meas[on], detector, stats)
+        np.add.at(counts.reshape(-1), flat, np.uint64(1))
         codes = _class_codes(n_x[on][hit], n_z[on][hit])
         stats.class_counts = dict(zip(PathClass, np.bincount(codes, minlength=5)))
         stats.web_absorbed = int(m - in_pore.sum())
