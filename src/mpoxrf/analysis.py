@@ -81,7 +81,6 @@ class PsfProfile:
     axis: ProfileAxis
     positions: np.ndarray  # mm, centered on the PSF
     intensities: np.ndarray
-    rows_averaged: int = 3
 
     def __post_init__(self):
         if np.any(np.diff(self.positions) <= 0):
@@ -100,7 +99,6 @@ class Atf:
     amplitude: np.ndarray  # (n_y, n_x), real, non-negative
     freq_x: np.ndarray  # lp/mm
     freq_y: np.ndarray
-    source_count: int = 1
 
     def __post_init__(self):
         if np.any(self.amplitude < 0):
@@ -206,13 +204,11 @@ def extract_arm_profiles(
         axis=ProfileAxis.HORIZONTAL,
         positions=(np.arange(image.n_x) - cx) * pitch,
         intensities=image.values[r0 - half : r0 + half + 1, :].mean(axis=0),
-        rows_averaged=rows_averaged,
     )
     vert = PsfProfile(
         axis=ProfileAxis.VERTICAL,
         positions=(np.arange(image.n_y) - cy) * pitch,
         intensities=image.values[:, c0 - half : c0 + half + 1].mean(axis=1),
-        rows_averaged=rows_averaged,
     )
     return horiz, vert
 
@@ -337,7 +333,6 @@ def atf(image: Image2D) -> Atf:
         amplitude=spectrum,
         freq_x=np.fft.fftfreq(image.n_x, d=image.pitch_mm),
         freq_y=np.fft.fftfreq(image.n_y, d=image.pitch_mm),
-        source_count=1,
     )
 
 
@@ -359,26 +354,20 @@ def average_atf(atfs: list[Atf]) -> Atf:
         amplitude=mean,
         freq_x=atfs[0].freq_x.copy(),
         freq_y=atfs[0].freq_y.copy(),
-        source_count=sum(a.source_count for a in atfs),
     )
 
 
-def idealized_psf(transfer: Atf, pitch_um: float, normalize: bool = True) -> Image2D:
+def idealized_psf(transfer: Atf, pitch_um: float) -> Image2D:
     """Zero-phase inverse transform of an amplitude spectrum.
 
-    The real part of ifft2(amplitude) is recentered at the image midpoint.
-    With ``normalize`` the peak is scaled to 1; pass False to keep the raw
-    inverse-transform scale (under which Parseval's identity against the
-    input spectrum holds exactly).
+    The real part of ifft2(amplitude) is recentered at the image midpoint
+    and scaled to a peak of 1.
     """
-    raw = np.real(np.fft.ifft2(transfer.amplitude))
-    centered = np.fft.fftshift(raw)
-    if normalize:
-        peak = float(centered.max())
-        if peak <= 0:
-            raise AnalysisError("inverse transform has no positive peak")
-        centered = centered / peak
-    return Image2D(values=centered, pitch_um=pitch_um)
+    centered = np.fft.fftshift(np.real(np.fft.ifft2(transfer.amplitude)))
+    peak = float(centered.max())
+    if peak <= 0:
+        raise AnalysisError("inverse transform has no positive peak")
+    return Image2D(values=centered / peak, pitch_um=pitch_um)
 
 
 def radial_profile(transfer: Atf) -> tuple[np.ndarray, np.ndarray]:

@@ -184,17 +184,10 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _file_peaks(task: tuple[str, bool]) -> np.ndarray | None:
-    """Peak map of the line file ``path`` of a ``(path, is_line)`` task; any
-    other event file is read through, so every record is checked, and
-    gives None."""
-    path, is_line = task
+def _file_peaks(path: str) -> np.ndarray:
+    """Peak map of the line file ``path``."""
     with events.open_events(path) as source:
-        if is_line:
-            return events.line_peaks(source)
-        for _ in source.slices():
-            pass
-    return None
+        return events.line_peaks(source)
 
 
 def _cmd_calibrate(args) -> int:
@@ -211,19 +204,23 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(
             f"--events label(s) given more than once: {', '.join(repeated)}"
         )
+    extra = [lbl for lbl in given_labels if lbl not in line_set.labels]
+    if extra:
+        raise ConfigError(
+            f"--events label(s) not a calibration line: {', '.join(extra)}"
+        )
     missing = [lbl for lbl in line_set.labels if lbl not in given_labels]
     if missing:
         raise ConfigError(
             f"no event file given for calibration line(s): {', '.join(missing)}"
         )
-    # headers first: every file is opened in argument order, and each line
-    # file's matrix is compared with the first one's, before any record is
-    # read or any histogram block is allocated
+    # headers first: every file is opened in argument order, and each one's
+    # matrix is compared with the first one's, before any record is read or
+    # any histogram block is allocated
+    paths = [path for _, path in given]
     first = None
-    for label, path in given:
+    for path in paths:
         with events.open_events(path) as source:
-            if label not in line_set.labels:
-                continue
             if first is None:
                 first = (path, source.n_x, source.n_y)
             elif (source.n_x, source.n_y) != first[1:]:
@@ -234,8 +231,7 @@ def _cmd_calibrate(args) -> int:
     # each worker reduces one file at a time to its peak map, so a process
     # holds at most one histogram block; errors are raised in argument
     # order, and list() drains the pool before the maps are used
-    tasks = [(path, label in line_set.labels) for label, path in given]
-    results = run_tasks(_file_peaks, tasks, min(len(tasks), _available_cpus()))
+    results = run_tasks(_file_peaks, paths, min(len(paths), _available_cpus()))
     peaks = dict(zip(given_labels, list(results)))
     cal = events.fit_calibration(
         np.stack([peaks[label] for label in line_set.labels]), line_set

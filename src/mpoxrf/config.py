@@ -32,6 +32,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _reflectivity_model(raw: str) -> ReflectivityModel:
+    try:
+        return ReflectivityModel(raw.lower())
+    except ValueError:
+        raise ValueError("not binary | constant_per_bounce") from None
+
+
+#: [mpo] key -> (MpoGeometry field, type); an absent key keeps the field's
+#: MpoGeometry default.
+_MPO_KEYS = {
+    "plate_side_mm": ("plate_side", float),
+    "thickness_mm": ("thickness_t", float),
+    "pore_width_um": ("pore_width_w", float),
+    "pitch_um": ("pitch_p", float),
+    "reflectivity_model": ("reflectivity_model", _reflectivity_model),
+    "reflectivity": ("reflectivity", float),
+}
+
+#: [mpo] coating key -> (Material field, type); an absent key keeps the
+#: field's value in IRIDIUM.
+_COATING_KEYS = {
+    "coating_name": ("name", str),
+    "coating_z": ("Z", int),
+    "coating_a": ("A", float),
+    "coating_rho_g_cm3": ("rho", float),
+}
+
 #: [detector] key -> (DetectorSpec field, type); an absent key keeps the
 #: field's DetectorSpec default.
 _DETECTOR_KEYS = {
@@ -43,6 +70,13 @@ _DETECTOR_KEYS = {
     "e_min_kev": ("e_min", float),
     "e_bin_width_kev": ("e_bin_width", float),
     "n_bins": ("n_bins", int),
+}
+
+#: [scene] key -> (Scene field, type); an absent key keeps the field's
+#: Scene default.
+_SCENE_KEYS = {
+    "l_s_mm": ("L_s", float),
+    "l_i_mm": ("L_i", float),
 }
 
 #: [analysis] key -> (AnalysisParams field, type); an absent key keeps the
@@ -64,20 +98,9 @@ _SIM_KEYS = {
 }
 
 _KNOWN = {
-    "mpo": {
-        "plate_side_mm",
-        "thickness_mm",
-        "pore_width_um",
-        "pitch_um",
-        "coating_name",
-        "coating_z",
-        "coating_a",
-        "coating_rho_g_cm3",
-        "reflectivity_model",
-        "reflectivity",
-    },
+    "mpo": {*_MPO_KEYS, *_COATING_KEYS},
     "detector": set(_DETECTOR_KEYS),
-    "scene": {"l_s_mm", "l_i_mm"},
+    "scene": set(_SCENE_KEYS),
     "source": {"kind", "x_mm", "y_mm", "z_mm", "width_mm", "height_mm", "lines"},
     "sim": set(_SIM_KEYS),
     "analysis": set(_ANALYSIS_KEYS),
@@ -191,35 +214,15 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     _check_keys(parser, _key_lines(text), path)
 
-    model_name = _get(parser, "mpo", "reflectivity_model", str, "binary").lower()
-    try:
-        model = ReflectivityModel(model_name)
-    except ValueError:
-        raise ConfigError(
-            f"[mpo] reflectivity_model {model_name!r} is not "
-            "binary | constant_per_bounce"
-        ) from None
-
     try:
         mpo = MpoGeometry(
-            plate_side=_get(parser, "mpo", "plate_side_mm", float, 20.0),
-            thickness_t=_get(parser, "mpo", "thickness_mm", float, 1.2),
-            pore_width_w=_get(parser, "mpo", "pore_width_um", float, 20.0),
-            pitch_p=_get(parser, "mpo", "pitch_um", float, 25.0),
-            coating=Material(
-                name=_get(parser, "mpo", "coating_name", str, IRIDIUM.name),
-                Z=_get(parser, "mpo", "coating_z", int, IRIDIUM.Z),
-                A=_get(parser, "mpo", "coating_a", float, IRIDIUM.A),
-                rho=_get(parser, "mpo", "coating_rho_g_cm3", float, IRIDIUM.rho),
-            ),
-            reflectivity_model=model,
-            reflectivity=_get(parser, "mpo", "reflectivity", float, 1.0),
+            coating=Material(**_fields(parser, "mpo", _COATING_KEYS, IRIDIUM)),
+            **_fields(parser, "mpo", _MPO_KEYS, MpoGeometry),
         )
         detector = DetectorSpec(
             **_fields(parser, "detector", _DETECTOR_KEYS, DetectorSpec)
         )
-        l_s = _get(parser, "scene", "l_s_mm", float, 25.0)
-        l_i = _get(parser, "scene", "l_i_mm", float, 25.0)
+        distances = _fields(parser, "scene", _SCENE_KEYS, Scene)
 
         sources = []
         for section in parser.sections():
@@ -243,7 +246,7 @@ def load_config(path) -> RunConfig:
                     lines=_parse_lines(parser[section]["lines"], section),
                     position=(
                         _get(parser, section, "x_mm", float, 0.0),
-                        _get(parser, section, "y_mm", float, -l_s),
+                        _get(parser, section, "y_mm", float, -distances["L_s"]),
                         _get(parser, section, "z_mm", float, 0.0),
                     ),
                     width=width,
@@ -252,7 +255,7 @@ def load_config(path) -> RunConfig:
             )
         if not sources:
             raise ConfigError(f"{path}: no [source.*] sections")
-        scene = Scene(sources=tuple(sources), L_s=l_s, L_i=l_i)
+        scene = Scene(sources=tuple(sources), **distances)
 
         analysis = AnalysisParams(
             **_fields(parser, "analysis", _ANALYSIS_KEYS, AnalysisParams)

@@ -98,17 +98,6 @@ class EventList:
                 self.x[part], self.y[part], self.tot[part], self.toa[part],
             )
 
-    @classmethod
-    def empty(cls, n_x: int, n_y: int) -> "EventList":
-        return cls(
-            n_x,
-            n_y,
-            np.empty(0, np.uint16),
-            np.empty(0, np.uint16),
-            np.empty(0, np.uint16),
-            np.empty(0, np.uint64),
-        )
-
 
 @dataclass(frozen=True)
 class LineSet:

@@ -32,12 +32,13 @@ def open_binary(path):
         yield fh, info.st_size
 
 
-def write_pgm(path, image: Image2D, lo_percentile=1.0, hi_percentile=99.0) -> None:
-    """ASCII PGM (P2) preview scaled to 16-bit over the given percentile
-    window.  Lossy by design; use the CSV export for exact values."""
+def write_pgm(path, image: Image2D) -> None:
+    """ASCII PGM (P2) preview scaled to 16-bit over the 1st to 99th
+    percentile window.  Lossy by design; use the CSV export for exact
+    values."""
     vals = image.values
-    lo = np.percentile(vals, lo_percentile)
-    hi = np.percentile(vals, hi_percentile)
+    lo = np.percentile(vals, 1.0)
+    hi = np.percentile(vals, 99.0)
     if hi <= lo:
         hi = lo + 1.0
     scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)

@@ -105,10 +105,10 @@ class MpoGeometry:
         Per-bounce survival probability for CONSTANT_PER_BOUNCE.
     """
 
-    plate_side: float
-    thickness_t: float
-    pore_width_w: float
-    pitch_p: float
+    plate_side: float = 20.0
+    thickness_t: float = 1.2
+    pore_width_w: float = 20.0
+    pitch_p: float = 25.0
     coating: Material = IRIDIUM
     reflectivity_model: ReflectivityModel = ReflectivityModel.BINARY
     reflectivity: float = 1.0
@@ -256,7 +256,7 @@ def _unfold_vec(u, s, width, thickness_um):
     n = np.abs(k).astype(np.int64)
     odd = (k.astype(np.int64) % 2) != 0
     exit_u = np.where(odd, width - folded, folded)
-    exit_s = np.where(n % 2 == 1, -s, s)
+    exit_s = np.where(odd, -s, s)
     return exit_u, exit_s, n
 
 

@@ -77,10 +77,6 @@ class Source:
             raise ValueError("rect dimensions must be >= 0")
 
     @property
-    def is_rect(self) -> bool:
-        return self.width > 0
-
-    @property
     def total_intensity(self) -> float:
         return sum(w for _, w in self.lines)
 
@@ -90,8 +86,8 @@ class Scene:
     """Sources plus the two working distances of the bench."""
 
     sources: tuple[Source, ...]
-    L_s: float  # sample -> plate entrance face, mm
-    L_i: float  # plate exit face -> detector, mm
+    L_s: float = 25.0  # sample -> plate entrance face, mm
+    L_i: float = 25.0  # plate exit face -> detector, mm
 
     def __post_init__(self):
         if self.L_s <= 0 or self.L_i <= 0:
@@ -148,8 +144,6 @@ class SimStats:
         self.out_of_band += other.out_of_band
         self.detected += other.detected
         self.dead_pixel_drops += other.dead_pixel_drops
-        for key, value in other.class_counts.items():
-            self.class_counts[key] = self.class_counts.get(key, 0) + value
 
 
 @dataclass

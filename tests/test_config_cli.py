@@ -12,8 +12,8 @@ import pytest
 from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
-from mpoxrf.optics import ReflectivityModel
-from mpoxrf.sim import DetectorSpec
+from mpoxrf.optics import MpoGeometry, ReflectivityModel
+from mpoxrf.sim import DetectorSpec, Scene
 
 MINIMAL = """
 [mpo]
@@ -104,8 +104,8 @@ class TestConfig:
         path = tmp_path / "run.ini"
         path.write_text(text)
         cfg = load_config(path)
-        assert cfg.scene.sources[0].is_rect
         assert cfg.scene.sources[0].width == 4.0
+        assert cfg.scene.sources[0].height == 2.0
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -167,6 +167,25 @@ class TestConfig:
             resolution_threshold=0.1,
             rows_averaged=3,
         )
+
+    def test_empty_mpo_and_scene_take_defaults(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text("[mpo]\n[scene]\n[source.cu]\nlines = 8.0:1.0\n")
+        cfg = load_config(path)
+        assert cfg.mpo == MpoGeometry()
+        assert (cfg.scene.L_s, cfg.scene.L_i) == (Scene.L_s, Scene.L_i)
+        assert cfg.scene.sources[0].position == (0.0, -Scene.L_s, 0.0)
+
+    def test_bad_reflectivity_model_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(MINIMAL.replace(
+            "[detector]", "reflectivity_model = mirror\n\n[detector]"
+        ))
+        code = cli.main(
+            ["simulate", "--config", str(path), "--out", str(tmp_path / "x.sic")]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "binary | constant_per_bounce" in capsys.readouterr().err
 
 
 class TestCliSimulate:
@@ -448,6 +467,24 @@ class TestCliCalibration:
         err = capsys.readouterr().err
         assert "--events label(s) given more than once: Cu" in err
         assert "absent.tpxe" not in err
+
+    def test_label_not_a_line_exits_before_reading(self, tmp_path, capsys):
+        # every line file is valid; the Mn file does not exist, so opening
+        # it would be exit 3
+        rng = np.random.default_rng(3)
+        args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
+        for label, e_kev in ev.default_line_set().lines:
+            path = tmp_path / f"{label}.tpxe"
+            ev.write_events_file(path, ev.synthesize_line_events(
+                e_kev, np.full((2, 2), 0.05), np.zeros((2, 2)), 10, rng
+            ))
+            args += ["--events", f"{label}={path}"]
+        args += ["--events", f"Mn={tmp_path / 'absent.tpxe'}"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--events label(s) not a calibration line: Mn" in err
+        assert "absent.tpxe" not in err
+        assert not (tmp_path / "cal.csv").exists()
 
     def test_repeated_line_label_exits_before_writing(self, tmp_path, capsys):
         # both lines would be fitted from the one A file: every pixel dead

@@ -76,19 +76,19 @@ class TestTpxeFormat:
             assert np.array_equal(getattr(el, f), getattr(back, f))
 
     def test_empty_stream(self):
-        el = ev.EventList.empty(64, 32)
+        el = make_events(64, 32, [], [], [])
         back = ev.parse_events(ev.write_events(el))
         assert len(back) == 0
         assert (back.n_x, back.n_y) == (64, 32)
 
     def test_bad_magic_offset_zero(self):
-        data = ev.write_events(ev.EventList.empty(8, 8))
+        data = ev.write_events(make_events(8, 8, [], [], []))
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events(b"NOPE" + data[4:])
         assert err.value.offset == 0
 
     def test_version_mismatch_offset(self):
-        data = bytearray(ev.write_events(ev.EventList.empty(8, 8)))
+        data = bytearray(ev.write_events(make_events(8, 8, [], [], [])))
         data[4:8] = (99).to_bytes(4, "little")
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events(bytes(data))
@@ -256,7 +256,7 @@ class TestTotHistograms:
             assert hist[y[1] * n_x + x[1], -1] > 0
 
     def test_empty_events(self):
-        hist = ev.tot_histograms(ev.EventList.empty(4, 3))
+        hist = ev.tot_histograms(make_events(4, 3, [], [], []))
         assert hist.shape == (12, 1)
         assert not hist.any()
 

@@ -784,7 +784,8 @@ def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
         hit, flat = _cube_index(pix, e_meas[on], detector, stats)
         np.add.at(counts.reshape(-1), flat, np.uint64(1))
         codes = _class_codes(n_x[on][hit], n_z[on][hit])
-        stats.class_counts = dict(zip(PathClass, np.bincount(codes, minlength=5)))
+        for cls, count in zip(PathClass, np.bincount(codes, minlength=5)):
+            total.class_counts[cls] += count
         stats.web_absorbed = int(m - in_pore.sum())
         stats.wall_absorbed = int(in_pore.sum() - alive.sum())
         stats.off_detector = int(alive.sum() - on.sum())
