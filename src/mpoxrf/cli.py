@@ -7,12 +7,11 @@ format error, 4 analysis error (no peak, empty region, ...).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from . import analysis, events, fileio, sic
+from . import analysis, events, fileio, sic, sim
 from .analysis import AnalysisError
 from .config import AnalysisParams, ConfigError, load_config
 from .events import LineSet, default_line_set
@@ -31,12 +30,18 @@ def _cmd_simulate(args) -> int:
     photons = args.photons if args.photons is not None else cfg.photons
     seed = args.seed if args.seed is not None else cfg.seed
     jobs = args.jobs if args.jobs is not None else cfg.jobs
+    if jobs < 1:
+        setting = (
+            f"--jobs {jobs}" if args.jobs is not None
+            else f"{args.config}: [sim] jobs = {jobs}"
+        )
+        raise ConfigError(f"{setting}: must be >= 1")
     cube = simulate(
         cfg.scene, cfg.mpo, cfg.detector, photons, seed=seed, n_workers=jobs
     )
     sic.write_sic(args.out, cube)
     s = cube.stats
-    print(f"simulated {s.n_photons} photons (seed {seed}, {jobs} worker(s))")
+    print(f"simulated {s.n_photons} photons (seed {seed}, {s.processes} process(es))")
     print(f"  web absorbed      {s.web_absorbed}")
     print(f"  wall absorbed     {s.wall_absorbed}")
     print(f"  off detector      {s.off_detector}")
@@ -177,13 +182,6 @@ def _parse_line_list(raw: str) -> LineSet:
     return LineSet(tuple(pairs))
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _file_peaks(path: str) -> np.ndarray:
     """Peak map of the line file ``path``."""
     with events.open_events(path) as source:
@@ -231,7 +229,7 @@ def _cmd_calibrate(args) -> int:
     # each worker reduces one file at a time to its peak map, so a process
     # holds at most one histogram block; errors are raised in argument
     # order, and list() drains the pool before the maps are used
-    results = run_tasks(_file_peaks, paths, min(len(paths), _available_cpus()))
+    results = run_tasks(_file_peaks, paths, min(len(paths), sim._available_cpus()))
     peaks = dict(zip(given_labels, list(results)))
     cal = events.fit_calibration(
         np.stack([peaks[label] for label in line_set.labels]), line_set

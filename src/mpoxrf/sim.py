@@ -13,7 +13,9 @@ stage, which :func:`mpoxrf.events.apply_calibration` shares.
 
 Photons are processed in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
 run with seed ``s`` uses its own Philox stream keyed by a SplitMix64 mix of
-(s, b), and batch results merge by integer addition, so a run is
+(s, b).  A run is cut into chunks of contiguous batches, at most
+``CHUNK_BATCHES`` each, which are the tasks of :func:`run_tasks`; chunk
+results merge by integer addition in chunk order, so a run is
 bit-identical for any number of workers.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,6 +41,15 @@ from .optics import (
 )
 
 BATCH_SIZE = 65536
+
+#: Most batches in one ``simulate`` task.  A run of at most this many
+#: batches is one task and runs in this process: on two CPUs a pool of two
+#: beats one process only from about 130-160 batches; below that, starting
+#: the pool costs more than it saves.  A chunk's hit arrays hold at most 16
+#: bytes per photon (160 MiB, twice that while the batches' arrays are
+#: joined); at the shipped configs' detected share, at most 2.3e-3, they
+#: hold under 400 KiB.
+CHUNK_BATCHES = 160
 
 #: FWHM of a Gaussian in units of its standard deviation.
 FWHM_PER_SIGMA = 2.3548200450309493
@@ -134,6 +146,7 @@ class SimStats:
     dead_pixel_drops: int = 0  # used by the event-calibration path only
     class_counts: dict = field(default_factory=dict)
     class_images: dict | None = None  # PathClass -> (n_y, n_x) uint64
+    processes: int = 1  # processes that ran simulate()'s transport; not added
 
     def add(self, other: "SimStats") -> None:
         self.n_photons += other.n_photons
@@ -515,6 +528,27 @@ def _run_batch(args):
     return flat, class_code * (detector.n_y * detector.n_x) + pix[hit], stats
 
 
+def _run_chunk(args):
+    """Transport the contiguous batches ``first <= b < stop`` of a run of
+    ``n_photons`` photons, one :func:`_run_batch` each, in order.
+
+    Returns ``(flat, class_flat, stats)`` as :func:`_run_batch` does, for
+    the batches together: their hit indices concatenated in batch order and
+    their tallies summed.
+    """
+    scene, geometry, windows, detector, seed, first, stop, n_photons = args
+    flats, class_flats, total = [], [], SimStats()
+    for b in range(first, stop):
+        n = min(BATCH_SIZE, n_photons - b * BATCH_SIZE)
+        flat, class_flat, stats = _run_batch(
+            (scene, geometry, windows, detector, seed, b, n)
+        )
+        flats.append(flat)
+        class_flats.append(class_flat)
+        total.add(stats)
+    return np.concatenate(flats), np.concatenate(class_flats), total
+
+
 def simulate(
     scene: Scene,
     mpo: MpoGeometry,
@@ -529,6 +563,15 @@ def simulate(
     photon stream is partitioned into BATCH_SIZE batches, each seeded by
     :func:`batch_seed`, and batch hits merge by integer addition, so
     results are bit-identical for any ``n_workers``.
+
+    ``n_workers`` is a ceiling.  The batches are cut into equal chunks of
+    contiguous batches, at most ``CHUNK_BATCHES`` each, and each chunk is
+    one task of :func:`run_tasks`; chunk results are merged in chunk order.
+    A run of one chunk runs in this process.  A longer one runs in a pool
+    of ``min(n_workers, chunks, CPUs available)`` processes, and its chunk
+    count is rounded up to a multiple of the pool size, so that every
+    process gets as many chunks.  The number of processes used is
+    ``stats.processes``.
 
     The returned stats carry one 2-D hit image per
     :class:`~mpoxrf.optics.PathClass` (summed over energy bins) and the
@@ -553,6 +596,10 @@ def simulate(
 
     windows = _acceptance_windows(scene, mpo)
     n_batches = (n_photons + BATCH_SIZE - 1) // BATCH_SIZE
+    n_chunks = (n_batches + CHUNK_BATCHES - 1) // CHUNK_BATCHES
+    processes = max(1, min(n_workers, n_chunks, _available_cpus()))
+    # as many chunks for each process, none empty
+    n_chunks = min((n_chunks + processes - 1) // processes * processes, n_batches)
     tasks = [
         (
             scene,
@@ -560,18 +607,27 @@ def simulate(
             windows,
             detector,
             seed,
-            b,
-            min(BATCH_SIZE, n_photons - b * BATCH_SIZE),
+            n_batches * k // n_chunks,
+            n_batches * (k + 1) // n_chunks,
+            n_photons,
         )
-        for b in range(n_batches)
+        for k in range(n_chunks)
     ]
-    for flat, class_flat, stats in run_tasks(_run_batch, tasks, n_workers):
+    for flat, class_flat, stats in run_tasks(_run_chunk, tasks, processes):
         np.add.at(cube, flat, np.uint64(1))
         np.add.at(classes.reshape(-1), class_flat, np.uint64(1))
         total.add(stats)
 
     total.class_counts = dict(zip(PathClass, classes.sum(axis=(1, 2)).tolist()))
+    total.processes = processes
     return image
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_tasks(fn, tasks: list, n_workers: int):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mpoxrf import cli, events as ev, fileio, sic
+from mpoxrf import cli, events as ev, fileio, sic, sim
 from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
 from mpoxrf.optics import MpoGeometry, ReflectivityModel
@@ -230,6 +230,34 @@ class TestCliSimulate:
                   "--jobs", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_first_line_names_processes_used(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # 200,000 photons are four batches: one chunk, run in this process
+        # whatever --jobs asks for; as one-batch chunks on two CPUs, two
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+        argv = ["simulate", "--config", str(config_path), "--jobs", "8",
+                "--out", str(tmp_path / "run.sic")]
+        for chunk, used in ((sim.CHUNK_BATCHES, 1), (1, 2)):
+            monkeypatch.setattr(sim, "CHUNK_BATCHES", chunk)
+            assert cli.main(argv) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first == f"simulated 200000 photons (seed 3, {used} process(es))"
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_jobs_below_one_exits_2(self, config_path, tmp_path, capsys, where):
+        out = tmp_path / "x.sic"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        if where == "flag":
+            argv += ["--jobs", "0"]
+            named = "--jobs 0: must be >= 1"
+        else:
+            config_path.write_text(MINIMAL + "jobs = 0\n")
+            named = "[sim] jobs = 0: must be >= 1"
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[mpo]\nwat = 1\n")
@@ -367,7 +395,7 @@ class TestCliCalibration:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_calibrate_and_apply(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setattr(cli, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: workers)
         rng = np.random.default_rng(12)
         n = 8
         gain = rng.uniform(0.04, 0.06, (n, n))
@@ -508,7 +536,7 @@ class TestCliCalibration:
     def test_one_line_file_in_memory(self, tmp_path, monkeypatch):
         # one worker: the histogram blocks live in this process, where
         # tracemalloc sees them
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 1)
         rng = np.random.default_rng(31)
         n = 64
         gain = rng.uniform(0.10, 0.15, (n, n))
@@ -604,7 +632,7 @@ class TestCliCalibration:
     def test_bad_record_in_worker_io_exit(self, tmp_path, capsys, monkeypatch, workers):
         # the Cu file's header is valid; record 21, in its second 16-record
         # slice, is outside the matrix, so the worker reading it raises
-        monkeypatch.setattr(cli, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: workers)
         monkeypatch.setattr(ev, "_READ_RECORDS", 16)
         rng = np.random.default_rng(8)
         gain, offset = np.full((2, 2), 0.05), np.zeros((2, 2))

@@ -2,7 +2,7 @@ import hashlib
 import math
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -716,6 +716,70 @@ class TestSimulate:
             assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
         assert a.stats.class_counts == b.stats.class_counts
         assert sum(a.stats.class_counts.values()) == a.stats.detected > 0
+
+    @pytest.mark.parametrize(
+        "n_photons, chunk, workers",
+        [
+            (4 * BATCH_SIZE + 17, 2, 2),  # 5 batches: 4 chunks, the last partial
+            (6 * BATCH_SIZE + 5, 1, 3),  # 7 one-batch chunks on 3 processes
+            (10 * BATCH_SIZE, 3, 4),  # 4 chunks of 2 or 3 full batches
+            (4 * BATCH_SIZE + 17, 2, 1),  # 3 chunks, one after another
+            (0, 1, 2),
+        ],
+    )
+    def test_chunks_match_one_chunk(self, monkeypatch, n_photons, chunk, workers):
+        # short chunks put these small runs through real pools; each must
+        # match the one-chunk run of one worker in every output
+        kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec(), seed=12)
+        a = simulate(n_photons=n_photons, n_workers=1, **kwargs)
+        monkeypatch.setattr("mpoxrf.sim.CHUNK_BATCHES", chunk)
+        monkeypatch.setattr("mpoxrf.sim._available_cpus", lambda: 4)
+        b = simulate(n_photons=n_photons, n_workers=workers, **kwargs)
+        assert (a.stats.processes, b.stats.processes) == (1, workers if n_photons else 1)
+        assert np.array_equal(a.counts, b.counts)
+        for f in fields(SimStats):
+            if f.name not in ("class_images", "processes"):
+                assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
+        for cls in PathClass:
+            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
+        assert a.stats.n_photons == n_photons
+        assert (a.stats.detected > 0) == (n_photons > 0)
+
+    def test_pool_sized_by_workers_chunks_and_cpus(self, monkeypatch):
+        # a pool only for more than one chunk, of min(workers, chunks, CPUs)
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("mpoxrf.sim.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("mpoxrf.sim._available_cpus", lambda: 3)
+        kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec(), seed=1)
+
+        def processes(n_batches, n_workers):
+            image = simulate(
+                n_photons=n_batches * BATCH_SIZE, n_workers=n_workers, **kwargs
+            )
+            return image.stats.processes
+
+        assert processes(5, 2) == 1  # one chunk: in this process
+        monkeypatch.setattr("mpoxrf.sim.CHUNK_BATCHES", 2)
+        assert processes(1, 8) == 1  # one chunk
+        assert processes(3, 8) == 2  # two chunks
+        assert processes(5, 2) == 2  # three chunks, two workers
+        assert processes(9, 8) == 3  # five chunks, three CPUs
+        assert processes(9, 1) == 1  # five chunks, one worker
+        assert sizes == [2, 2, 3]
 
 
 class TestConstantPerBounceRoulette:
