@@ -30,12 +30,16 @@ def _cmd_simulate(args) -> int:
     photons = args.photons if args.photons is not None else cfg.photons
     seed = args.seed if args.seed is not None else cfg.seed
     jobs = args.jobs if args.jobs is not None else cfg.jobs
-    if jobs < 1:
-        setting = (
-            f"--jobs {jobs}" if args.jobs is not None
-            else f"{args.config}: [sim] jobs = {jobs}"
-        )
-        raise ConfigError(f"{setting}: must be >= 1")
+    for key, value, flag_value, least in (
+        ("photons", photons, args.photons, 0),
+        ("jobs", jobs, args.jobs, 1),
+    ):
+        if value < least:
+            setting = (
+                f"--{key} {value}" if flag_value is not None
+                else f"{args.config}: [sim] {key} = {value}"
+            )
+            raise ConfigError(f"{setting}: must be >= {least}")
     cube = simulate(
         cfg.scene, cfg.mpo, cfg.detector, photons, seed=seed, n_workers=jobs
     )

@@ -258,6 +258,20 @@ class TestCliSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_photons_exits_2(self, config_path, tmp_path, capsys, where):
+        out = tmp_path / "x.sic"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        if where == "flag":
+            argv += ["--photons", "-1"]
+            named = "config error: --photons -1: must be >= 0"
+        else:
+            config_path.write_text(MINIMAL.replace("photons = 200000", "photons = -1"))
+            named = f"config error: {config_path}: [sim] photons = -1: must be >= 0"
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[mpo]\nwat = 1\n")

@@ -509,8 +509,8 @@ def oracle_block(rows):
 
 @st.composite
 def histogram_blocks(draw, elements):
-    """A few distinct rows, repeated in random order to a row count that
-    straddles the peak pass's chunk boundaries."""
+    """A few distinct rows, repeated in random order to a row count of up
+    to 3,073, so that a block can hold more than 1,024 rows."""
     n_bins = draw(st.integers(1, 12))
     row = st.one_of(
         st.lists(elements, min_size=n_bins, max_size=n_bins),
@@ -518,7 +518,7 @@ def histogram_blocks(draw, elements):
     )
     rows = draw(st.lists(row, min_size=1, max_size=8))
     n_rows = draw(
-        st.one_of(st.integers(1, 20), st.integers(1, 3 * ev._PEAK_ROWS + 1))
+        st.one_of(st.integers(1, 20), st.integers(1, 3 * 1024 + 1))
     )
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
         0, len(rows), n_rows
@@ -572,15 +572,47 @@ class TestFindLinePeaks:
         assert ev.find_line_peaks(np.zeros((4, 0))).shape == (4,)
         assert ev.find_line_peaks(np.zeros((0, 7))).shape == (0,)
 
-    @given(histogram_blocks(st.one_of(st.integers(0, 3), st.integers(0, 2**31))))
+    @pytest.mark.parametrize(
+        "dtype, large",
+        [
+            pytest.param(np.uint8, st.integers(0, 2**8 - 1), id="uint8"),
+            pytest.param(np.uint16, st.integers(0, 2**16 - 1), id="uint16"),
+            pytest.param(np.uint32, st.integers(0, 2**32 - 1), id="uint32"),
+            # counts near 2**32: the int64 sums of a uint64 block stay exact
+            pytest.param(np.uint64, st.integers(2**32 - 64, 2**32 + 64), id="uint64"),
+            pytest.param(np.int64, st.integers(0, 2**31), id="int64"),
+        ],
+    )
+    @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_integer_block_equals_scalar_oracle(self, block):
-        rows, order = block
-        rows = np.array(rows, dtype=np.int64)
+    def test_integer_block_equals_scalar_oracle(self, dtype, large, data):
+        rows, order = data.draw(histogram_blocks(st.one_of(st.integers(0, 3), large)))
+        rows = np.array(rows, dtype=dtype)
         got = ev.find_line_peaks(rows[order])
         assert np.array_equal(got, oracle_block(rows)[order], equal_nan=True)
         for r in rows:
             assert ev.find_line_peaks(r) == scalar_line_peak(r)
+
+    def test_wide_tot_range_memory_bounded_by_block(self, tmp_path):
+        # 255 records with ToTs 1 and 65535: a 256 x 65536 uint8 block of
+        # 16 MiB, which the peak pass must not copy to a wider type
+        n = 16
+        pix = np.arange(255)
+        tot = np.where(pix % 2 == 0, 1, 65535)
+        path = tmp_path / "wide.tpxe"
+        ev.write_events_file(path, make_events(n, n, pix % n, pix // n, tot))
+        block = n * n * 65536
+        tracemalloc.start()
+        try:
+            with ev.open_events(path) as source:
+                peaks = ev.line_peaks(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block, (peak, block)
+        want = np.full(n * n, np.nan)
+        want[pix] = tot
+        assert np.array_equal(peaks.reshape(-1), want, equal_nan=True)
 
     @given(
         histogram_blocks(
