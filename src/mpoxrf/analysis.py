@@ -254,32 +254,6 @@ def fwhm(profile: PsfProfile) -> float:
     return cross(+1) - cross(-1)
 
 
-def arm_extent(
-    profile: PsfProfile, core_exclude_mm: float = 0.25, frac: float = 0.1
-) -> float:
-    """Half-length of a cross arm: farthest |position| at which the
-    profile still reaches ``frac`` of the arm peak.
-
-    The arm peak is the background-subtracted maximum outside the central
-    core (|position| > core_exclude_mm); both signs of the axis are
-    scanned and the larger extent returned.
-    """
-    y = profile.intensities
-    x = profile.positions
-    bg = _outer_background(y)
-    arm_region = np.abs(x) > core_exclude_mm
-    if not np.any(arm_region):
-        raise AnalysisError("core exclusion swallows the whole profile")
-    arm_peak = float((y[arm_region] - bg).max())
-    if arm_peak <= 0:
-        raise AnalysisError("no arm signal above background")
-    level = bg + frac * arm_peak
-    above = np.nonzero(arm_region & (y >= level))[0]
-    if above.size == 0:
-        raise AnalysisError("arm never reaches the threshold level")
-    return float(np.abs(x[above]).max())
-
-
 def expected_arm_half_length(
     energy: float, coating: Material, L_s: float, L_i: float
 ) -> float:

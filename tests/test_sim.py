@@ -19,7 +19,6 @@ from mpoxrf.optics import (
     _survives,
     _unfold_vec,
     critical_angle_deg,
-    march_plane,
     trace_channel,
 )
 from mpoxrf.sim import (
@@ -39,6 +38,7 @@ from mpoxrf.sim import (
     run_tasks,
     simulate,
 )
+from support import arm_extent, march_plane
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -666,8 +666,8 @@ class TestSimulate:
             c = an.find_psf_center(img)
             h, v = an.extract_arm_profiles(img, c)
             extents[L] = (
-                an.arm_extent(h, core_exclude_mm=0.25)
-                + an.arm_extent(v, core_exclude_mm=0.25)
+                arm_extent(h, core_exclude_mm=0.25)
+                + arm_extent(v, core_exclude_mm=0.25)
             ) / 2.0
         assert extents[45.0] > extents[25.0]
         assert extents[45.0] / extents[25.0] == pytest.approx(90.0 / 50.0, rel=0.2)
