@@ -7,7 +7,6 @@ from .optics import (
     Material,
     MpoGeometry,
     PathClass,
-    ReflectivityModel,
     critical_angle_deg,
     trace_channel,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Material",
     "MpoGeometry",
     "PathClass",
-    "ReflectivityModel",
     "critical_angle_deg",
     "trace_channel",
     "DetectorSpec",

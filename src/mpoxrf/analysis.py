@@ -115,7 +115,7 @@ def energy_window(cube: SpectralImage, e_lo: float, e_hi: float) -> Image2D:
     Additive over adjacent windows by construction.  A window that covers
     no bin centers yields an all-zero image (logged as a warning).
     """
-    if e_lo >= e_hi:
+    if not e_lo < e_hi:
         raise ValueError(f"need e_lo < e_hi, got [{e_lo}, {e_hi})")
     centers = cube.bin_centers()
     sel = (centers >= e_lo) & (centers < e_hi)

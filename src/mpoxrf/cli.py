@@ -84,8 +84,15 @@ def _cmd_flatfield(args) -> int:
 
 
 def _cmd_psf(args) -> int:
-    image = fileio.read_image_csv(args.image)
     cfg = load_config(args.config) if args.config else None
+    if args.energy is not None:
+        # checked before the image is read or any profile written
+        if cfg is None:
+            raise ConfigError("psf --energy needs --config for the model extents")
+        arm = analysis.expected_arm_half_length(
+            args.energy, cfg.mpo.coating, cfg.scene.L_s, cfg.scene.L_i
+        )
+    image = fileio.read_image_csv(args.image)
     rows = (cfg.analysis if cfg else AnalysisParams()).rows_averaged
     center = analysis.find_psf_center(image)
     horiz, vert = analysis.extract_arm_profiles(image, center, rows_averaged=rows)
@@ -98,10 +105,7 @@ def _cmd_psf(args) -> int:
             print(f"{name} FWHM: {width:.4f} mm")
         except AnalysisError as exc:
             print(f"{name} FWHM: {exc}")
-    if cfg and args.energy:
-        arm = analysis.expected_arm_half_length(
-            args.energy, cfg.mpo.coating, cfg.scene.L_s, cfg.scene.L_i
-        )
+    if args.energy is not None:
         direct = analysis.expected_direct_half_width(
             cfg.mpo, cfg.scene.L_s, cfg.scene.L_i
         )

@@ -4,13 +4,12 @@ Sections and keys (all lengths/energies carry their unit in the key name):
 
     [mpo]       plate_side_mm, thickness_mm, pore_width_um, pitch_um,
                 coating_name, coating_z, coating_a, coating_rho_g_cm3,
-                reflectivity_model (binary | constant_per_bounce),
-                reflectivity
+                reflectivity (per wall bounce; 1, the default, is lossless)
     [detector]  n_x, n_y, pitch_um, energy_fwhm_kev, threshold_kev,
                 e_min_kev, e_bin_width_kev, n_bins
     [scene]     l_s_mm, l_i_mm
     [source.X]  kind (point | rect), x_mm, y_mm, z_mm, width_mm,
-                height_mm, lines (comma list of energy_kev:weight)
+                height_mm (rect only), lines (comma list of energy_kev:weight)
     [sim]       photons, seed, jobs
     [analysis]  window_sigma_mm, background_exclusion_mm,
                 arm_half_width_mm, resolution_threshold, rows_averaged
@@ -24,19 +23,12 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .optics import IRIDIUM, Material, MpoGeometry, ReflectivityModel
+from .optics import IRIDIUM, Material, MpoGeometry
 from .sim import DetectorSpec, Scene, Source
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _reflectivity_model(raw: str) -> ReflectivityModel:
-    try:
-        return ReflectivityModel(raw.lower())
-    except ValueError:
-        raise ValueError("not binary | constant_per_bounce") from None
 
 
 #: [mpo] key -> (MpoGeometry field, type); an absent key keeps the field's
@@ -46,7 +38,6 @@ _MPO_KEYS = {
     "thickness_mm": ("thickness_t", float),
     "pore_width_um": ("pore_width_w", float),
     "pitch_um": ("pitch_p", float),
-    "reflectivity_model": ("reflectivity_model", _reflectivity_model),
     "reflectivity": ("reflectivity", float),
 }
 
@@ -234,9 +225,9 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"[{section}] kind must be point or rect")
             width = _get(parser, section, "width_mm", float, 0.0)
             height = _get(parser, section, "height_mm", float, 0.0)
-            if kind == "point":
-                width = height = 0.0
-            elif width <= 0 or height <= 0:
+            if kind == "point" and {"width_mm", "height_mm"} & set(parser[section]):
+                raise ConfigError(f"[{section}] width_mm/height_mm need kind = rect")
+            if kind == "rect" and not (width > 0 and height > 0):
                 raise ConfigError(f"[{section}] rect sources need width and height")
             if "lines" not in parser[section]:
                 raise ConfigError(f"[{section}] is missing its lines key")

@@ -60,10 +60,9 @@ class Material:
     def __post_init__(self):
         if self.Z < 1:
             raise ValueError(f"atomic number must be >= 1, got {self.Z}")
-        if self.A <= 0:
-            raise ValueError(f"atomic mass must be positive, got {self.A}")
-        if self.rho <= 0:
-            raise ValueError(f"density must be positive, got {self.rho}")
+        for name, value in (("atomic mass", self.A), ("density", self.rho)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.Z / self.A <= 1.0:
             raise ValueError(
                 f"Z/A = {self.Z / self.A:.3f} outside (0, 1]; not a real element"
@@ -72,13 +71,6 @@ class Material:
 
 #: Iridium, the usual heavy reflective channel coating (bulk density).
 IRIDIUM = Material(name="Ir", Z=77, A=192.217, rho=22.56)
-
-
-class ReflectivityModel(enum.Enum):
-    """How a wall bounce below the critical angle is weighted."""
-
-    BINARY = "binary"
-    CONSTANT_PER_BOUNCE = "constant_per_bounce"
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,10 @@ class MpoGeometry:
         the web between openings absorbs totally.
     coating : Material
         Reflective wall coating.
-    reflectivity_model : ReflectivityModel
-        BINARY reflects with probability 1 below the critical angle;
-        CONSTANT_PER_BOUNCE applies ``reflectivity`` per bounce.
     reflectivity : float
-        Per-bounce survival probability for CONSTANT_PER_BOUNCE.
+        Survival probability of one wall bounce below the critical angle,
+        in (0, 1].  1 is a lossless wall; below 1 each bounce survives
+        with this probability.
     """
 
     plate_side: float = 20.0
@@ -110,18 +101,19 @@ class MpoGeometry:
     pore_width_w: float = 20.0
     pitch_p: float = 25.0
     coating: Material = IRIDIUM
-    reflectivity_model: ReflectivityModel = ReflectivityModel.BINARY
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.pore_width_w < self.pitch_p:
+        if not 0 < self.pore_width_w < self.pitch_p < math.inf:
             raise ValueError(
-                f"need 0 < pore width ({self.pore_width_w}) < pitch ({self.pitch_p})"
+                f"need 0 < pore width ({self.pore_width_w}) < pitch "
+                f"({self.pitch_p}) < inf"
             )
-        if self.thickness_t <= 0:
-            raise ValueError("plate thickness must be positive")
-        if self.plate_side <= 0:
-            raise ValueError("plate side must be positive")
+        for name, value in (
+            ("plate thickness", self.thickness_t), ("plate side", self.plate_side)
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.reflectivity <= 1.0:
             raise ValueError("per-bounce reflectivity must be in (0, 1]")
 
@@ -176,12 +168,12 @@ def critical_angle_deg(energy: float, material: Material) -> float:
     Parameters
     ----------
     energy : float
-        Photon energy, keV.  Must be positive.
+        Photon energy, keV.  Must be positive and finite.
     material : Material
         Reflecting surface material.
     """
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
+    if not 0 < energy < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy}")
     return (
         EQ_CRITICAL_ANGLE_COEFF
         / energy
@@ -261,19 +253,19 @@ def _survives(slope_x, slope_z, n_x, n_z, energy, geometry: MpoGeometry, rng=Non
     A plane with at least one bounce absorbs the ray when its grazing angle
     atan(|slope|) exceeds the critical angle of the coating at the ray's
     energy.  The tie angle == theta_c reflects (inclusive threshold, a
-    measure-zero tie-break fixed for reproducibility).  CONSTANT_PER_BOUNCE
-    then plays Russian roulette: one uniform draw per ray, absorbed or
-    not, against r^(n_x + n_z), which keeps integer counting downstream
-    unbiased.
+    measure-zero tie-break fixed for reproducibility).  A reflectivity r
+    below 1 then plays Russian roulette with ``rng``: one uniform draw per
+    ray, absorbed or not, against r^(n_x + n_z), which keeps integer
+    counting downstream unbiased.  At r = 1 nothing is drawn.
     """
     # theta_c(E) = theta_c(1 keV) / E, exact 1/E scaling
     theta_c = critical_angle_deg(1.0, geometry.coating) / energy
     angle_x = np.degrees(np.arctan(np.abs(slope_x)))
     angle_z = np.degrees(np.arctan(np.abs(slope_z)))
     survive = ((n_x == 0) | (angle_x <= theta_c)) & ((n_z == 0) | (angle_z <= theta_c))
-    if geometry.reflectivity_model is ReflectivityModel.CONSTANT_PER_BOUNCE:
+    if geometry.reflectivity < 1.0:
         if rng is None:
-            raise ValueError("CONSTANT_PER_BOUNCE tracing needs an rng")
+            raise ValueError("a wall reflectivity below 1 needs an rng")
         survive &= rng.random(survive.size) < geometry.reflectivity ** (n_x + n_z)
     return survive
 
@@ -330,7 +322,8 @@ def trace_channel(
         Photon energy, keV.
     geometry : MpoGeometry
     rng : numpy.random.Generator, optional
-        Required by CONSTANT_PER_BOUNCE, which draws once per ray.
+        Required when ``geometry.reflectivity`` is below 1: the roulette
+        draws once per ray.
     """
     w = geometry.pore_width_w
     if not (0.0 <= entry_u <= w and 0.0 <= entry_v <= w):

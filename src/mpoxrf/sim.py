@@ -78,15 +78,19 @@ class Source:
         if not self.lines:
             raise ValueError(f"source {self.label!r} has no emission lines")
         for energy, intensity in self.lines:
-            if energy <= 0 or intensity <= 0:
+            if not (0 < energy < math.inf and 0 < intensity < math.inf):
                 raise ValueError(
                     f"source {self.label!r}: line ({energy}, {intensity}) "
-                    "needs positive energy and intensity"
+                    "needs positive, finite energy and intensity"
                 )
+        if not all(-math.inf < c < math.inf for c in self.position):
+            raise ValueError(
+                f"source {self.label!r}: position {self.position} mm is not finite"
+            )
         if (self.width > 0) != (self.height > 0):
             raise ValueError("rect sources need both width and height positive")
-        if self.width < 0 or self.height < 0:
-            raise ValueError("rect dimensions must be >= 0")
+        if not (0 <= self.width < math.inf and 0 <= self.height < math.inf):
+            raise ValueError("rect dimensions must be >= 0 and finite")
 
     @property
     def total_intensity(self) -> float:
@@ -102,8 +106,9 @@ class Scene:
     L_i: float = 25.0  # plate exit face -> detector, mm
 
     def __post_init__(self):
-        if self.L_s <= 0 or self.L_i <= 0:
-            raise ValueError("working distances must be positive")
+        for name, value in (("distance L_s", self.L_s), ("distance L_i", self.L_i)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.sources:
             raise ValueError("scene has no sources")
 
@@ -122,14 +127,20 @@ class DetectorSpec:
     n_bins: int = 100
 
     def __post_init__(self):
-        if self.n_x <= 0 or self.n_y <= 0:
-            raise ValueError("pixel counts must be positive")
-        if self.pitch <= 0:
-            raise ValueError("pixel pitch must be positive")
-        if self.energy_fwhm < 0:
-            raise ValueError("energy FWHM must be >= 0")
-        if self.n_bins <= 0 or self.e_bin_width <= 0:
-            raise ValueError("energy binning must be positive")
+        if self.n_x <= 0 or self.n_y <= 0 or self.n_bins <= 0:
+            raise ValueError("pixel and energy bin counts must be positive")
+        for name, value in (
+            ("pixel pitch", self.pitch), ("energy bin width", self.e_bin_width)
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.energy_fwhm < math.inf:
+            raise ValueError(
+                f"energy FWHM must be >= 0 and finite, got {self.energy_fwhm}"
+            )
+        for name, value in (("threshold", self.threshold), ("e_min", self.e_min)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from mpoxrf import cli, events as ev, fileio, sic, sim
 from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
-from mpoxrf.optics import MpoGeometry, ReflectivityModel
+from mpoxrf.optics import MpoGeometry, PathClass
 from mpoxrf.sim import DetectorSpec, Scene
 from support import synthesize_line_events, write_events, write_events_file
 
@@ -49,6 +50,14 @@ seed = 3
 """
 
 
+def write_spot(path):
+    """Write a 32x32 image of a Gaussian spot, which ``psf`` can measure."""
+    yy, xx = np.mgrid[:32, :32]
+    values = np.exp(-((xx - 16.0) ** 2 + (yy - 16.0) ** 2) / 8.0)
+    fileio.write_image_csv(path, Image2D(values=values, pitch_um=55.0))
+    return path
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.ini"
@@ -67,7 +76,7 @@ class TestConfig:
         assert cfg.scene.sources[0].label == "cu"
         assert cfg.scene.sources[0].position == (0.0, -25.0, 0.0)
         assert cfg.photons == 200000
-        assert cfg.mpo.reflectivity_model is ReflectivityModel.BINARY
+        assert cfg.mpo.reflectivity == 1.0
         assert cfg.analysis.window_sigma_mm == 1.5
 
     def test_unknown_key_reports_line(self, tmp_path):
@@ -136,12 +145,12 @@ class TestConfig:
     #: sha256 of ``repr(load_config(...))`` per shipped config; a deliberate
     #: change to a shipped config or to a config dataclass updates it
     SHIPPED_CONFIG_SHA256 = {
-        "asymmetric": "cf41bd696991c46cec73d82aab063b003a4b3826c23bb49fb334ff38b1625a57",
-        "distance_35": "bdf9b44bdbe6afde22909606228822dbe25a2b61a5a8697de520c7d4a4345151",
-        "distance_45": "5a4ddc0a5385a65aafb2a8904be21a1708bd4e8978e6b55f3d235dcb39447b14",
-        "elemental": "c93a295125d7343d8b805f2b6248844eb3d04672e154669d99e502c3b9cdf174",
-        "flatfield": "0156dee640f275733729c0a5cd82164a6916fdb8da1a58661308b4ebf28bb7d1",
-        "reference": "82e34dd9d9bd66c57eefe10adf014443a2a0f118d731776aab5f7ad1e1d528fc",
+        "asymmetric": "2df9c87c94fedac4591052812814693378999c48642f20a3c5797556bbec5b34",
+        "distance_35": "9a8bb058afa204abdd301979ff5b27da63acea51a3a4cbded2b0ef2ae82a2879",
+        "distance_45": "652c616e657c2fea0e1ff71aede07be95376a8da2414e99a0ea79590577d1b1e",
+        "elemental": "b05c3c35604d89bfb772c6b8a65284d80f18de5b75d7af0ad84d418ab4e59a68",
+        "flatfield": "2f67d8f6fd22ff67751dbfb28020e02ea26f2c4a2076b6808f4ab0cf1cfa02a4",
+        "reference": "2aee17fbd3ebbc28481581dbda388c08dcf106aa31b0c03d37ab1da26e3603ae",
     }
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
@@ -181,15 +190,149 @@ class TestConfig:
         assert cfg.scene.sources[0].position == (0.0, -Scene.L_s, 0.0)
 
     def test_bad_reflectivity_model_exits_2(self, tmp_path, capsys):
+        # reflectivity alone sets the wall loss; the old model key is unknown
         path = tmp_path / "bad.ini"
         path.write_text(MINIMAL.replace(
-            "[detector]", "reflectivity_model = mirror\n\n[detector]"
+            "[detector]", "reflectivity_model = constant_per_bounce\n\n[detector]"
         ))
-        code = cli.main(
-            ["simulate", "--config", str(path), "--out", str(tmp_path / "x.sic")]
-        )
+        out = tmp_path / "x.sic"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert "binary | constant_per_bounce" in capsys.readouterr().err
+        assert f"{path}:8: unknown key 'reflectivity_model' in [mpo]" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_reflectivity_alone_thins_bouncing_rays(self, config_path, tmp_path):
+        # no other key is needed: a wall reflectivity below 1 thins every
+        # path class but direct transmission, which touches no wall (8 keV
+        # is 12 sigma above the threshold, so the energy draws that the
+        # roulette shifts cannot move a direct ray out of the band)
+        lossy = tmp_path / "lossy.ini"
+        lossy.write_text(
+            MINIMAL.replace("[detector]", "reflectivity = 0.5\n\n[detector]")
+        )
+        plain, half = (
+            sim.simulate(c.scene, c.mpo, c.detector, 1_000_000, seed=c.seed).stats
+            for c in map(load_config, (config_path, lossy))
+        )
+        direct = PathClass.DIRECT
+        assert half.class_counts[direct] == plain.class_counts[direct] > 0
+        assert half.detected < plain.detected
+
+    @pytest.mark.parametrize("key", ["width_mm", "height_mm"])
+    def test_point_source_with_size_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "point.ini"
+        path.write_text(MINIMAL.replace("kind = point", f"kind = point\n{key} = 4.0"))
+        out = tmp_path / "x.sic"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "[source.cu] width_mm/height_mm need kind = rect" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+#: Commands of test_bad_physical_parameter_exits_2, which runs each on valid
+#: inputs in "{in}" (MINIMAL as run.ini), writing to an empty "{out}".
+SIMULATE = ["simulate", "--config", "{in}/run.ini", "--out", "{out}/c.sic"]
+WINDOW = ["window", "--cube", "{in}/c.sic", "--hi", "9", "--out-prefix", "{out}/w"]
+PSF = ["psf", "--image", "{in}/spot.csv", "--config", "{in}/run.ini",
+       "--out-prefix", "{out}/psf"]
+APPLY_CAL = ["apply-cal", "--events", "{in}/run.tpxe", "--cal", "{in}/cal.csv",
+             "--out", "{out}/run.sic"]
+
+#: (config edit or None, argv, message naming the parameter): NaN and
+#: infinite values, and a zero energy that ``psf`` used to skip
+BAD_PARAMETERS = [
+    *(
+        (("mpo", key, value), SIMULATE, message)
+        for key, value, message in [
+            ("thickness_mm", "nan", "plate thickness must be positive and finite"),
+            ("thickness_mm", "inf", "plate thickness must be positive and finite"),
+            ("plate_side_mm", "nan", "plate side must be positive and finite"),
+            ("pitch_um", "inf", "< pitch (inf) < inf"),
+            ("coating_rho_g_cm3", "nan", "density must be positive and finite"),
+            ("coating_rho_g_cm3", "inf", "density must be positive and finite"),
+        ]
+    ),
+    *(
+        (("detector", key, value), SIMULATE, message)
+        for key, value, message in [
+            ("pitch_um", "nan", "pixel pitch must be positive and finite, got nan"),
+            ("pitch_um", "inf", "pixel pitch must be positive and finite, got inf"),
+            ("threshold_kev", "nan", "threshold must be finite, got nan"),
+            ("e_min_kev", "nan", "e_min must be finite, got nan"),
+            ("e_min_kev", "inf", "e_min must be finite, got inf"),
+            ("energy_fwhm_kev", "nan", "energy FWHM must be >= 0 and finite, got nan"),
+            ("e_bin_width_kev", "inf", "energy bin width must be positive and finite"),
+        ]
+    ),
+    # without y_mm a source sits at y = -l_s_mm
+    (("scene", "l_s_mm", "nan"), SIMULATE, "position (0.0, nan, 0.0) mm is not finite"),
+    (("scene", "l_i_mm", "nan"), SIMULATE, "L_i must be positive and finite, got nan"),
+    (("scene", "l_i_mm", "inf"), SIMULATE, "L_i must be positive and finite, got inf"),
+    *(
+        (("source.cu", key, value), SIMULATE, message)
+        for key, value, message in [
+            ("x_mm", "nan", "position (nan, -25.0, 0.0) mm is not finite"),
+            ("x_mm", "inf", "position (inf, -25.0, 0.0) mm is not finite"),
+            ("lines", "nan:1.0", "line (nan, 1.0) needs positive, finite"),
+            ("lines", "inf:1.0", "line (inf, 1.0) needs positive, finite"),
+            ("lines", "8.0:nan", "line (8.0, nan) needs positive, finite"),
+            ("lines", "8.0:inf", "line (8.0, inf) needs positive, finite"),
+        ]
+    ),
+    (None, WINDOW + ["--lo", "nan"], "need e_lo < e_hi, got [nan, 9.0)"),
+    (None, PSF + ["--energy", "nan"], "energy must be positive and finite, got nan"),
+    (None, PSF + ["--energy", "inf"], "energy must be positive and finite, got inf"),
+    (None, PSF + ["--energy", "0"], "energy must be positive and finite, got 0.0"),
+    (None, APPLY_CAL + ["--bin-width", "nan"], "bin width must be positive and finite"),
+    (None, APPLY_CAL + ["--threshold", "nan"], "threshold must be finite, got nan"),
+    (None, APPLY_CAL + ["--e-min", "inf"], "e_min must be finite, got inf"),
+    (None, APPLY_CAL + ["--pitch-um", "nan"], "pixel pitch must be positive"),
+]
+
+
+def _bad_parameter_id(case):
+    edit, argv, _ = case
+    if edit:
+        return "[{}] {}={}".format(*edit)
+    return f"{argv[0]} {argv[-2]}={argv[-1]}"
+
+
+@pytest.mark.parametrize(
+    "edit, argv, message", BAD_PARAMETERS, ids=map(_bad_parameter_id, BAD_PARAMETERS)
+)
+def test_bad_physical_parameter_exits_2(tmp_path, capsys, edit, argv, message):
+    # each command refuses the parameter before it writes anything; before,
+    # most of these ran to exit 0 with nothing detected or a wrong cube
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINIMAL)
+    if edit:
+        section, key, value = edit
+        parser[section][key] = value
+    with open(inp / "run.ini", "w") as fh:
+        parser.write(fh)
+    sic.write_sic(inp / "c.sic", sim.SpectralImage.empty(DetectorSpec(n_x=4, n_y=4)))
+    write_spot(inp / "spot.csv")
+    ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
+    rng = np.random.default_rng(3)
+    write_events_file(
+        inp / "run.tpxe", synthesize_line_events(8.0, ones, zeros, 5, rng)
+    )
+    (inp / "cal.csv").write_text(
+        "x,y,gain,offset,residual,dead\n"
+        + "".join(f"{x},{y},1.0,0.0,0.0,0\n" for y in range(2) for x in range(2))
+    )
+
+    code = cli.main([arg.format(**{"in": inp, "out": out}) for arg in argv])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestCliSimulate:
@@ -395,6 +538,16 @@ class TestCliAnalysisChain:
             ["psf", "--image", str(empty), "--out-prefix", str(tmp_path / "x")]
         )
         assert code == cli.EXIT_ANALYSIS
+
+    @pytest.mark.parametrize("energy", ["8.0", "0"])
+    def test_psf_energy_without_config_exits_2(self, tmp_path, capsys, energy):
+        # the model extents need the plate and distances of a config
+        spot = write_spot(tmp_path / "spot.csv")
+        code = cli.main(["psf", "--image", str(spot), "--energy", energy,
+                         "--out-prefix", str(tmp_path / "psf")])
+        assert code == cli.EXIT_CONFIG
+        assert "psf --energy needs --config" in capsys.readouterr().err
+        assert not (tmp_path / "psf_horizontal.csv").exists()
 
     def test_missing_cube_io_exit(self, tmp_path):
         assert cli.main(

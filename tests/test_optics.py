@@ -10,7 +10,6 @@ from mpoxrf.optics import (
     Material,
     MpoGeometry,
     PathClass,
-    ReflectivityModel,
     TraceOutcome,
     _class_codes,
     _pore_cells,
@@ -27,7 +26,6 @@ CONSTANT_07 = MpoGeometry(
     thickness_t=1.2,
     pore_width_w=20.0,
     pitch_p=25.0,
-    reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
     reflectivity=0.7,
 )
 
@@ -233,7 +231,6 @@ class TestTraceChannel:
             thickness_t=1.2,
             pore_width_w=20.0,
             pitch_p=25.0,
-            reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
             reflectivity=0.5,
         )
         slope = math.tan(math.radians(0.8))  # below theta_c at 4.5 keV, one bounce
@@ -251,7 +248,6 @@ class TestTraceChannel:
             thickness_t=1.2,
             pore_width_w=20.0,
             pitch_p=25.0,
-            reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
             reflectivity=0.5,
         )
         with pytest.raises(ValueError):

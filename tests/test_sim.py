@@ -12,7 +12,6 @@ from mpoxrf.config import load_config
 from mpoxrf.optics import (
     MpoGeometry,
     PathClass,
-    ReflectivityModel,
     TraceOutcome,
     _class_codes,
     _pore_cells,
@@ -51,7 +50,7 @@ def cu_scene(L_s=25.0, L_i=25.0, x=0.0, z=0.0):
 
 
 def replay_ray(x, z, slope_x, slope_z, energy, L_i, geometry=GEOM):
-    """Independent scalar replay of one binary-model ray from its plate
+    """Independent scalar replay of one lossless-wall ray from its plate
     target to the detector plane: pitch-cell arithmetic, the wall-marching
     oracle, the critical-angle test and a straight throw of ``L_i``.
 
@@ -592,7 +591,7 @@ class TestSimulate:
         assert not np.array_equal(a.counts, b.counts)
 
     def test_matches_scalar_chain(self):
-        # with FWHM=0 and the binary model, a batch is a deterministic
+        # with FWHM=0 and lossless walls, a batch is a deterministic
         # function of its in-window emission arrays; replay every batch ray by
         # ray through independent scalar arithmetic and compare cube,
         # tallies and class counts exactly.  The out-of-window photons are
@@ -790,25 +789,19 @@ class TestConstantPerBounceRoulette:
     """
 
     @staticmethod
-    def run(model, reflectivity=1.0):
-        geom = replace(GEOM, reflectivity_model=model, reflectivity=reflectivity)
+    def run(reflectivity=1.0):
+        geom = replace(GEOM, reflectivity=reflectivity)
         det = DetectorSpec(energy_fwhm=0.0)
         return simulate(cu_scene(), geom, det, 1_000_000, seed=13)
 
-    def test_unit_reflectivity_matches_binary(self):
-        binary = self.run(ReflectivityModel.BINARY)
-        unit = self.run(ReflectivityModel.CONSTANT_PER_BOUNCE, 1.0)
-        assert np.array_equal(unit.counts, binary.counts)
-        assert unit.stats.class_counts == binary.stats.class_counts
-
     def test_half_reflectivity_thins_only_bouncing_rays(self):
-        binary = self.run(ReflectivityModel.BINARY).stats
-        half = self.run(ReflectivityModel.CONSTANT_PER_BOUNCE, 0.5).stats
+        lossless = self.run().stats
+        half = self.run(0.5).stats
         direct = PathClass.DIRECT
-        assert half.class_counts[direct] == binary.class_counts[direct] > 0
+        assert half.class_counts[direct] == lossless.class_counts[direct] > 0
         for cls in PathClass:
-            assert half.class_counts[cls] <= binary.class_counts[cls]
-        assert half.detected < binary.detected
+            assert half.class_counts[cls] <= lossless.class_counts[cls]
+        assert half.detected < lossless.detected
 
 
 def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
@@ -919,10 +912,7 @@ def equivalence_case(name):
             ),
         )
     elif name == "constant-per-bounce":
-        geom = replace(
-            geom, reflectivity_model=ReflectivityModel.CONSTANT_PER_BOUNCE,
-            reflectivity=0.8,
-        )
+        geom = replace(geom, reflectivity=0.8)
     elif name == "flatfield":
         block = 32  # the flat spreads its counts: no 4x4 block holds 10
     elif name == "plate-edge":
