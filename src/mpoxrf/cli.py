@@ -117,8 +117,9 @@ def _cmd_psf(args) -> int:
 def _cmd_atf(args) -> int:
     image = fileio.read_image_csv(args.image)
     transfer = analysis.atf(image)
-    fileio.write_atf_csv(args.out, transfer)
+    # checks --threshold, so a bad value leaves no CSV behind
     res = analysis.resolution_lp_per_mm(transfer, threshold=args.threshold)
+    fileio.write_atf_csv(args.out, transfer)
     if res is None:
         print(f"resolution at {args.threshold:.2f} of DC: beyond Nyquist")
     else:

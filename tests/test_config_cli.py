@@ -1,5 +1,6 @@
 import configparser
 import hashlib
+import io
 import math
 import os
 import stat
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpoxrf import cli, events as ev, fileio, sic, sim
 from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
@@ -241,6 +244,9 @@ PSF = ["psf", "--image", "{in}/spot.csv", "--config", "{in}/run.ini",
        "--out-prefix", "{out}/psf"]
 APPLY_CAL = ["apply-cal", "--events", "{in}/run.tpxe", "--cal", "{in}/cal.csv",
              "--out", "{out}/run.sic"]
+ATF = ["atf", "--image", "{in}/spot.csv", "--out", "{out}/atf.csv"]
+CLEAN = ["clean", "{in}/spot.csv", "--config", "{in}/run.ini",
+         "--out-prefix", "{out}/clean"]
 
 #: (config edit or None, argv, message naming the parameter): NaN and
 #: infinite values, and a zero energy that ``psf`` used to skip
@@ -291,6 +297,23 @@ BAD_PARAMETERS = [
     (None, APPLY_CAL + ["--threshold", "nan"], "threshold must be finite, got nan"),
     (None, APPLY_CAL + ["--e-min", "inf"], "e_min must be finite, got inf"),
     (None, APPLY_CAL + ["--pitch-um", "nan"], "pixel pitch must be positive"),
+    # a config error names the file and the key, not an analysis step
+    *(
+        (("analysis", key, value), CLEAN, f"run.ini: {key} must be {rule}, got {got}")
+        for key, value, rule, got in [
+            ("window_sigma_mm", "nan", "positive and finite", "nan"),
+            ("window_sigma_mm", "0", "positive and finite", "0.0"),
+            ("arm_half_width_mm", "inf", "positive and finite", "inf"),
+            ("background_exclusion_mm", "nan", ">= 0 and finite", "nan"),
+            ("background_exclusion_mm", "-0.5", ">= 0 and finite", "-0.5"),
+            ("resolution_threshold", "1", "in (0, 1)", "1.0"),
+            ("resolution_threshold", "nan", "in (0, 1)", "nan"),
+            ("rows_averaged", "0", ">= 1", "0"),
+        ]
+    ),
+    # the range is checked before the ATF CSV is written
+    (None, ATF + ["--threshold", "nan"], "threshold must be in (0, 1)"),
+    (None, ATF + ["--threshold", "2"], "threshold must be in (0, 1)"),
 ]
 
 
@@ -314,6 +337,8 @@ def test_bad_physical_parameter_exits_2(tmp_path, capsys, edit, argv, message):
     parser.read_string(MINIMAL)
     if edit:
         section, key, value = edit
+        if not parser.has_section(section):
+            parser.add_section(section)
         parser[section][key] = value
     with open(inp / "run.ini", "w") as fh:
         parser.write(fh)
@@ -1287,6 +1312,73 @@ class TestSicFormat:
         assert f"input format error: {path}: " in capsys.readouterr().err
 
 
+def repr_rows(rows) -> bytes:
+    """The text of ``_write_rows`` as one ``repr`` per value: its oracle."""
+    return "".join(
+        ",".join(map(repr, row)) + "\n" for row in np.asarray(rows, float).tolist()
+    ).encode()
+
+
+#: values whose text is at an edge of the whole-number path: the largest
+#: digit counts, 2**53 (whole, but left to ``repr``), 1e16 (``repr`` is
+#: "1e+16"), negative zero ("-0.0") and the non-finite values
+EDGE_VALUES = [0.0, 9.0, 10.0, 2.0**53 - 1, 2.0**53, 1e16, -3.0, -0.0,
+               math.nan, math.inf, -math.inf, 0.5, 2.0**52 + 0.5, 1e-300]
+
+
+@st.composite
+def mixed_rows(draw):
+    """A float array, 1 x N, N x 1 or small, whose rows are whole numbers
+    or mixed with the edge values and any float."""
+    n_rows, n_cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    whole = st.integers(0, 2**53 + 2).map(float)
+    mixed = st.one_of(
+        whole,
+        st.sampled_from(EDGE_VALUES),
+        st.integers(-(2**53), -1).map(float),
+        st.floats(),
+    )
+    return np.array([
+        draw(st.lists(draw(st.sampled_from([whole, mixed])),
+                      min_size=n_cols, max_size=n_cols))
+        for _ in range(n_rows)
+    ])
+
+
+class TestIntText:
+    def test_every_uint16_value(self):
+        values = np.arange(65536).reshape(-1, 16)
+        want = "".join(" ".join(map(str, row)) + "\n" for row in values.tolist())
+        assert fileio._int_text(values, b"", b" ") == want.encode()
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+               st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+               min_size=1, max_size=6)),
+           st.sampled_from([b"", b".0"]), st.sampled_from([b" ", b","]))
+    @settings(max_examples=200, deadline=None)
+    def test_int64_values_equal_str(self, rows, tail, sep):
+        want = "".join(
+            sep.decode().join(str(v) + tail.decode() for v in row) + "\n"
+            for row in rows
+        )
+        assert fileio._int_text(np.array(rows, np.int64), tail, sep) == want.encode()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty(self, shape):
+        assert fileio._int_text(np.zeros(shape, int), b".0", b",") == b"\n" * shape[0]
+
+    @given(mixed_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_write_rows_equals_repr(self, rows):
+        fh = io.BytesIO()
+        fileio._write_rows(fh, rows)
+        assert fh.getvalue() == repr_rows(rows)
+
+
 class TestImageCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -1322,23 +1414,45 @@ class TestImageCsv:
             "position_mm,intensity\n-0.5,123456.789\n0.5,1e-17\n"
         )
 
-    @pytest.mark.parametrize("constant", [False, True])
-    def test_pgm_text(self, tmp_path, constant):
-        # the text of formatting each numpy pixel on its own; a constant
-        # image takes the hi <= lo branch
-        rng = np.random.default_rng(8)
-        values = np.full((9, 13), 4.25) if constant else rng.gamma(2.0, 50.0, (9, 13))
-        img = Image2D(values=values, pitch_um=55.0)
-        fileio.write_pgm(tmp_path / "img.pgm", img)
+    @staticmethod
+    def pgm_text(values) -> str:
+        """The PGM of ``values`` with each numpy pixel formatted on its own."""
         lo, hi = np.percentile(values, 1.0), np.percentile(values, 99.0)
         if hi <= lo:
             hi = lo + 1.0
         pixels = np.round(np.clip((values - lo) / (hi - lo), 0.0, 1.0) * 65535)
         rows = "".join(" ".join(str(v) for v in row) + "\n"
                        for row in pixels.astype(int))
-        assert (tmp_path / "img.pgm").read_text() == (
-            "P2\n# pitch_um=55.0\n13 9\n65535\n" + rows
-        )
+        n_y, n_x = values.shape
+        return f"P2\n# pitch_um=55.0\n{n_x} {n_y}\n65535\n" + rows
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_pgm_text(self, tmp_path, constant):
+        # a constant image takes the hi <= lo branch
+        rng = np.random.default_rng(8)
+        values = np.full((9, 13), 4.25) if constant else rng.gamma(2.0, 50.0, (9, 13))
+        img = Image2D(values=values, pitch_um=55.0)
+        fileio.write_pgm(tmp_path / "img.pgm", img)
+        assert (tmp_path / "img.pgm").read_text() == self.pgm_text(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((4, 6)),
+            # most pixels clip to 0 or 65535
+            np.repeat([[0.0, 1.0, 2.0, 1e9]], 50, axis=0),
+            np.array([[7.5]]),
+            # the scale overflows to NaN, which numpy casts to a negative int
+            np.array([[1.7e308, -1.7e308], [0.0, 1.0]]),
+        ],
+        ids=["zero", "saturated", "one_pixel", "overflow"],
+    )
+    def test_pgm_text_edge_images(self, tmp_path, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fileio.write_pgm(tmp_path / "img.pgm", Image2D(values, pitch_um=55.0))
+            want = self.pgm_text(values)
+        assert (tmp_path / "img.pgm").read_text() == want
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "img.csv"

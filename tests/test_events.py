@@ -594,6 +594,21 @@ class TestFindLinePeaks:
         for r in rows:
             assert ev.find_line_peaks(r) == scalar_line_peak(r)
 
+    @pytest.mark.parametrize("walk_bins", [1, 64, ev._WALK_BINS])
+    def test_long_runs_match_oracle(self, monkeypatch, walk_bins):
+        # half-max runs of up to 3,000 bins: windows of every width up to
+        # the cap on the bins one step reads, and runs ending at either edge
+        monkeypatch.setattr(ev, "_WALK_BINS", walk_bins)
+        rng = np.random.default_rng(5)
+        block = rng.integers(50, 100, (8, 3000)).astype(np.uint32)
+        block[1, 1234] = 400  # a spike: a run of one bin
+        block[2, 2000:] = 0  # a run from bin 0 to bin 1999
+        block[3] = 0
+        block[4, ::97] = 10  # runs of 96 bins
+        block[5, 1500] = 190  # a run of the neighbours of at least 95
+        got = ev.find_line_peaks(block)
+        assert np.array_equal(got, oracle_block(block), equal_nan=True)
+
     def test_wide_tot_range_memory_bounded_by_block(self, tmp_path):
         # 255 records with ToTs 1 and 65535: a 256 x 65536 uint8 block of
         # 16 MiB, which the peak pass must not copy to a wider type
