@@ -3,12 +3,10 @@ Monte Carlo simulation, detector event handling, and image analysis."""
 
 from .optics import (
     IRIDIUM,
-    ChannelTraceResult,
     Material,
     MpoGeometry,
     PathClass,
     critical_angle_deg,
-    trace_channel,
 )
 from .sim import (
     DetectorSpec,
@@ -22,12 +20,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IRIDIUM",
-    "ChannelTraceResult",
     "Material",
     "MpoGeometry",
     "PathClass",
     "critical_angle_deg",
-    "trace_channel",
     "DetectorSpec",
     "Scene",
     "Source",

@@ -16,13 +16,12 @@ whose diffuse background collapses into the central peak.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .optics import Material, MpoGeometry, critical_angle_deg
+from .optics import Material, MpoGeometry, critical_slope, straight_through_slope
 from .sim import SpectralImage
 
 log = logging.getLogger(__name__)
@@ -263,8 +262,7 @@ def expected_arm_half_length(
     critical angle, so from a point source they land within
     tan(theta_c) * (L_s + L_i) of the image point.
     """
-    theta = math.radians(critical_angle_deg(energy, coating))
-    return math.tan(theta) * (L_s + L_i)
+    return critical_slope(energy, coating) * (L_s + L_i)
 
 
 def expected_direct_half_width(geometry: MpoGeometry, L_s: float, L_i: float) -> float:
@@ -274,8 +272,7 @@ def expected_direct_half_width(geometry: MpoGeometry, L_s: float, L_i: float) ->
     slope w/t, independent of energy; the landing offset from the image
     point is bounded by (w/t) * (L_s + L_i).
     """
-    w_mm = geometry.pore_width_w * 1e-3
-    return w_mm / geometry.thickness_t * (L_s + L_i)
+    return straight_through_slope(geometry) * (L_s + L_i)
 
 
 def gaussian_window(

@@ -41,13 +41,17 @@ def open_binary(path):
 def write_pgm(path, image: Image2D) -> None:
     """ASCII PGM (P2) preview scaled to 16-bit over the 1st to 99th
     percentile window.  Lossy by design; use the CSV export for exact
-    values."""
+    values.  Every pixel of a finite image is in 0..65535."""
     vals = image.values
+    # halved values scale the same, and their differences cannot overflow
+    if np.max(np.abs(vals), initial=0.0) > np.finfo(float).max / 2.0:
+        vals = vals / 2.0
     lo = np.percentile(vals, 1.0)
     hi = np.percentile(vals, 99.0)
-    if hi <= lo:
-        hi = lo + 1.0
-    scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
+    if hi <= lo:  # a nonzero span even where lo + 1 rounds to lo
+        hi = max(lo + 1.0, np.nextafter(lo, np.inf))
+    with np.errstate(over="ignore"):  # far outside [lo, hi] is +-inf, clipped
+        scaled = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.round(scaled * 65535).astype(int)
     with open(path, "wb") as fh:
         fh.write(b"P2\n")

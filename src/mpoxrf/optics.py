@@ -8,13 +8,14 @@ the two z-walls.  That makes the full in-channel trajectory solvable in
 closed form by "unfolding" the reflections into a straight line through a
 stack of mirror tiles.
 
-The transport kernels here work on arrays, one per physics step: pitch-cell
-decomposition (:func:`_pore_cells`, with :func:`_open_length` the open
-length of an interval on the same grid), unfolding (:func:`_unfold_vec`),
-wall survival (:func:`_survives`) and parity classification
-(:func:`_class_codes`).  :mod:`mpoxrf.sim` runs them over photon batches;
-:func:`unfold_plane` and :func:`trace_channel` are length-1 views of the
-same kernels; the tests hold an independent wall-marching oracle.
+The plate is stated here once: its pitch-cell lattice (:func:`_pore_cells`,
+:func:`_opening_edges`, :func:`_open_length`) and its exit slopes
+(:func:`critical_slope`, :func:`straight_through_slope`).  The transport
+kernels work on arrays, one per physics step: unfolding
+(:func:`_unfold_vec`), wall survival (:func:`_survives`) and parity
+classification (:func:`_class_codes`).  They are the only transport
+interface: :mod:`mpoxrf.sim` runs them over photon batches, and the tests
+hold an independent wall-marching oracle.
 
 Conventions used throughout:
 
@@ -118,29 +119,6 @@ class MpoGeometry:
             raise ValueError("per-bounce reflectivity must be in (0, 1]")
 
 
-class TraceOutcome(enum.Enum):
-    ABSORBED = "absorbed"
-    EXITED = "exited"
-
-
-@dataclass(frozen=True)
-class ChannelTraceResult:
-    """State of a ray after traversing (or dying inside) one channel.
-
-    For ABSORBED rays the exit fields and reflection counts are the values
-    the geometric unfolding would have produced; absorption is an overlay
-    on top of the (always well-defined) geometry.
-    """
-
-    outcome: TraceOutcome
-    exit_u: float  # micrometres, in [0, w] for EXITED
-    exit_v: float
-    exit_slope_x: float
-    exit_slope_z: float
-    n_reflections_x: int
-    n_reflections_z: int
-
-
 class PathClass(enum.Enum):
     """Reflection-parity taxonomy of a detected ray.
 
@@ -161,9 +139,9 @@ class PathClass(enum.Enum):
 def critical_angle_deg(energy: float, material: Material) -> float:
     """Critical grazing angle for total external reflection, in degrees.
 
-    theta_c = 1.651 / E[keV] * sqrt((Z/A) * rho[g/cm^3])
+    theta_c = 1.651 * sqrt((Z/A) * rho[g/cm^3]) / E[keV]
 
-    Scales exactly as 1/E: doubling the energy halves the angle.
+    Bit for bit theta_c(1 keV) / E: doubling the energy halves the angle.
 
     Parameters
     ----------
@@ -174,11 +152,20 @@ def critical_angle_deg(energy: float, material: Material) -> float:
     """
     if not 0 < energy < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy}")
-    return (
-        EQ_CRITICAL_ANGLE_COEFF
-        / energy
-        * math.sqrt(material.Z / material.A * material.rho)
-    )
+    root = math.sqrt(material.Z / material.A * material.rho)
+    return EQ_CRITICAL_ANGLE_COEFF * root / energy
+
+
+def critical_slope(energy: float, coating: Material) -> float:
+    """tan(theta_c) at ``energy`` (keV): the steepest transverse slope that
+    a wall reflects, and so the steepest a reflected ray leaves with."""
+    return math.tan(math.radians(critical_angle_deg(energy, coating)))
+
+
+def straight_through_slope(geometry: MpoGeometry) -> float:
+    """w / t: the steepest transverse slope that crosses a channel without
+    touching a wall."""
+    return geometry.pore_width_w / (geometry.thickness_t * 1e3)
 
 
 def _pore_cells(x, z, geometry: MpoGeometry):
@@ -186,18 +173,31 @@ def _pore_cells(x, z, geometry: MpoGeometry):
 
     Pitch cells tile the plate from a cell centered on the plate center;
     each holds a centered w x w opening whose boundary counts as inside.
-    Returns the cell indices (i, j) as floats, pore-local (u, v) in
-    micrometres and the mask of positions inside an opening.
+    Returns the lower corner (x0, z0) of each position's opening in plate
+    mm, pore-local (u, v) in micrometres, so that the position is
+    ``x0 + u * 1e-3``, and the mask of positions inside an opening.
     """
     p_mm = geometry.pitch_p * 1e-3
     half_w = geometry.pore_width_w / 2.0
+    h_mm = geometry.pore_width_w * 1e-3 / 2.0
     i = np.floor(x / p_mm + 0.5)
     j = np.floor(z / p_mm + 0.5)
     # offsets from the cell center, micrometres
     du = (x - i * p_mm) * 1e3
     dv = (z - j * p_mm) * 1e3
     in_pore = (np.abs(du) <= half_w) & (np.abs(dv) <= half_w)
-    return i, j, du + half_w, dv + half_w, in_pore
+    return i * p_mm - h_mm, j * p_mm - h_mm, du + half_w, dv + half_w, in_pore
+
+
+def _opening_edges(geometry: MpoGeometry):
+    """Edges (mm) of the pore openings along one plate axis that lie on
+    the plate, on the pitch-cell grid of :func:`_pore_cells`."""
+    half = geometry.plate_side / 2.0
+    p_mm = geometry.pitch_p * 1e-3
+    half_w_mm = geometry.pore_width_w * 1e-3 / 2.0
+    cells = np.arange(math.floor(-half / p_mm) - 1, math.ceil(half / p_mm) + 2) * p_mm
+    edges = np.concatenate((cells - half_w_mm, cells + half_w_mm))
+    return edges[np.abs(edges) <= half]
 
 
 def _open_length(lo, hi, geometry: MpoGeometry):
@@ -285,65 +285,3 @@ def _class_codes(n_x, n_z):
     code = _PARITY_CODES[2 * (n_x % 2) + n_z % 2]
     code[(n_x == 0) & (n_z == 0)] = 4  # DIRECT
     return code
-
-
-def unfold_plane(entry_u: float, slope: float, width: float, thickness_um: float):
-    """Length-1 view of :func:`_unfold_vec`: (exit_u, exit_slope, n) as scalars."""
-    exit_u, exit_slope, n = _unfold_vec(
-        np.array([entry_u], dtype=float), np.array([slope], dtype=float),
-        width, thickness_um,
-    )
-    return float(exit_u[0]), float(exit_slope[0]), int(n[0])
-
-
-def trace_channel(
-    entry_u: float,
-    entry_v: float,
-    slope_x: float,
-    slope_z: float,
-    energy: float,
-    geometry: MpoGeometry,
-    rng=None,
-) -> ChannelTraceResult:
-    """Trace one ray through one square channel: a length-1 view of the
-    transport kernels.
-
-    Both planes are unfolded by :func:`_unfold_vec` and the ray's fate is
-    decided by :func:`_survives`, exactly as in a simulated batch.  Given
-    the rng state the result is deterministic.
-
-    Parameters
-    ----------
-    entry_u, entry_v : float
-        Pore-local entry position, micrometres, in [0, w].
-    slope_x, slope_z : float
-        Transverse slopes of the ray.
-    energy : float
-        Photon energy, keV.
-    geometry : MpoGeometry
-    rng : numpy.random.Generator, optional
-        Required when ``geometry.reflectivity`` is below 1: the roulette
-        draws once per ray.
-    """
-    w = geometry.pore_width_w
-    if not (0.0 <= entry_u <= w and 0.0 <= entry_v <= w):
-        raise ValueError(
-            f"entry ({entry_u}, {entry_v}) outside pore opening [0, {w}]"
-        )
-    slopes = np.array([slope_x, slope_z], dtype=float)
-    exit_pos, exit_slopes, n = _unfold_vec(
-        np.array([entry_u, entry_v], dtype=float), slopes, w, geometry.thickness_t * 1e3
-    )
-    survived = _survives(
-        slopes[:1], slopes[1:], n[:1], n[1:], np.array([energy], dtype=float),
-        geometry, rng,
-    )[0]
-    return ChannelTraceResult(
-        outcome=TraceOutcome.EXITED if survived else TraceOutcome.ABSORBED,
-        exit_u=float(exit_pos[0]),
-        exit_v=float(exit_pos[1]),
-        exit_slope_x=float(exit_slopes[0]),
-        exit_slope_z=float(exit_slopes[1]),
-        n_reflections_x=int(n[0]),
-        n_reflections_z=int(n[1]),
-    )

@@ -34,10 +34,12 @@ from .optics import (
     PathClass,
     _class_codes,
     _open_length,
+    _opening_edges,
     _pore_cells,
     _survives,
     _unfold_vec,
-    critical_angle_deg,
+    critical_slope,
+    straight_through_slope,
 )
 
 BATCH_SIZE = 65536
@@ -192,7 +194,7 @@ class SpectralImage:
         """An all-zero cube shaped and binned for ``detector``; ``meta``
         sets the remaining fields (seed, photons, scene_digest, stats)."""
         return cls(
-            counts=np.zeros((detector.n_y, detector.n_x, detector.n_bins), np.uint64),
+            counts=_zeros((detector.n_y, detector.n_x, detector.n_bins), "cube"),
             e_min=detector.e_min,
             e_bin_width=detector.e_bin_width,
             pixel_pitch_um=detector.pitch,
@@ -213,6 +215,16 @@ class SpectralImage:
 
     def bin_centers(self) -> np.ndarray:
         return self.e_min + (np.arange(self.n_bins) + 0.5) * self.e_bin_width
+
+
+def _zeros(shape, what: str) -> np.ndarray:
+    """uint64 zeros; a ``what`` that cannot be allocated is a ValueError."""
+    try:
+        return np.zeros(shape, np.uint64)
+    except (MemoryError, ValueError):  # numpy refuses sizes past intp, too
+        gib = math.prod(shape) * 8 / 2**30
+        size = f"{'x'.join(map(str, shape))} {what} ({gib:.2f} GiB)"
+        raise ValueError(f"cannot allocate the {size}") from None
 
 
 def scene_digest(scene: Scene, geometry: MpoGeometry, detector: DetectorSpec) -> str:
@@ -303,12 +315,7 @@ def _axis_window(center, extent, reach, half, geometry: MpoGeometry):
         return np.array([center]), np.zeros(1), 0.0, 0.0
     knots = np.unique(np.clip([first, last, -half + reach, half - reach], first, last))
     _, length = _window(knots, reach, half)
-
-    p_mm = geometry.pitch_p * 1e-3
-    half_w_mm = geometry.pore_width_w * 1e-3 / 2.0
-    cells = np.arange(math.floor(-half / p_mm) - 1, math.ceil(half / p_mm) + 2) * p_mm
-    edges = np.concatenate((cells - half_w_mm, cells + half_w_mm))
-    edges = edges[np.abs(edges) <= half]
+    edges = _opening_edges(geometry)
     bends = np.unique(
         np.clip(np.concatenate((knots, edges - reach, edges + reach)), first, last)
     )
@@ -337,15 +344,14 @@ def _acceptance_windows(scene: Scene, geometry: MpoGeometry) -> _AcceptanceWindo
     :func:`_axis_window`.
     """
     half = geometry.plate_side / 2.0
-    w_over_t = geometry.pore_width_w / (geometry.thickness_t * 1e3)
-    theta_c_1kev = critical_angle_deg(1.0, geometry.coating)
+    w_over_t = straight_through_slope(geometry)
     reach, knots, rows = [], [], []
     for src in scene.sources:
         px, py, pz = src.position
         if py >= 0:
             raise ValueError("sources must sit on the sample side of the plate (y < 0)")
         e_min = min(e for e, _ in src.lines)
-        s_max = max(math.tan(math.radians(theta_c_1kev / e_min)), w_over_t)
+        s_max = max(critical_slope(e_min, geometry.coating), w_over_t)
         r = -py * s_max * (1.0 + _REACH_MARGIN)
         kx, lx, mean_x, open_x = _axis_window(px, src.width, r, half, geometry)
         kz, lz, mean_z, open_z = _axis_window(pz, src.height, r, half, geometry)
@@ -490,7 +496,7 @@ def _run_batch(args):
     )
 
     # in-window plate targets lie on the plate, so each meets a pore or the web
-    ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
+    corner_x, corner_z, u, v, in_pore = _pore_cells(tx, tz, geometry)
     idx = np.nonzero(in_pore)[0]
     stats.web_absorbed = web_out + int(tx.size - idx.size)
     u = u[idx]
@@ -509,14 +515,8 @@ def _run_batch(args):
 
     keep = np.nonzero(survive)[0]
     cell = idx[keep]
-    p_mm = geometry.pitch_p * 1e-3
-    half_w_mm = w * 1e-3 / 2.0
-    x_det = (
-        ci[cell] * p_mm - half_w_mm + exit_u[keep] * 1e-3 + exit_sx[keep] * scene.L_i
-    )
-    z_det = (
-        cj[cell] * p_mm - half_w_mm + exit_v[keep] * 1e-3 + exit_sz[keep] * scene.L_i
-    )
+    x_det = corner_x[cell] + exit_u[keep] * 1e-3 + exit_sx[keep] * scene.L_i
+    z_det = corner_z[cell] + exit_v[keep] * 1e-3 + exit_sz[keep] * scene.L_i
 
     sigma = detector.energy_fwhm / FWHM_PER_SIGMA
     e_meas = e_true[keep]
@@ -602,7 +602,7 @@ def simulate(
         stats=total,
     )
     cube = image.counts.reshape(-1)
-    classes = np.zeros((len(PathClass), detector.n_y, detector.n_x), np.uint64)
+    classes = _zeros((len(PathClass), detector.n_y, detector.n_x), "class-image stack")
     total.class_images = dict(zip(PathClass, classes))
 
     windows = _acceptance_windows(scene, mpo)

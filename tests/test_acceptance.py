@@ -12,13 +12,7 @@ import pytest
 
 from mpoxrf import analysis as an
 from mpoxrf import cli, events as ev, sic
-from mpoxrf.optics import (
-    IRIDIUM,
-    MpoGeometry,
-    critical_angle_deg,
-    trace_channel,
-    unfold_plane,
-)
+from mpoxrf.optics import IRIDIUM, MpoGeometry, _unfold_vec, critical_angle_deg
 from mpoxrf.sim import DetectorSpec, Scene, Source, simulate
 from support import arm_extent, march_plane, synthesize_line_events, write_events
 
@@ -61,29 +55,37 @@ def test_criterion_1_critical_angle_reproduction(report):
 def test_criterion_2_oracle_equivalence(report):
     rng = np.random.default_rng(424242)
     n = 100_000
-    worst = 0.0
-    for _ in range(n):
+    rays = np.empty((n, 4))  # w, t_um, u, s
+    for k in range(n):
         w = rng.uniform(5.0, 50.0)
         t_um = rng.uniform(300.0, 3000.0)
-        u = rng.uniform(0.0, w)
-        s = rng.uniform(-0.1, 0.1)
-        exit_a, slope_a, n_a = unfold_plane(u, s, w, t_um)
-        exit_m, slope_m, n_m = march_plane(u, s, w, t_um)
-        assert n_a == n_m, (u, s, w, t_um)
-        err = abs(exit_a - exit_m)
+        rays[k] = w, t_um, rng.uniform(0.0, w), rng.uniform(-0.1, 0.1)
+    w, t_um, u, s = rays.T
+    exit_a, slope_a, n_a = _unfold_vec(u, s, w, t_um)
+    worst = 0.0
+    for k in range(n):
+        exit_m, slope_m, n_m = march_plane(u[k], s[k], w[k], t_um[k])
+        assert n_a[k] == n_m, tuple(rays[k])
+        err = abs(exit_a[k] - exit_m)
         worst = max(worst, err)
         assert err <= 1e-6  # 1e-9 mm expressed in micrometres
-        assert slope_a == pytest.approx(slope_m, rel=1e-12)
-    # spot-check the composed two-plane trace against the marcher
-    for _ in range(2000):
-        u, v = rng.uniform(0.0, 20.0, 2)
-        sx, sz = rng.uniform(-0.05, 0.05, 2)
-        res = trace_channel(u, v, sx, sz, 0.5, REFERENCE_MPO)  # nothing absorbs
+        assert slope_a[k] == pytest.approx(slope_m, rel=1e-12)
+    # spot-check both planes of the reference plate's channels, unfolded as
+    # one call, against the marcher
+    entry, slopes = np.empty((2000, 2)), np.empty((2000, 2))
+    for k in range(2000):
+        entry[k] = rng.uniform(0.0, 20.0, 2)
+        slopes[k] = rng.uniform(-0.05, 0.05, 2)
+    t_ref = REFERENCE_MPO.thickness_t * 1e3
+    exits, _, bounces = _unfold_vec(entry, slopes, REFERENCE_MPO.pore_width_w, t_ref)
+    for (u, v), (sx, sz), (out_u, out_v), (nx, nz) in zip(
+        entry, slopes, exits, bounces
+    ):
         mx = march_plane(u, sx, 20.0, 1200.0)
         mz = march_plane(v, sz, 20.0, 1200.0)
-        assert (res.n_reflections_x, res.n_reflections_z) == (mx[2], mz[2])
-        assert res.exit_u == pytest.approx(mx[0], abs=1e-6)
-        assert res.exit_v == pytest.approx(mz[0], abs=1e-6)
+        assert (nx, nz) == (mx[2], mz[2])
+        assert out_u == pytest.approx(mx[0], abs=1e-6)
+        assert out_v == pytest.approx(mz[0], abs=1e-6)
     report(2, f"analytic unfolding matches the wall-marching oracle on "
               f"{n} rays (counts exact, worst exit error {worst:.2e} um)")
 
@@ -304,21 +306,22 @@ def test_criterion_9_property_suites(report):
             critical_angle_deg(e, IRIDIUM) / k, rel=1e-12
         )
 
-    # specularity and the sign/parity law
-    for _ in range(3000):
-        u, v = rng.uniform(0.0, 20.0, 2)
-        sx, sz = rng.uniform(-0.08, 0.08, 2)
-        res = trace_channel(u, v, sx, sz, 0.5, REFERENCE_MPO)
-        assert abs(res.exit_slope_x) == pytest.approx(abs(sx), rel=1e-12)
-        assert abs(res.exit_slope_z) == pytest.approx(abs(sz), rel=1e-12)
-        if sx:
-            assert math.copysign(1, res.exit_slope_x) == math.copysign(1, sx) * (
+    # specularity and the sign/parity law, both planes in one unfolding call
+    entry, slopes = np.empty((3000, 2)), np.empty((3000, 2))
+    for k in range(3000):
+        entry[k] = rng.uniform(0.0, 20.0, 2)
+        slopes[k] = rng.uniform(-0.08, 0.08, 2)
+    _, exit_slopes, bounces = _unfold_vec(
+        entry, slopes, REFERENCE_MPO.pore_width_w, REFERENCE_MPO.thickness_t * 1e3
+    )
+    for slope_in, slope_out, n_refl in zip(
+        slopes.ravel().tolist(), exit_slopes.ravel().tolist(), bounces.ravel().tolist()
+    ):
+        assert abs(slope_out) == pytest.approx(abs(slope_in), rel=1e-12)
+        if slope_in:
+            assert math.copysign(1, slope_out) == math.copysign(1, slope_in) * (
                 -1
-            ) ** res.n_reflections_x
-        if sz:
-            assert math.copysign(1, res.exit_slope_z) == math.copysign(1, sz) * (
-                -1
-            ) ** res.n_reflections_z
+            ) ** n_refl
 
     # format round-trips
     n = 5000

@@ -478,6 +478,26 @@ class TestCliSimulate:
         assert cli.main(argv) == 0
         assert sic.read_sic(out).seed == seed
 
+    def test_unallocatable_cube_exits_2(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        # a 3.1 TiB cube is refused before the acceptance windows or any photon
+        config_path.write_text(
+            MINIMAL.replace("n_x = 64\nn_y = 64", "n_x = 65536\nn_y = 65536")
+        )
+
+        def transport(*args):
+            raise AssertionError("the transport started")
+
+        monkeypatch.setattr(sim, "_acceptance_windows", transport)
+        out = tmp_path / "x.sic"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot allocate the 65536x65536x100 cube (3200.00 GiB)\n"
+        )
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[mpo]\nwat = 1\n")
@@ -1002,6 +1022,43 @@ class TestCliCalibration:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_bins, gib",
+        # past the machine's memory, and past what numpy can index at all
+        [(2**40, "32768.00"), (2**60, "34359738368.00")],
+    )
+    def test_apply_cal_unallocatable_cube_exits_2(
+        self, tmp_path, capsys, n_bins, gib
+    ):
+        # the run's second record is outside its 2x2 matrix: reading it
+        # would be exit 3, so exit 2 shows the cube is refused first
+        run = tmp_path / "run.tpxe"
+        write_events_file(
+            run,
+            ev.EventList(
+                n_x=2,
+                n_y=2,
+                x=np.array([1, 9], np.uint16),
+                y=np.array([1, 0], np.uint16),
+                tot=np.array([8, 8], np.uint16),
+                toa=np.arange(2, dtype=np.uint64),
+            ),
+        )
+        cal = tmp_path / "cal.csv"
+        ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
+        ev.write_calibration_csv(
+            cal, ev.CalibrationMap(ones, zeros, zeros, zeros.astype(bool))
+        )
+        out = tmp_path / "run.sic"
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal), "--out", str(out),
+             "--n-bins", str(n_bins)]
+        ) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot allocate the 2x2x{n_bins} cube ({gib} GiB)\n"
+        )
+        assert not out.exists()
+
     def test_apply_cal_holds_one_buffer(self, tmp_path, monkeypatch):
         n = 64
         run = tmp_path / "run.tpxe"
@@ -1417,13 +1474,16 @@ class TestImageCsv:
     @staticmethod
     def pgm_text(values) -> str:
         """The PGM of ``values`` with each numpy pixel formatted on its own."""
+        n_y, n_x = values.shape
+        if np.abs(values).max() > np.finfo(float).max / 2.0:
+            values = values / 2.0  # the same scale, without overflow
         lo, hi = np.percentile(values, 1.0), np.percentile(values, 99.0)
         if hi <= lo:
-            hi = lo + 1.0
-        pixels = np.round(np.clip((values - lo) / (hi - lo), 0.0, 1.0) * 65535)
+            hi = max(lo + 1.0, np.nextafter(lo, np.inf))
+        with np.errstate(over="ignore"):
+            pixels = np.round(np.clip((values - lo) / (hi - lo), 0.0, 1.0) * 65535)
         rows = "".join(" ".join(str(v) for v in row) + "\n"
                        for row in pixels.astype(int))
-        n_y, n_x = values.shape
         return f"P2\n# pitch_um=55.0\n{n_x} {n_y}\n65535\n" + rows
 
     @pytest.mark.parametrize("constant", [False, True])
@@ -1442,17 +1502,31 @@ class TestImageCsv:
             # most pixels clip to 0 or 65535
             np.repeat([[0.0, 1.0, 2.0, 1e9]], 50, axis=0),
             np.array([[7.5]]),
-            # the scale overflows to NaN, which numpy casts to a negative int
+            # differences overflow the float range unless halved first
             np.array([[1.7e308, -1.7e308], [0.0, 1.0]]),
+            # lo + 1 rounds back to lo
+            np.full((2, 3), 1e20),
+            # a 1e-300 span: the outliers scale past the float range, then clip
+            np.repeat([0.0, 1e-300, 1e10], [500, 495, 5]).reshape(10, 100),
         ],
-        ids=["zero", "saturated", "one_pixel", "overflow"],
+        ids=["zero", "saturated", "one_pixel", "overflow", "huge_constant",
+             "tiny_span"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_pgm_text_edge_images(self, tmp_path, values):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fileio.write_pgm(tmp_path / "img.pgm", Image2D(values, pitch_um=55.0))
-            want = self.pgm_text(values)
-        assert (tmp_path / "img.pgm").read_text() == want
+        fileio.write_pgm(tmp_path / "img.pgm", Image2D(values, pitch_um=55.0))
+        text = (tmp_path / "img.pgm").read_text()
+        assert text == self.pgm_text(values)
+        pixels = np.array(text.split()[6:], dtype=np.int64)
+        assert pixels.size == values.size
+        assert pixels.min() >= 0 and pixels.max() <= 65535
+
+    def test_pgm_overflow_pixels(self, tmp_path):
+        values = np.array([[1.7e308, -1.7e308], [0.0, 1.0]])
+        fileio.write_pgm(tmp_path / "img.pgm", Image2D(values, pitch_um=55.0))
+        assert (tmp_path / "img.pgm").read_text().splitlines()[4:] == [
+            "65535 0", "32768 32768"
+        ]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "img.csv"

@@ -10,13 +10,11 @@ from mpoxrf.optics import (
     Material,
     MpoGeometry,
     PathClass,
-    TraceOutcome,
     _class_codes,
     _pore_cells,
     _survives,
+    _unfold_vec,
     critical_angle_deg,
-    trace_channel,
-    unfold_plane,
 )
 from support import march_plane
 
@@ -30,19 +28,29 @@ CONSTANT_07 = MpoGeometry(
 )
 
 
-def survives(slope, energy, geometry=REFERENCE, n=1):
+def survives(slope, energy, geometry=REFERENCE, n=1, rng=None):
     """Wall-survival kernel on one ray that bounces ``n`` times in x only."""
     mask = _survives(
         np.array([slope]), np.array([0.0]), np.array([n]), np.array([0]),
-        np.array([energy]), geometry,
+        np.array([energy]), geometry, rng,
     )
     return bool(mask[0])
 
 
+def unfold(u, v, slope_x, slope_z, geometry=REFERENCE):
+    """Unfolding kernel on the two planes of one ray, as one call:
+    ((exit_u, exit_v), (exit_slope_x, exit_slope_z), (n_x, n_z))."""
+    exit_pos, exit_slopes, n = _unfold_vec(
+        np.array([u, v], dtype=float), np.array([slope_x, slope_z], dtype=float),
+        geometry.pore_width_w, geometry.thickness_t * 1e3,
+    )
+    return tuple(exit_pos.tolist()), tuple(exit_slopes.tolist()), tuple(n.tolist())
+
+
 def pore_cell(x, z):
-    """Pitch-cell kernel on one plate position: (i, j, u, v, in_pore)."""
-    i, j, u, v, in_pore = _pore_cells(np.array([x]), np.array([z]), REFERENCE)
-    return int(i[0]), int(j[0]), float(u[0]), float(v[0]), bool(in_pore[0])
+    """Pitch-cell kernel on one plate position: (x0, z0, u, v, in_pore)."""
+    x0, z0, u, v, in_pore = _pore_cells(np.array([x]), np.array([z]), REFERENCE)
+    return float(x0[0]), float(z0[0]), float(u[0]), float(v[0]), bool(in_pore[0])
 
 
 def path_class(nx, nz):
@@ -161,10 +169,22 @@ class TestPoreEntry:
     """The pitch-cell kernel."""
 
     def test_cell_center_is_pore_center(self):
-        i, j, u, v, in_pore = pore_cell(0.0, 0.0)
+        x0, z0, u, v, in_pore = pore_cell(0.0, 0.0)
         assert in_pore
         assert (u, v) == (10.0, 10.0)
-        assert (i, j) == (0, 0)
+        assert (x0, z0) == (-0.01, -0.01)
+
+    def test_corner_plus_entry_is_position(self):
+        rng = np.random.default_rng(31)
+        xs, zs = (rng.random((2, 10_000)) - 0.5) * REFERENCE.plate_side
+        x0, z0, u, v, in_pore = _pore_cells(xs, zs, REFERENCE)
+        assert in_pore.any() and not in_pore.all()
+        # corners sit half an opening below the cell centers, on the pitch grid
+        p_mm, half_w_mm = REFERENCE.pitch_p * 1e-3, REFERENCE.pore_width_w * 5e-4
+        cells = (x0 + half_w_mm) / p_mm
+        assert np.allclose(cells, np.round(cells), atol=1e-9)
+        assert np.allclose(x0 + u * 1e-3, xs, atol=1e-12)
+        assert np.allclose(z0 + v * 1e-3, zs, atol=1e-12)
 
     def test_web_absorption(self):
         # 12.4 um from the cell center exceeds the 10 um half-opening
@@ -194,36 +214,32 @@ class TestPoreEntry:
 
 
 class TestTraceChannel:
+    """The unfolding and wall-survival kernels on single rays."""
+
     def test_axial_ray_passes_untouched(self):
-        res = trace_channel(5.0, 5.0, 0.0, 0.0, 8.0, REFERENCE)
-        assert res.outcome is TraceOutcome.EXITED
-        assert (res.exit_u, res.exit_v) == (5.0, 5.0)
-        assert (res.n_reflections_x, res.n_reflections_z) == (0, 0)
-        assert (res.exit_slope_x, res.exit_slope_z) == (0.0, 0.0)
+        exit_pos, exit_slopes, n = unfold(5.0, 5.0, 0.0, 0.0)
+        assert exit_pos == (5.0, 5.0)
+        assert n == (0, 0)
+        assert exit_slopes == (0.0, 0.0)
+        assert survives(0.0, 8.0, n=0)
 
     def test_hand_unfolded_single_bounce(self):
         slope = math.tan(math.radians(1.0))
-        res = trace_channel(5.0, 5.0, slope, 0.0, 4.5, REFERENCE)
-        assert res.outcome is TraceOutcome.EXITED  # 1.0 deg < 1.10 deg
-        assert res.n_reflections_x == 1
-        assert res.exit_u == pytest.approx(2 * 20 - (5 + 1200 * slope), abs=1e-9)
-        assert res.exit_slope_x == pytest.approx(-slope)
+        (exit_u, _), (exit_sx, _), (n_x, _) = unfold(5.0, 5.0, slope, 0.0)
+        assert survives(slope, 4.5, n=n_x)  # 1.0 deg < 1.10 deg
+        assert n_x == 1
+        assert exit_u == pytest.approx(2 * 20 - (5 + 1200 * slope), abs=1e-9)
+        assert exit_sx == pytest.approx(-slope)
 
     def test_same_ray_absorbed_at_copper_energy(self):
         slope = math.tan(math.radians(1.0))
-        res = trace_channel(5.0, 5.0, slope, 0.0, 8.0, REFERENCE)
-        assert res.outcome is TraceOutcome.ABSORBED  # 1.0 deg > 0.62 deg
+        n_x = unfold(5.0, 5.0, slope, 0.0)[2][0]
+        assert not survives(slope, 8.0, n=n_x)  # 1.0 deg > 0.62 deg
 
     def test_direct_ray_survives_any_energy(self):
-        res = trace_channel(1.0, 1.0, 0.001, 0.0, 100.0, REFERENCE)
-        assert res.outcome is TraceOutcome.EXITED
-        assert res.n_reflections_x == 0
-
-    def test_entry_outside_pore_rejected(self):
-        with pytest.raises(ValueError):
-            trace_channel(-0.1, 5.0, 0.0, 0.0, 8.0, REFERENCE)
-        with pytest.raises(ValueError):
-            trace_channel(5.0, 21.0, 0.0, 0.0, 8.0, REFERENCE)
+        n_x = unfold(1.0, 1.0, 0.001, 0.0)[2][0]
+        assert n_x == 0
+        assert survives(0.001, 100.0, n=n_x)
 
     def test_constant_per_bounce_roulette(self):
         geom_half = MpoGeometry(
@@ -234,13 +250,10 @@ class TestTraceChannel:
             reflectivity=0.5,
         )
         slope = math.tan(math.radians(0.8))  # below theta_c at 4.5 keV, one bounce
+        assert unfold(5.0, 5.0, slope, 0.0)[2] == (1, 0)
         rng = np.random.default_rng(9)
-        outcomes = [
-            trace_channel(5.0, 5.0, slope, 0.0, 4.5, geom_half, rng).outcome
-            for _ in range(4000)
-        ]
-        survived = sum(o is TraceOutcome.EXITED for o in outcomes) / len(outcomes)
-        assert survived == pytest.approx(0.5, abs=0.03)
+        outcomes = [survives(slope, 4.5, geom_half, rng=rng) for _ in range(4000)]
+        assert sum(outcomes) / len(outcomes) == pytest.approx(0.5, abs=0.03)
 
     def test_constant_per_bounce_needs_rng(self):
         geom = MpoGeometry(
@@ -252,7 +265,7 @@ class TestTraceChannel:
         )
         with pytest.raises(ValueError):
             # slope 0.018 bounces once and stays below theta_c at 4.5 keV
-            trace_channel(5.0, 5.0, 0.018, 0.0, 4.5, geom)
+            survives(0.018, 4.5, geom)
 
     def test_binary_monotonic_in_energy(self):
         # a surviving ray keeps surviving as the energy drops
@@ -260,12 +273,9 @@ class TestTraceChannel:
         for _ in range(300):
             u = rng.uniform(0, 20)
             s = rng.uniform(-0.03, 0.03)
+            n_x = unfold(u, 10.0, s, 0.0)[2][0]
             energies = [2.0, 4.5, 8.0, 12.0]
-            survived = [
-                trace_channel(u, 10.0, s, 0.0, e, REFERENCE).outcome
-                is TraceOutcome.EXITED
-                for e in energies
-            ]
+            survived = [survives(s, e, n=n_x) for e in energies]
             # survival can only be lost as the energy rises
             for lower, higher in zip(survived, survived[1:]):
                 assert lower or not higher
@@ -279,10 +289,10 @@ class TestPlaneIndependence:
     )
     @settings(max_examples=200)
     def test_zero_z_slope_never_touches_z(self, u, v, slope):
-        res = trace_channel(u, v, slope, 0.0, 2.0, REFERENCE)
-        assert res.exit_v == v
-        assert res.n_reflections_z == 0
-        assert res.exit_slope_z == 0.0
+        (_, exit_v), (_, exit_sz), (_, n_z) = unfold(u, v, slope, 0.0)
+        assert exit_v == v
+        assert n_z == 0
+        assert exit_sz == 0.0
 
 
 class TestSpecularityAndParity:
@@ -293,20 +303,15 @@ class TestSpecularityAndParity:
     )
     @settings(max_examples=300)
     def test_slope_magnitude_and_sign_law(self, u, sx, sz):
-        res = trace_channel(u, 10.0, sx, sz, 0.5, REFERENCE)  # low E: nothing absorbs
-        assert abs(res.exit_slope_x) == pytest.approx(abs(sx), rel=1e-12)
-        assert abs(res.exit_slope_z) == pytest.approx(abs(sz), rel=1e-12)
+        exit_pos, (exit_sx, exit_sz), (n_x, n_z) = unfold(u, 10.0, sx, sz)
+        assert abs(exit_sx) == pytest.approx(abs(sx), rel=1e-12)
+        assert abs(exit_sz) == pytest.approx(abs(sz), rel=1e-12)
         if sx != 0:
-            assert math.copysign(1, res.exit_slope_x) == math.copysign(
-                1, sx
-            ) * (-1) ** res.n_reflections_x
+            assert math.copysign(1, exit_sx) == math.copysign(1, sx) * (-1) ** n_x
         if sz != 0:
-            assert math.copysign(1, res.exit_slope_z) == math.copysign(
-                1, sz
-            ) * (-1) ** res.n_reflections_z
-        if res.outcome is TraceOutcome.EXITED:
-            assert 0.0 <= res.exit_u <= 20.0
-            assert 0.0 <= res.exit_v <= 20.0
+            assert math.copysign(1, exit_sz) == math.copysign(1, sz) * (-1) ** n_z
+        # the exit fold lands in the opening whatever the walls absorb
+        assert all(0.0 <= e <= 20.0 for e in exit_pos)
 
 
 class TestClassifyPath:
@@ -351,7 +356,8 @@ class TestMarchingOracle:
             t_um = rng.uniform(300.0, 3000.0)
             u = rng.uniform(0.0, w)
             s = rng.uniform(-0.1, 0.1)
-            got = unfold_plane(u, s, w, t_um)
+            exit_u, exit_s, n = _unfold_vec(np.array([u]), np.array([s]), w, t_um)
+            got = (exit_u[0], exit_s[0], n[0])
             want = march_plane(u, s, w, t_um)
             assert got[2] == want[2], (u, s, w, t_um)
             assert got[0] == pytest.approx(want[0], abs=1e-6)  # 1e-9 mm in um

@@ -12,13 +12,11 @@ from mpoxrf.config import load_config
 from mpoxrf.optics import (
     MpoGeometry,
     PathClass,
-    TraceOutcome,
     _class_codes,
     _pore_cells,
     _survives,
     _unfold_vec,
     critical_angle_deg,
-    trace_channel,
 )
 from mpoxrf.sim import (
     BATCH_SIZE,
@@ -432,9 +430,6 @@ class TestProjectToDetector:
             slope, np.zeros(1), n_x, np.zeros_like(n_x), np.array([8.0]), GEOM
         )
         assert not alive[0]
-        assert trace_channel(10.0, 10.0, 0.05, 0.0, 8.0, GEOM).outcome is (
-            TraceOutcome.ABSORBED
-        )
         assert replay_ray(0.0, 0.0, 0.05, 0.0, 8.0, 25.0)[0] == "wall"
 
 
@@ -583,6 +578,15 @@ class TestSimulate:
         cfg = load_config(CONFIGS / f"{name}.ini")
         cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
         assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == digest
+
+    def test_rect_source_stream_pinned(self):
+        # the flat emitter's window lengths bend at the plate's pore edges,
+        # so its cube pins the lattice that the sampler integrates over
+        cfg = load_config(CONFIGS / "flatfield.ini")
+        cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
+        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == (
+            "ddc2f24b42c439b11b75db9518535db205ecc8f3ee4bdcc776037e0d15ca9941"
+        )
 
     def test_seed_changes_stream(self):
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
@@ -817,7 +821,6 @@ def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
     total = SimStats(n_photons=n, class_counts=dict.fromkeys(PathClass, 0))
     counts = np.zeros((detector.n_y, detector.n_x, detector.n_bins), np.uint64)
     w, t_um = geometry.pore_width_w, geometry.thickness_t * 1e3
-    p_mm = geometry.pitch_p * 1e-3
     pitch_mm = detector.pitch * 1e-3
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
@@ -826,12 +829,12 @@ def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
         tx, tz = (rng.random((2, m)) - 0.5) * geometry.plate_side
         energy = line_e[k]
         sx, sz = (tx - ex) / -pos[k, 1], (tz - ez) / -pos[k, 1]
-        ci, cj, u, v, in_pore = _pore_cells(tx, tz, geometry)
+        x0, z0, u, v, in_pore = _pore_cells(tx, tz, geometry)
         exit_u, exit_sx, n_x = _unfold_vec(u, sx, w, t_um)
         exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
         alive = in_pore & _survives(sx, sz, n_x, n_z, energy, geometry, rng)
-        x_det = ci * p_mm + (exit_u - w / 2) * 1e-3 + exit_sx * scene.L_i
-        z_det = cj * p_mm + (exit_v - w / 2) * 1e-3 + exit_sz * scene.L_i
+        x_det = x0 + exit_u * 1e-3 + exit_sx * scene.L_i
+        z_det = z0 + exit_v * 1e-3 + exit_sz * scene.L_i
         e_meas = energy + detector.energy_fwhm / FWHM_PER_SIGMA * rng.standard_normal(m)
         ix = np.floor(x_det / pitch_mm + detector.n_x / 2).astype(np.int64)
         iy = np.floor(z_det / pitch_mm + detector.n_y / 2).astype(np.int64)
