@@ -162,7 +162,25 @@ def read_image_csv(path) -> Image2D:
         raise FileFormatError(_first_bad_row(path, lines)) from None
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: image CSV holds a NaN or infinite value")
+    _check_header_shape(path, fields, values.shape)
     return Image2D(values=values, pitch_um=pitch)
+
+
+def _check_header_shape(path, fields, shape) -> None:
+    """The data's (rows, columns) against the ``n_y``/``n_x`` the header
+    names; a header may name either, both or neither."""
+    n_y, n_x = shape
+    for key, size in (("n_x", n_x), ("n_y", n_y)):
+        value = fields.get(key)
+        if value is None:
+            continue
+        if not (value.isascii() and value.isdigit()):
+            raise FileFormatError(f"{path}: {key}={value} is not an integer")
+        if int(value) != size:
+            named = " ".join(f"{k}={fields[k]}" for k in ("n_x", "n_y") if k in fields)
+            raise FileFormatError(
+                f"{path}: header names {named}, but the data is n_x={n_x} n_y={n_y}"
+            )
 
 
 def _first_bad_row(path, lines) -> str:

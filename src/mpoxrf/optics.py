@@ -247,16 +247,18 @@ def _unfold_vec(u, s, width, thickness_um):
     return exit_u, exit_s, n
 
 
-def _survives(slope_x, slope_z, n_x, n_z, energy, geometry: MpoGeometry, rng=None):
+def _survives(
+    slope_x, slope_z, n_x, n_z, energy, geometry: MpoGeometry, roulette=None
+):
     """Wall-survival mask of rays with per-plane bounce counts ``n_x, n_z``.
 
     A plane with at least one bounce absorbs the ray when its grazing angle
     atan(|slope|) exceeds the critical angle of the coating at the ray's
     energy.  The tie angle == theta_c reflects (inclusive threshold, a
     measure-zero tie-break fixed for reproducibility).  A reflectivity r
-    below 1 then plays Russian roulette with ``rng``: one uniform draw per
-    ray, absorbed or not, against r^(n_x + n_z), which keeps integer
-    counting downstream unbiased.  At r = 1 nothing is drawn.
+    below 1 then plays Russian roulette: ``roulette`` holds one uniform per
+    ray, absorbed or not, which must fall below r^(n_x + n_z); this keeps
+    integer counting downstream unbiased.  At r = 1 no uniform is read.
     """
     # theta_c(E) = theta_c(1 keV) / E, exact 1/E scaling
     theta_c = critical_angle_deg(1.0, geometry.coating) / energy
@@ -264,9 +266,9 @@ def _survives(slope_x, slope_z, n_x, n_z, energy, geometry: MpoGeometry, rng=Non
     angle_z = np.degrees(np.arctan(np.abs(slope_z)))
     survive = ((n_x == 0) | (angle_x <= theta_c)) & ((n_z == 0) | (angle_z <= theta_c))
     if geometry.reflectivity < 1.0:
-        if rng is None:
-            raise ValueError("a wall reflectivity below 1 needs an rng")
-        survive &= rng.random(survive.size) < geometry.reflectivity ** (n_x + n_z)
+        if roulette is None:
+            raise ValueError("a wall reflectivity below 1 needs roulette uniforms")
+        survive &= roulette < geometry.reflectivity ** (n_x + n_z)
     return survive
 
 

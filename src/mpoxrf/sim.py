@@ -11,12 +11,20 @@ computed once per run.  The transport steps are the array kernels of
 :mod:`mpoxrf.optics`; this module owns emission, batching and the detector
 stage, which :func:`mpoxrf.events.apply_calibration` shares.
 
-Photons are processed in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
+Photons are counted in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
 run with seed ``s`` uses its own Philox stream keyed by a SplitMix64 mix of
-(s, b).  A run is cut into chunks of contiguous batches, at most
-``CHUNK_BATCHES`` each, which are the tasks of :func:`run_tasks`; chunk
-results merge by integer addition in chunk order, so a run is
-bit-identical for any number of workers.
+(s, b), in a fixed order: when the batch starts, its source, in-window and
+web counts and five uniforms per in-window photon (:func:`_start_batch`);
+after the transport, one roulette uniform per in-pore ray (only at a wall
+reflectivity below 1), then one energy-smear normal per wall survivor
+(only at a positive FWHM).  Everything else runs once over a group of
+consecutive batches that hold at most ``BATCH_SIZE`` in-window photons
+together (a batch with more is a group alone), so no transport temporary
+outgrows that of the largest single batch, and a group's result is that
+of its batches one by one (:func:`_run_batch`).  A run is cut into chunks
+of contiguous batches, at most ``CHUNK_BATCHES`` each, which are the tasks
+of :func:`run_tasks`; chunk results merge by integer addition in chunk
+order, so a run is bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -45,13 +53,17 @@ from .optics import (
 BATCH_SIZE = 65536
 
 #: Most batches in one ``simulate`` task.  A run of at most this many
-#: batches is one task and runs in this process: on two CPUs a pool of two
-#: beats one process only from about 130-160 batches; below that, starting
-#: the pool costs more than it saves.  A chunk's hit arrays hold at most 16
-#: bytes per photon (160 MiB, twice that while the batches' arrays are
-#: joined); at the shipped configs' detected share, at most 2.3e-3, they
-#: hold under 400 KiB.
-CHUNK_BATCHES = 160
+#: batches is one task and runs in this process.  On two CPUs (a 2-vCPU VM,
+#: ``reference.ini``, medians of 11 runs, in-process against a pool of two)
+#: a pool loses by 12-24 ms below this size (100 batches: 12 vs 33 ms; 160:
+#: 16 vs 40 ms; 250: 25 vs 49 ms), is within 6 ms of it from here to about
+#: 1,000 batches (320: 46 vs 52 ms; 640: 78 vs 79 ms; 1,000: 105 vs 104 ms)
+#: and wins above (1,280: 168 vs 136 ms).  A chunk's hit arrays hold at
+#: most 16 bytes per photon (320 MiB, twice that while its groups' arrays
+#: are joined); at the shipped configs' detected share, at most 2.3e-3,
+#: they hold under 800 KiB.  Its transport holds one group (at most
+#: ``BATCH_SIZE`` in-window photons) and the next batch's start draws.
+CHUNK_BATCHES = 320
 
 #: FWHM of a Gaussian in units of its standard deviation.
 FWHM_PER_SIGMA = 2.3548200450309493
@@ -393,42 +405,56 @@ def _sample_by_length(knots, length, u):
     return knots[j] + np.minimum(x, dx[j])
 
 
-def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n: int, rng):
-    """Emission sampling for ``n`` photons aimed uniformly at the plate.
+def _start_batch(scene: Scene, windows: _AcceptanceWindows, n: int, rng):
+    """The draws a batch of ``n`` photons aimed uniformly at the plate makes
+    before its transport, from its own stream ``rng``.
 
     Only photons whose plate target falls in their own acceptance window
-    (``windows``, from :func:`_acceptance_windows`) are sampled ray by ray;
-    the rest are certain losses and are drawn as tallies.  Per source, the
+    (``windows``, from :func:`_acceptance_windows`) are transported; the
+    rest are certain losses and are drawn as tallies.  Per source, the
     photon count is multinomial in the intensities, the in-window count
     binomial in ``in_frac``, and the out-of-window web count binomial in
     the closed-area share outside the windows, so every tally keeps the
-    distribution of full-plate sampling.  An in-window photon's emission
-    coordinate has density proportional to its window length on each axis
-    (uniform for a window that does not meet a plate edge), and its target
-    is uniform in its window: together the full-plate photons conditioned
-    on landing in their windows.
+    distribution of full-plate sampling.  Then each in-window photon gets
+    five uniforms, one row each: emission x, emission z, line pick, target
+    x, target z.
 
-    Draw order is fixed (source counts, in-window counts, out-of-window web
-    counts, then for the in-window photons one uniform per emission axis,
-    the line pick, one uniform per target axis) so a batch is reproducible
-    from its rng alone.  Returns the in-window photons' emission points,
-    plate targets, slopes and energies, and the out-of-window
+    Returns the in-window count of each source, the ``(5, m)`` uniforms of
+    the ``m`` in-window photons (in source order) and the out-of-window
     ``(web_absorbed, wall_absorbed)`` tallies.
     """
-    sources = scene.sources
-    src_weights = np.array([s.total_intensity for s in sources], dtype=float)
+    src_weights = np.array([s.total_intensity for s in scene.sources], dtype=float)
     n_src = rng.multinomial(n, src_weights / src_weights.sum())
     n_in = rng.binomial(n_src, windows.in_frac)
     n_web = rng.binomial(n_src - n_in, 1.0 - windows.open_frac)
     web_absorbed = int(n_web.sum())
     wall_absorbed = int(n - n_in.sum()) - web_absorbed
+    return n_in, rng.random((5, int(n_in.sum()))), (web_absorbed, wall_absorbed)
 
-    m = int(n_in.sum())
-    u_emit_x = rng.random(m)
-    u_emit_z = rng.random(m)
-    u_line = rng.random(m)
-    u_target_x = rng.random(m)
-    u_target_z = rng.random(m)
+
+def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n_in, u):
+    """Emission points, plate targets, slopes and energies of in-window
+    photons, from their uniforms.
+
+    ``n_in`` holds each source's in-window count, one row per batch, and
+    ``u`` the photons' uniforms as :func:`_start_batch` draws them, with
+    the columns of the batches one after another.  An in-window photon's
+    emission coordinate has density proportional to its window length on
+    each axis (uniform for a window that does not meet a plate edge), and
+    its target is uniform in its window: together the full-plate photons
+    conditioned on landing in their windows.  Each value depends only on
+    its photon's source and uniforms, so batches map together as they map
+    alone.
+    """
+    sources = scene.sources
+    n_in = np.reshape(n_in, (-1, len(sources)))
+    u_emit_x, u_emit_z, u_line, u_target_x, u_target_z = u
+    m = u.shape[1]
+    # each source's photons, in order, as one run of by_source
+    source_of = np.repeat(np.tile(np.arange(len(sources)), len(n_in)), n_in.ravel())
+    by_source = np.argsort(source_of, kind="stable")
+    count = n_in.sum(axis=0)
+    stop = np.cumsum(count)
 
     ex = np.empty(m)
     ey = np.empty(m)
@@ -436,9 +462,8 @@ def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n: int, r
     target_x = np.empty(m)
     target_z = np.empty(m)
     energy = np.empty(m)
-    stop = np.cumsum(n_in)
     for k, src in enumerate(sources):
-        sel = slice(stop[k] - n_in[k], stop[k])  # in-window photons of source k
+        sel = by_source[stop[k] - count[k] : stop[k]]
         (kx, lx), (kz, lz) = windows.knots[k]
         ex[sel] = _sample_by_length(kx, lx, u_emit_x[sel])
         ez[sel] = _sample_by_length(kz, lz, u_emit_z[sel])
@@ -456,10 +481,7 @@ def _sample_emission_arrays(scene: Scene, windows: _AcceptanceWindows, n: int, r
     dy = -ey  # plate entrance face sits at y = 0
     slope_x = (target_x - ex) / dy
     slope_z = (target_z - ez) / dy
-    return (
-        (ex, ey, ez, target_x, target_z, slope_x, slope_z, energy),
-        (web_absorbed, wall_absorbed),
-    )
+    return ex, ey, ez, target_x, target_z, slope_x, slope_z, energy
 
 
 def _cube_index(pix, energy, detector: DetectorSpec, stats: SimStats):
@@ -479,20 +501,44 @@ def _cube_index(pix, energy, detector: DetectorSpec, stats: SimStats):
     return hit, pix[hit] * detector.n_bins + e_bin[hit]
 
 
+def _per_batch(rngs, batch_of, draw):
+    """``draw(rng, k)`` for each batch's stream in ``rngs``, ``k`` the
+    number of rays of that batch in ``batch_of`` (each ray's batch index,
+    ascending), joined in batch order: ray i gets the draw its own batch
+    makes for it."""
+    counts = np.bincount(batch_of, minlength=len(rngs)).tolist()
+    return np.concatenate([draw(rng, k) for rng, k in zip(rngs, counts)])
+
+
 def _run_batch(args):
-    """Transport one seeded batch.
+    """Transport a group of consecutive batches in one array pass.
+
+    ``args`` is ``(scene, geometry, windows, detector, group)``, where
+    ``group`` lists each batch as ``(rng, n, start)``: its stream, its
+    photon count and its :func:`_start_batch` draws.  Emission mapping,
+    pore entry, unfolding, wall survival, detector binning and class codes
+    run once over the group's in-window photons, in batch order.  Two draws
+    stay with each batch's own stream, in this order after its start
+    draws: one roulette uniform per in-pore ray (only at a reflectivity
+    below 1), then one energy-smear normal per wall survivor (only at a
+    positive FWHM).  So the group's result is that of its batches
+    transported one by one, bit for bit.
 
     Returns ``(flat, class_flat, stats)``: the counted hits' flat cube
     indices (:func:`_cube_index`), the same hits' flat indices
     ``class * n_y * n_x + pixel`` into a ``(len(PathClass), n_y, n_x)``
     class-image stack, both unsorted with repeats kept, and the tallies.
     """
-    scene, geometry, windows, detector, seed, batch_index, n = args
-    rng = _batch_rng(seed, batch_index)
-    stats = SimStats(n_photons=n)
+    scene, geometry, windows, detector, group = args
+    rngs, sizes, starts = zip(*group)
+    n_in, uniforms, lost = zip(*starts)
+    # each in-window photon's batch, as an index into the group
+    batch_of = np.repeat(np.arange(len(group)), [a.shape[1] for a in uniforms])
+    web_out, wall_out = map(sum, zip(*lost))
+    stats = SimStats(n_photons=sum(sizes))
 
-    (_, _, _, tx, tz, slope_x, slope_z, energy), (web_out, wall_out) = (
-        _sample_emission_arrays(scene, windows, n, rng)
+    _, _, _, tx, tz, slope_x, slope_z, energy = _sample_emission_arrays(
+        scene, windows, n_in, np.concatenate(uniforms, axis=1)
     )
 
     # in-window plate targets lie on the plate, so each meets a pore or the web
@@ -510,7 +556,10 @@ def _run_batch(args):
     exit_u, exit_sx, n_x = _unfold_vec(u, sx, w, t_um)
     exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
 
-    survive = _survives(sx, sz, n_x, n_z, e_true, geometry, rng)
+    roulette = None
+    if geometry.reflectivity < 1.0:
+        roulette = _per_batch(rngs, batch_of[idx], np.random.Generator.random)
+    survive = _survives(sx, sz, n_x, n_z, e_true, geometry, roulette)
     stats.wall_absorbed = wall_out + int(idx.size - np.count_nonzero(survive))
 
     keep = np.nonzero(survive)[0]
@@ -521,7 +570,8 @@ def _run_batch(args):
     sigma = detector.energy_fwhm / FWHM_PER_SIGMA
     e_meas = e_true[keep]
     if sigma > 0:
-        e_meas = e_meas + sigma * rng.standard_normal(keep.size)
+        normal = _per_batch(rngs, batch_of[cell], np.random.Generator.standard_normal)
+        e_meas = e_meas + sigma * normal
 
     pitch_mm = detector.pitch * 1e-3
     x0 = -detector.n_x * pitch_mm / 2.0
@@ -539,9 +589,36 @@ def _run_batch(args):
     return flat, class_code * (detector.n_y * detector.n_x) + pix[hit], stats
 
 
-def _run_chunk(args):
+def _batch_groups(scene, windows, seed, first, stop, n_photons, cap):
+    """The batches ``first <= b < stop`` of a run of ``n_photons`` photons
+    as ``(rng, n, start)`` (see :func:`_run_batch`), in groups of
+    consecutive batches that hold at most ``cap`` in-window photons
+    together; a batch with more is a group alone."""
+    group, held = [], 0
+    for b in range(first, stop):
+        rng = _batch_rng(seed, b)
+        n = min(BATCH_SIZE, n_photons - b * BATCH_SIZE)
+        start = _start_batch(scene, windows, n, rng)
+        m = start[1].shape[1]
+        if group and held + m > cap:
+            yield group
+            group, held = [], 0
+        group.append((rng, n, start))
+        held += m
+    if group:
+        yield group
+
+
+def _run_chunk(args, group_photons=BATCH_SIZE):
     """Transport the contiguous batches ``first <= b < stop`` of a run of
-    ``n_photons`` photons, one :func:`_run_batch` each, in order.
+    ``n_photons`` photons, in order.
+
+    Each batch makes its start draws from its own stream
+    (:func:`_start_batch`); consecutive batches then form groups of at
+    most ``group_photons`` in-window photons (:func:`_batch_groups`), one
+    :func:`_run_batch` each.  So no transport pass holds more photons than
+    the largest single batch, and the draws and the result do not depend
+    on the grouping.
 
     Returns ``(flat, class_flat, stats)`` as :func:`_run_batch` does, for
     the batches together: their hit indices concatenated in batch order and
@@ -549,10 +626,11 @@ def _run_chunk(args):
     """
     scene, geometry, windows, detector, seed, first, stop, n_photons = args
     flats, class_flats, total = [], [], SimStats()
-    for b in range(first, stop):
-        n = min(BATCH_SIZE, n_photons - b * BATCH_SIZE)
+    for group in _batch_groups(
+        scene, windows, seed, first, stop, n_photons, group_photons
+    ):
         flat, class_flat, stats = _run_batch(
-            (scene, geometry, windows, detector, seed, b, n)
+            (scene, geometry, windows, detector, group)
         )
         flats.append(flat)
         class_flats.append(class_flat)
@@ -577,7 +655,8 @@ def simulate(
 
     ``n_workers`` is a ceiling.  The batches are cut into equal chunks of
     contiguous batches, at most ``CHUNK_BATCHES`` each, and each chunk is
-    one task of :func:`run_tasks`; chunk results are merged in chunk order.
+    one task of :func:`run_tasks`, which transports its batches in groups
+    (:func:`_run_chunk`); chunk results are merged in chunk order.
     A run of one chunk runs in this process.  A longer one runs in a pool
     of ``min(n_workers, chunks, CPUs available)`` processes, and its chunk
     count is rounded up to a multiple of the pool size, so that every

@@ -618,10 +618,16 @@ class TestCliAnalysisChain:
             ("# pitch_um=55.0\n1,2\n-inf,4\n", ": image CSV holds a NaN or infinite"),
             ("# n_x=2 n_y=0 pitch_um=55.0\n", ": image CSV has no data rows"),
             (b"# pitch_um=55.0\n1,2\xff\n", ": image CSV is not UTF-8 text"),
+            (
+                "# n_x=3 n_y=3 pitch_um=55.0\n1,2,3\n4,5,6\n",
+                ": header names n_x=3 n_y=3, but the data is n_x=3 n_y=2",
+            ),
+            ("# n_x=2 pitch_um=55.0\n1,2,3\n", ": header names n_x=2, but the data"),
+            ("# n_x=3.0 n_y=1 pitch_um=55.0\n1,2,3\n", ": n_x=3.0 is not an integer"),
         ],
         ids=[
             "ragged", "pitch-text", "pitch-negative", "nan", "inf", "no-rows",
-            "non-utf8",
+            "non-utf8", "header-shape", "header-n-x-only", "header-not-integer",
         ],
     )
     def test_ragged_image_csv_io_exit(self, tmp_path, capsys, text, message):
@@ -637,6 +643,18 @@ class TestCliAnalysisChain:
             )
         assert code == cli.EXIT_IO
         assert f"{path}{message}" in capsys.readouterr().err
+
+
+    def test_cut_image_csv_atf_exits_3(self, tmp_path, capsys):
+        # a 256x256 export cut to 100 rows is refused, not read as 100x256
+        path = tmp_path / "img1.csv"
+        fileio.write_image_csv(path, Image2D(np.ones((256, 256)), pitch_um=55.0))
+        path.write_text("".join(path.read_text().splitlines(True)[:101]))
+        out = tmp_path / "atf.csv"
+        assert cli.main(["atf", "--image", str(path), "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "header names n_x=256 n_y=256, but the data is n_x=256 n_y=100" in err
+        assert not out.exists()
 
 
 class TestCliCalibration:

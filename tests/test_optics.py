@@ -29,10 +29,11 @@ CONSTANT_07 = MpoGeometry(
 
 
 def survives(slope, energy, geometry=REFERENCE, n=1, rng=None):
-    """Wall-survival kernel on one ray that bounces ``n`` times in x only."""
+    """Wall-survival kernel on one ray that bounces ``n`` times in x only;
+    an ``rng`` draws its roulette uniform."""
     mask = _survives(
         np.array([slope]), np.array([0.0]), np.array([n]), np.array([0]),
-        np.array([energy]), geometry, rng,
+        np.array([energy]), geometry, None if rng is None else rng.random(1),
     )
     return bool(mask[0])
 
@@ -156,12 +157,12 @@ class TestGrazingReflectivity:
         above = np.full(n, math.tan(math.radians(1.0)))
         one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         energy = np.full(n, 8.0)
-        single = _survives(below, below, one, zero, energy, CONSTANT_07, rng)
+        single = _survives(below, below, one, zero, energy, CONSTANT_07, rng.random(n))
         assert single.mean() == pytest.approx(0.7, abs=tol)
         # one draw per ray against r^(n_x + n_z)
-        double = _survives(below, below, one, one, energy, CONSTANT_07, rng)
+        double = _survives(below, below, one, one, energy, CONSTANT_07, rng.random(n))
         assert double.mean() == pytest.approx(0.49, abs=tol)
-        dead = _survives(above, below, one, zero, energy, CONSTANT_07, rng)
+        dead = _survives(above, below, one, zero, energy, CONSTANT_07, rng.random(n))
         assert not dead.any()
 
 

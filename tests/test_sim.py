@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import math
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -29,7 +31,10 @@ from mpoxrf.sim import (
     _axis_window,
     _batch_rng,
     _cube_index,
+    _run_batch,
+    _run_chunk,
     _sample_emission_arrays,
+    _start_batch,
     _window,
     batch_seed,
     run_tasks,
@@ -119,7 +124,8 @@ def in_window_draws(scene, n, seed, batch=0, geometry=GEOM):
     """The in-window emission arrays and out-of-window (web, wall) tallies
     of one batch's draws."""
     windows = _acceptance_windows(scene, geometry)
-    return _sample_emission_arrays(scene, windows, n, _batch_rng(seed, batch))
+    n_in, u, lost = _start_batch(scene, windows, n, _batch_rng(seed, batch))
+    return _sample_emission_arrays(scene, windows, n_in, u), lost
 
 
 class TestSampleEmission:
@@ -569,6 +575,18 @@ class TestSimulate:
                 "elemental",
                 "b807b75cda62ef1dbfa12f4fa2bfee8da104aa7c411d01290c2b4e6bc8cd266f",
             ),
+            (
+                "asymmetric",
+                "1f5fe0bd4174de581f1656979d80320fc2180335139f92ea6ad942b4397edabb",
+            ),
+            (
+                "distance_35",
+                "129f1b529b64c0ca626e45e18a42a879241a4546ff4a7da5eaeb5b5ec4e74aef",
+            ),
+            (
+                "distance_45",
+                "ac358b88417f82fdd170dcb4916afc8dbd3406088eea6fa7f8bf9dbe829ac8d5",
+            ),
         ],
     )
     def test_point_source_streams_pinned(self, name, digest):
@@ -586,6 +604,16 @@ class TestSimulate:
         cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
         assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == (
             "ddc2f24b42c439b11b75db9518535db205ecc8f3ee4bdcc776037e0d15ca9941"
+        )
+
+    def test_lossy_wall_stream_pinned(self):
+        # at r = 0.8 each batch draws its roulette uniforms, then its
+        # energy-smear normals, from its own stream after the transport
+        cfg = load_config(CONFIGS / "elemental.ini")
+        mpo = replace(cfg.mpo, reflectivity=0.8)
+        cube = simulate(cfg.scene, mpo, cfg.detector, 300_000, seed=5)
+        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == (
+            "59cb87ab1d696401a531de164a45b356952aa131305452a16ecb030ee9a3e3f0"
         )
 
     def test_seed_changes_stream(self):
@@ -785,6 +813,94 @@ class TestSimulate:
         assert sizes == [2, 2, 3]
 
 
+def record_passes(monkeypatch):
+    """Patch ``_run_batch`` to record each transport pass's in-window
+    photon count per batch; returns the list of passes."""
+    passes = []
+
+    def recording(args):
+        passes.append([start[1].shape[1] for _, _, start in args[4]])
+        return _run_batch(args)
+
+    monkeypatch.setattr("mpoxrf.sim._run_batch", recording)
+    return passes
+
+
+class TestBatchGroups:
+    """A chunk's batches draw from their own streams but are transported in
+    groups of at most a batch's worth of in-window photons."""
+
+    @pytest.mark.parametrize("cap", [1, 97, 240])
+    def test_group_cap_changes_no_output(self, monkeypatch, cap):
+        # the roulette and the energy smear draw per batch after the
+        # transport: any grouping must hand each ray the same draws
+        kwargs = dict(
+            scene=cu_scene(),
+            mpo=replace(GEOM, reflectivity=0.8),
+            detector=DetectorSpec(energy_fwhm=1.12),
+            n_photons=5 * BATCH_SIZE + 17,
+            seed=3,
+        )
+        passes = record_passes(monkeypatch)
+        a = simulate(**kwargs)
+        (batches,) = passes  # one group by default
+        assert len(batches) == 6
+        passes.clear()
+        monkeypatch.setattr(
+            "mpoxrf.sim._run_chunk", functools.partial(_run_chunk, group_photons=cap)
+        )
+        b = simulate(**kwargs)
+        assert [m for group in passes for m in group] == batches
+        for group in passes:
+            assert len(group) == 1 or sum(group) <= cap
+        # about 115 in-window photons a batch: a cap of 240 pairs them
+        assert len(passes) == (6 if cap < 240 else 3)
+        assert a.stats.detected > 0
+        assert np.array_equal(a.counts, b.counts)
+        for f in fields(SimStats):
+            if f.name != "class_images":
+                assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
+        for cls in PathClass:
+            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
+
+    @staticmethod
+    def all_in_window_task(n_batches):
+        """A chunk of ``n_batches`` batches whose every photon is in-window:
+        a 2 mm plate and a 1 keV line, whose reach (2.2 mm) covers it."""
+        geom = replace(GEOM, plate_side=2.0)
+        scene = Scene(sources=(Source("soft", ((1.0, 1.0),), (0.0, -25.0, 0.0)),))
+        windows = _acceptance_windows(scene, geom)
+        assert windows.in_frac[0] == 1.0
+        n = n_batches * BATCH_SIZE
+        return (scene, geom, windows, DetectorSpec(), 8, 0, n_batches, n), n
+
+    def test_full_batches_are_groups_alone(self, monkeypatch):
+        passes = record_passes(monkeypatch)
+        task, n = self.all_in_window_task(3)
+        _, _, s = _run_chunk(task)
+        assert passes == [[BATCH_SIZE]] * 3
+        assert s.n_photons == n
+        assert s.detected > 0  # the smear lifts a few over the 2 keV threshold
+        assert (
+            s.web_absorbed + s.wall_absorbed + s.off_detector + s.below_threshold
+            + s.out_of_band + s.detected
+        ) == n
+
+    def test_memory_bounded_by_one_batch(self):
+        def peak(n_batches):
+            task, _ = self.all_in_window_task(n_batches)
+            tracemalloc.start()
+            try:
+                _run_chunk(task)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)
+        assert one > 5 * BATCH_SIZE * 8  # the batch's uniforms alone
+        assert three < 2 * one, (one, three)
+
+
 class TestConstantPerBounceRoulette:
     """The batch roulette: one draw per in-pore ray against r^(n_x + n_z).
 
@@ -832,7 +948,8 @@ def full_plate_oracle(scene, geometry, detector, n, seed, chunk=1 << 18):
         x0, z0, u, v, in_pore = _pore_cells(tx, tz, geometry)
         exit_u, exit_sx, n_x = _unfold_vec(u, sx, w, t_um)
         exit_v, exit_sz, n_z = _unfold_vec(v, sz, w, t_um)
-        alive = in_pore & _survives(sx, sz, n_x, n_z, energy, geometry, rng)
+        roulette = rng.random(m) if geometry.reflectivity < 1 else None
+        alive = in_pore & _survives(sx, sz, n_x, n_z, energy, geometry, roulette)
         x_det = x0 + exit_u * 1e-3 + exit_sx * scene.L_i
         z_det = z0 + exit_v * 1e-3 + exit_sz * scene.L_i
         e_meas = energy + detector.energy_fwhm / FWHM_PER_SIGMA * rng.standard_normal(m)
