@@ -61,8 +61,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    cube = sic.read_sic(args.cube)
-    image = analysis.energy_window(cube, args.lo, args.hi)
+    image = sic.read_window(args.cube, args.lo, args.hi)
     fileio.write_image_csv(f"{args.out_prefix}.csv", image)
     fileio.write_pgm(f"{args.out_prefix}.pgm", image)
     print(

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoxrf import cli, events as ev, fileio, sic
+from mpoxrf.analysis import energy_window
 from mpoxrf.sim import SpectralImage
 from support import write_events
 
@@ -161,11 +162,17 @@ class TestReadSic:
         path.write_bytes(raw)
         try:
             cube = sic.read_sic(path)
-        except fileio.FileFormatError:
+        except fileio.FileFormatError as exc:
+            # the window reader refuses the file in the same words
+            with pytest.raises(fileio.FileFormatError) as err:
+                sic.read_window(path, 6.0, 9.0)
+            assert str(err.value) == str(exc)
             return
         assert cube.counts.size * 8 + sic.HEADER.size == len(raw)
         assert cube.counts.size > 0
         assert cube.e_bin_width > 0 and cube.pixel_pitch_um > 0
+        window = sic.read_window(path, 6.0, 9.0)
+        assert np.array_equal(window.values, energy_window(cube, 6.0, 9.0).values)
 
     @FUZZ
     @given(data=st.data())
@@ -180,38 +187,87 @@ class TestReadSic:
         assert code in (cli.EXIT_OK, cli.EXIT_IO)
 
 
+@st.composite
+def sparse_counts(draw, block: int):
+    """Mostly-zero (n_y, n_x, n_bins) counts whose file holes fall in any
+    place: 1 to 3 * block / 8 bins, so a pixel may straddle a ``block``-byte
+    edge of the file, and up to eight counts drawn anywhere and on both
+    sides of each block edge."""
+    n_y, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_bins = draw(st.integers(1, 3 * block // 8))
+    size = n_y * n_x * n_bins
+    edges = [i for k in range(1, (size * 8 + sic.HEADER.size) // block + 1)
+             for i in ((k * block - sic.HEADER.size) // 8 + d for d in (-1, 0))
+             if i < size]
+    index = st.integers(0, size - 1)
+    if edges:
+        index |= st.sampled_from(edges)
+    cells = draw(st.dictionaries(index, st.integers(1, 2**64 - 1), max_size=8))
+    counts = np.zeros((n_y, n_x, n_bins), np.uint64)
+    counts.reshape(-1)[list(cells)] = list(cells.values())
+    return counts
+
+
 class TestSicHoles:
     @FUZZ
     @given(data=st.data())
     def test_sparse_write_is_dense_bytes(self, workdir, data):
-        # counts are drawn anywhere and on both sides of each block edge
-        block = os.stat(workdir).st_blksize
-        n_y, n_x = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        n_bins = data.draw(st.integers(1, 3 * block // 8))
-        size = n_y * n_x * n_bins
-        edges = [i for k in range(1, (size * 8 + sic.HEADER.size) // block + 1)
-                 for i in ((k * block - sic.HEADER.size) // 8 + d for d in (-1, 0))
-                 if i < size]
-        index = st.integers(0, size - 1)
-        if edges:
-            index |= st.sampled_from(edges)
-        cells = data.draw(st.dictionaries(index, st.integers(1, 2**64 - 1),
-                                          max_size=8))
-        counts = np.zeros((n_y, n_x, n_bins), np.uint64)
-        counts.reshape(-1)[list(cells)] = list(cells.values())
+        counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
+        n_y, n_x, n_bins = counts.shape
+        n_cells = np.count_nonzero(counts)
         cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
-                             pixel_pitch_um=55.0, seed=7, photons=len(cells))
+                             pixel_pitch_um=55.0, seed=7, photons=n_cells)
         path = workdir / "holes.sic"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sic, "MIN_HOLE_BLOCKS",
                        data.draw(st.sampled_from([1, sic.MIN_HOLE_BLOCKS])))
             sic.write_sic(path, cube)
         assert path.read_bytes() == sic.HEADER.pack(
-            sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, len(cells)
+            sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, n_cells
         ) + counts.tobytes()
         back = sic.read_sic(path)
         assert np.array_equal(back.counts, counts)
-        assert (back.seed, back.photons) == (7, len(cells))
+        assert (back.seed, back.photons) == (7, n_cells)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_window_sums_the_in_memory_window(self, workdir, data):
+        counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
+        cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
+                             pixel_pitch_um=55.0)
+        first, last = cube.bin_centers()[[0, -1]]
+        lo, hi = data.draw(
+            st.sampled_from([
+                (first - 0.25, first + 0.25),  # the first bin
+                (last - 0.25, last + 0.25),  # the last bin
+                (0.0, 1.5),  # no bin
+                (first, last + 0.25),  # every bin
+            ])
+            | st.lists(st.floats(0.0, last + 1.0), min_size=2, max_size=2,
+                       unique=True).map(sorted)
+        )
+        path = workdir / "window.sic"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sic, "MIN_HOLE_BLOCKS",
+                       data.draw(st.sampled_from([1, sic.MIN_HOLE_BLOCKS])))
+            sic.write_sic(path, cube)
+        dense = workdir / "window_dense.sic"
+        dense.write_bytes(path.read_bytes())
+        centers = cube.bin_centers()
+        want = counts[:, :, (centers >= lo) & (centers < hi)].sum(axis=2).astype(float)
+        assert np.array_equal(energy_window(cube, lo, hi).values, want)
+        with pytest.MonkeyPatch.context() as mp:
+            # one pixel a buffer, two, or the default
+            pixel = 8 * counts.shape[2]
+            mp.setattr(sic, "BUFFER_BYTES",
+                       data.draw(st.sampled_from([1, 2 * pixel + 7, sic.BUFFER_BYTES])))
+            for source in (path, dense):
+                image = sic.read_window(source, lo, hi)
+                assert np.array_equal(image.values, want)
+                assert image.pitch_um == 55.0
+            # a file system without SEEK_DATA: the whole file is one extent
+            mp.setattr(sic, "_data_extents", lambda fd, start, stop: [(start, stop)])
+            assert np.array_equal(sic.read_window(path, lo, hi).values, want)
 
 
 VALID_IMAGE_CSV = b"# n_x=3 n_y=2 pitch_um=55.0\n0.0,1.5,2.0\n3.0,4.0,5.25\n"
