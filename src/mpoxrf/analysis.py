@@ -3,7 +3,10 @@
 Everything here operates on plain 2-D images (:class:`Image2D`), whether
 they came from the simulator's spectral cubes or from calibrated event
 data.  Images are indexed ``[row, col]`` = ``[z, x]``; "horizontal" means
-along x (a row), "vertical" along z (a column).
+along x (a row), "vertical" along z (a column).  An energy window sums the
+bins whose centers lie in [lo, hi), found by bisection without an array of
+the centers (:func:`window_bins`): one rule for an in-memory cube
+(:func:`energy_window`) and a cube file (:func:`mpoxrf.sic.read_window`).
 
 The FFT pipeline follows the background-suppression recipe: multiply each
 PSF by a Gaussian window about its center, take the 2-D transform
@@ -16,6 +19,7 @@ whose diffuse background collapses into the central peak.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -114,12 +118,20 @@ def check_window(e_lo: float, e_hi: float) -> None:
         raise ValueError(f"need e_lo < e_hi, got [{e_lo}, {e_hi})")
 
 
-def window_bins(centers: np.ndarray, e_lo: float, e_hi: float) -> slice:
-    """The energy bins a window sums: those whose centers lie in
-    [e_lo, e_hi).  Bin centers never decrease, so these are one run of
-    bins.  A window that covers no bin center is logged as a warning."""
+def window_bins(
+    e_min: float, e_bin_width: float, n_bins: int, e_lo: float, e_hi: float
+) -> slice:
+    """The energy bins a window sums: those whose centers, ``e_min + (k +
+    0.5) * e_bin_width`` keV for bin ``k``, lie in [e_lo, e_hi).  Centers
+    never decrease, so these are one run of bins, found by bisection
+    without an array of the centers.  A window that covers no bin center
+    is logged as a warning."""
     check_window(e_lo, e_hi)
-    bins = slice(*np.searchsorted(centers, [e_lo, e_hi]).tolist())
+
+    def center(k):
+        return e_min + (k + 0.5) * e_bin_width
+
+    bins = slice(*(bisect_left(range(n_bins), e, key=center) for e in (e_lo, e_hi)))
     if bins.start == bins.stop:
         log.warning(
             "energy window [%g, %g) keV covers no bin centers of the cube", e_lo, e_hi
@@ -133,11 +145,9 @@ def energy_window(cube: SpectralImage, e_lo: float, e_hi: float) -> Image2D:
     Additive over adjacent windows by construction.  A window that covers
     no bin centers yields an all-zero image.  The ``window`` command sums a
     cube file to the same image without allocating the cube
-    (:func:`mpoxrf.sic.read_window`): it reads the file's data extents
-    through one 512 KiB buffer and holds one n_y x n_x image, whatever the
-    cube's size.
+    (:func:`mpoxrf.sic.read_window`).
     """
-    bins = window_bins(cube.bin_centers(), e_lo, e_hi)
+    bins = window_bins(cube.e_min, cube.e_bin_width, cube.n_bins, e_lo, e_hi)
     values = cube.counts[:, :, bins].sum(axis=2).astype(float)
     return Image2D(values=values, pitch_um=cube.pixel_pitch_um)
 

@@ -71,9 +71,24 @@ def _cmd_window(args) -> int:
     return EXIT_OK
 
 
+def _read_images(paths) -> list:
+    """The image CSVs at ``paths``; raises :class:`FileFormatError`, naming
+    both files, where an image's shape or pixel pitch differs from the
+    first one's."""
+    images = [fileio.read_image_csv(path) for path in paths]
+    ref = images[0]
+    for path, img in zip(paths[1:], images[1:]):
+        if (img.values.shape, img.pitch_um) != (ref.values.shape, ref.pitch_um):
+            raise FileFormatError(
+                f"{path}: {img.n_x}x{img.n_y} image at {img.pitch_um} um pitch "
+                f"does not match the {ref.n_x}x{ref.n_y} image at {ref.pitch_um} "
+                f"um pitch of {paths[0]}"
+            )
+    return images
+
+
 def _cmd_flatfield(args) -> int:
-    image = fileio.read_image_csv(args.image)
-    flat = fileio.read_image_csv(args.flat)
+    image, flat = _read_images([args.image, args.flat])
     corrected = analysis.flat_field_correct(image, flat)
     fileio.write_image_csv(f"{args.out_prefix}.csv", corrected)
     fileio.write_pgm(f"{args.out_prefix}.pgm", corrected)
@@ -130,7 +145,7 @@ def _cmd_atf(args) -> int:
 def _cmd_clean(args) -> int:
     cfg = load_config(args.config) if args.config else None
     params = cfg.analysis if cfg else AnalysisParams()
-    images = [fileio.read_image_csv(path) for path in args.images]
+    images = _read_images(args.images)
     transfer_list = []
     bg_before = []
     for img in images:

@@ -4,8 +4,9 @@ Readout chips of the Timepix3 family report a time-over-threshold (ToT)
 value per pixel per hit; ToT maps to deposited energy through a per-pixel
 linear calibration fitted against fluorescence lines of known elements.
 This module defines a compact stand-in wire format for event dumps (TPXE),
-its readers, the calibration chain and the event-to-spectral-cube
-histogrammer.  Nothing here writes TPXE; the test fixtures do.
+its one reader (:func:`open_events`), the calibration chain and the
+event-to-spectral-cube histogrammer.  Nothing here writes TPXE; the test
+fixtures do.
 
 The calibration chain has one route: :func:`line_peaks` histograms each
 line's events per pixel (:func:`tot_histograms`) and reduces them to a
@@ -189,7 +190,7 @@ def _short_stream(n_complete: int, count: int) -> EventFormatError:
     )
 
 
-def _check_pixels(records: np.ndarray, n_x: int, n_y: int, first: int = 0) -> None:
+def _check_pixels(records: np.ndarray, n_x: int, n_y: int, first: int) -> None:
     """Raise :class:`EventFormatError` at the first record outside the
     n_x x n_y matrix; ``first`` is the stream index of ``records[0]``."""
     x, y = records["x"], records["y"]
@@ -200,37 +201,6 @@ def _check_pixels(records: np.ndarray, n_x: int, n_y: int, first: int = 0) -> No
         f"record {first + i} pixel ({x[i]}, {y[i]}) outside {n_x}x{n_y} matrix",
         HEADER.size + (first + i) * RECORD_DTYPE.itemsize,
     )
-
-
-def _event_list(records: np.ndarray, n_x: int, n_y: int) -> EventList:
-    """Events viewing the fields of a checked record array."""
-    return EventList(
-        n_x=n_x,
-        n_y=n_y,
-        x=records["x"],
-        y=records["y"],
-        tot=records["tot"],
-        toa=records["toa"],
-    )
-
-
-def parse_events(data: bytes) -> EventList:
-    """Parse a TPXE byte stream.
-
-    Raises
-    ------
-    EventFormatError
-        On a truncated header (offset of the end of the stream), bad magic
-        (offset 0), version mismatch (offset 4), an ``n_x`` or ``n_y`` of 0
-        or above 65536 (offset 8 or 12), a stream shorter than its
-        declared record count (offset of the first incomplete byte), or a
-        record whose pixel indices fall outside the declared matrix (offset
-        of that record).
-    """
-    n_x, n_y, count = _check_header(data[: HEADER.size], len(data))
-    records = np.frombuffer(data, dtype=RECORD_DTYPE, count=count, offset=HEADER.size)
-    _check_pixels(records, n_x, n_y)
-    return _event_list(records.copy(), n_x, n_y)
 
 
 #: Events per slice of an event source: a file's slice is one 512 KiB
@@ -244,8 +214,9 @@ _READ_RECORDS = 1 << 15
 
 class EventFile:
     """The events of an open TPXE file, read as they are needed; made by
-    :func:`open_events`.  Every record read is checked as
-    :func:`parse_events` checks it."""
+    :func:`open_events`.  Every record read has its pixel checked against
+    the matrix: a record outside it is an :class:`EventFormatError` at that
+    record's offset, as is a file that ends before its declared records."""
 
     def __init__(self, fh, n_x: int, n_y: int, count: int):
         self._fh = fh
@@ -274,7 +245,8 @@ class EventFile:
         for first in range(0, self._count, _READ_RECORDS):
             records = buf[: self._count - first]
             self._fill(records, first)
-            yield _event_list(records, self.n_x, self.n_y)
+            yield EventList(self.n_x, self.n_y, records["x"], records["y"],
+                            records["tot"], records["toa"])
 
 
 @contextmanager
@@ -289,16 +261,6 @@ def open_events(path):
             yield EventFile(fh, *_check_header(fh.read(HEADER.size), size))
     except EventFormatError as exc:
         raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
-
-
-def parse_events_file(path) -> EventList:
-    """Parse a TPXE file: the rules and messages of :func:`parse_events`,
-    with the file named in front of the message.  The records are read
-    into one record array, which the event fields view."""
-    with open_events(path) as source:
-        records = np.empty(len(source), dtype=RECORD_DTYPE)
-        source._fill(records, 0)
-    return _event_list(records, source.n_x, source.n_y)
 
 
 def _pixel_index(x, y, n_x: int, size: int) -> np.ndarray:

@@ -12,21 +12,22 @@ Little-endian layout:
 
 Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  A readable
 cube has n_x, n_y, n_bins >= 1, a finite e_min and a positive, finite bin
-width and pitch.  Write/read round-trips are byte-exact.  Only a regular
-file is read: its length is checked against the header before any count
-is read.
+width and pitch.  A written file is exactly this layout of the cube.  Only
+a regular file is read: its length is checked against the header before
+any count is read.
 
 A point-source cube is almost all zeros, so a regular output file gets its
 all-zero blocks as holes: its apparent size and bytes are those above, but
-it allocates about 1/60 of them on disk.  A reader asks the file system for
-its data extents, rounds each out to whole pixels and reads those pixels
-once, a fixed number at a time, through one reused buffer.  An energy
-window (:func:`read_window`) sums each buffer's window bins into its image
-and never allocates the cube: it holds one n_y x n_x image and one buffer
-of 512 KiB (or one pixel's spectrum, if that is larger), whatever the
-cube's size.  The dense reader (:func:`read_sic`) copies the buffers into
-a zeroed cube.  A file without holes reads the same, in one extent; an
-output that cannot seek, such as a pipe, gets the dense byte stream.
+it allocates about 1/60 of them on disk.  The one reader,
+:func:`read_window`, sums an energy window of the cube: it asks the file
+system for the data extents, rounds each out to whole pixels and reads
+those pixels once, a fixed number at a time, through one reused buffer,
+whose window bins it adds into its image.  It never allocates the cube,
+nor an array of the bins: it holds one n_y x n_x image and one buffer of
+512 KiB (or one pixel's spectrum, if that is larger), whatever the cube's
+size, and a buffer that cannot be allocated is a format error.  A file
+without holes reads the same, in one extent; an output that cannot seek,
+such as a pipe, gets the dense byte stream.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .analysis import Image2D, check_window, window_bins
 from .fileio import FileFormatError, open_binary
-from .sim import SpectralImage, bin_centers
+from .sim import SpectralImage
 
 MAGIC = b"SIC1"
 HEADER = struct.Struct("<4sIIIdddQQ")
@@ -54,8 +55,7 @@ MIN_HOLE_BLOCKS = 4
 # A read buffer holds as many whole pixels as fit in this many bytes, one at
 # least: 655 pixels of a 100-bin spectrum.  On a 2-vCPU VM a window of a
 # dense 256x256x100 cube took 6-9 ms with buffers of 256 KiB to 1 MiB;
-# smaller ones cost more calls, larger ones fall out of the cache.  It keeps
-# read_sic within its cube plus 1 MiB.
+# smaller ones cost more calls, larger ones fall out of the cache.
 BUFFER_BYTES = 1 << 19
 
 
@@ -188,10 +188,19 @@ def _pixel_blocks(path, fd: int, head: _Header):
     ``first + k - 1``.  Extents are rounded out to whole pixels, and a pixel
     shared by two extents is read once.  Every block is the same reused
     buffer, valid until the next one is asked for.  Raises
-    :class:`FileFormatError` where the file ends early."""
+    :class:`FileFormatError` where the file ends early, or where the buffer
+    (one pixel's spectrum at least) cannot be allocated."""
     pixel = 8 * head.n_bins
     expected = HEADER.size + pixel * head.n_x * head.n_y
-    buffer = np.empty((max(1, BUFFER_BYTES // pixel), head.n_bins), "<u8")
+    n_pixels = max(1, BUFFER_BYTES // pixel)
+    try:
+        buffer = np.empty((n_pixels, head.n_bins), "<u8")
+    except MemoryError:
+        raise FileFormatError(
+            f"{path}: a {head.n_x}x{head.n_y}x{head.n_bins} cube needs a "
+            f"{n_pixels * pixel / 2**30:.2f} GiB read buffer, which could not "
+            "be allocated"
+        ) from None
     done = 0  # pixels before this one are read
     for start, stop in _data_extents(fd, HEADER.size, expected):
         first = max((start - HEADER.size) // pixel, done)
@@ -215,25 +224,6 @@ def _pixel_blocks(path, fd: int, head: _Header):
         raise FileFormatError(f"{path}: file ends after {end} of {expected} bytes")
 
 
-def read_sic(path) -> SpectralImage:
-    """Read a whole SIC file into memory; raises :class:`FileFormatError`
-    as :func:`read_window` does.  The dense reader of library code and
-    tests; the ``window`` command never holds the cube."""
-    with _open_sic(path) as (fd, head):
-        counts = np.zeros((head.n_y, head.n_x, head.n_bins), "<u8")
-        pixels = counts.reshape(-1, head.n_bins)
-        for first, block in _pixel_blocks(path, fd, head):
-            pixels[first : first + len(block)] = block
-    return SpectralImage(
-        counts=counts,
-        e_min=head.e_min,
-        e_bin_width=head.e_bin_width,
-        pixel_pitch_um=head.pixel_pitch_um,
-        seed=head.seed,
-        photons=head.photons,
-    )
-
-
 def read_window(path, e_lo: float, e_hi: float) -> Image2D:
     """:func:`mpoxrf.analysis.energy_window` of the cube in a SIC file,
     summed from its data extents without allocating the cube.
@@ -245,9 +235,7 @@ def read_window(path, e_lo: float, e_hi: float) -> Image2D:
     """
     check_window(e_lo, e_hi)
     with _open_sic(path) as (fd, head):
-        bins = window_bins(
-            bin_centers(head.e_min, head.e_bin_width, head.n_bins), e_lo, e_hi
-        )
+        bins = window_bins(head.e_min, head.e_bin_width, head.n_bins, e_lo, e_hi)
         sums = np.zeros(head.n_y * head.n_x, np.uint64)
         for first, block in _pixel_blocks(path, fd, head):
             block[:, bins].sum(axis=1, out=sums[first : first + len(block)])

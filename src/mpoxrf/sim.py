@@ -225,14 +225,6 @@ class SpectralImage:
     def n_bins(self) -> int:
         return self.counts.shape[2]
 
-    def bin_centers(self) -> np.ndarray:
-        return bin_centers(self.e_min, self.e_bin_width, self.n_bins)
-
-
-def bin_centers(e_min: float, e_bin_width: float, n_bins: int) -> np.ndarray:
-    """Centers (keV) of a cube's energy bins; they never decrease."""
-    return e_min + (np.arange(n_bins) + 0.5) * e_bin_width
-
 
 def _zeros(shape, what: str) -> np.ndarray:
     """uint64 zeros; a ``what`` that cannot be allocated is a ValueError."""

@@ -1,5 +1,6 @@
 """Test helpers that no command runs: an independent oracle of the channel
-transit, an arm-extent measurement, and TPXE fixture writers.
+transit, an arm-extent measurement, TPXE fixture writers, and decoders of
+the TPXE and SIC byte layouts that README states.
 
 Test files import them as ``from support import ...``; pytest's default
 import mode puts this directory on ``sys.path``.
@@ -7,10 +8,14 @@ import mode puts this directory on ``sys.path``.
 
 from __future__ import annotations
 
+import math
+import struct
+from typing import NamedTuple
+
 import numpy as np
 
 from mpoxrf.analysis import AnalysisError, PsfProfile, _outer_background
-from mpoxrf.events import HEADER, MAGIC, RECORD_DTYPE, VERSION, EventList
+from mpoxrf.events import HEADER, MAGIC, RECORD_DTYPE, VERSION, EventList, open_events
 from mpoxrf.sim import FWHM_PER_SIGMA
 
 
@@ -120,3 +125,82 @@ def synthesize_line_events(
     tot = e_meas.astype(np.uint16).reshape(-1)
     toa = np.arange(n_total, dtype=np.uint64)
     return EventList(n_x=n_x, n_y=n_y, x=x, y=y, tot=tot, toa=toa)
+
+
+def read_events(path) -> EventList:
+    """All the events of a TPXE file, read through ``open_events``."""
+    with open_events(path) as source:
+        events = EventList(source.n_x, source.n_y, *(
+            np.empty(len(source), dtype)
+            for dtype in (np.uint16, np.uint16, np.uint16, np.uint64)
+        ))
+        first = 0
+        for part in source.slices():
+            for name in ("x", "y", "tot", "toa"):
+                getattr(events, name)[first : first + len(part)] = getattr(part, name)
+            first += len(part)
+    return events
+
+
+# The decoders below read README's byte layouts with their own struct
+# formats and nothing from mpoxrf: they are the oracles of the readers.
+
+
+class Tpxe(NamedTuple):
+    n_x: int
+    n_y: int
+    x: np.ndarray
+    y: np.ndarray
+    tot: np.ndarray
+    toa: np.ndarray
+
+
+def decode_tpxe(data: bytes) -> Tpxe | None:
+    """The header and records of a TPXE byte string, or None where it
+    breaks a rule of the layout: magic "TPXE", version 1, sides 1..65536,
+    at least the declared records (more bytes may follow), and every
+    record's pixel inside the matrix."""
+    if len(data) < 24:
+        return None
+    magic, version, n_x, n_y, count = struct.unpack_from("<4sIIIQ", data)
+    if (magic, version) != (b"TPXE", 1) or not (
+        1 <= n_x <= 65536 and 1 <= n_y <= 65536
+    ):
+        return None
+    if len(data) < 24 + 16 * count:
+        return None
+    words = np.frombuffer(data, "<u2", count=8 * count, offset=24).reshape(count, 8)
+    x, y, tot = (words[:, k].copy() for k in range(3))
+    toa = np.frombuffer(data, "<u8", count=2 * count, offset=24)[1::2].copy()
+    if np.any(x >= n_x) or np.any(y >= n_y):
+        return None
+    return Tpxe(n_x, n_y, x, y, tot, toa)
+
+
+class Sic(NamedTuple):
+    e_min: float
+    e_bin_width: float
+    pixel_pitch_um: float
+    seed: int
+    photons: int
+    counts: np.ndarray  # (n_y, n_x, n_bins) uint64
+
+
+def decode_sic(data: bytes) -> Sic | None:
+    """The header and counts of a SIC byte string, or None where it breaks
+    a rule of the layout: magic "SIC1", no zero dimension, a finite e_min,
+    a positive and finite bin width and pitch, and exactly the length that
+    the header declares."""
+    if len(data) < 56:
+        return None
+    magic, n_x, n_y, n_bins, e_min, width, pitch, seed, photons = struct.unpack_from(
+        "<4sIIIdddQQ", data
+    )
+    if magic != b"SIC1" or 0 in (n_x, n_y, n_bins):
+        return None
+    if not (math.isfinite(e_min) and 0 < width < math.inf and 0 < pitch < math.inf):
+        return None
+    if len(data) != 56 + 8 * n_x * n_y * n_bins:
+        return None
+    counts = np.frombuffer(data, "<u8", offset=56).reshape(n_y, n_x, n_bins)
+    return Sic(e_min, width, pitch, seed, photons, counts.copy())

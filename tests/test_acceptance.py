@@ -14,7 +14,14 @@ from mpoxrf import analysis as an
 from mpoxrf import cli, events as ev, sic
 from mpoxrf.optics import IRIDIUM, MpoGeometry, _unfold_vec, critical_angle_deg
 from mpoxrf.sim import DetectorSpec, Scene, Source, simulate
-from support import arm_extent, march_plane, synthesize_line_events, write_events
+from support import (
+    arm_extent,
+    decode_sic,
+    march_plane,
+    read_events,
+    synthesize_line_events,
+    write_events_file,
+)
 
 REFERENCE_MPO = MpoGeometry(
     plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0
@@ -332,11 +339,6 @@ def test_criterion_9_property_suites(report):
         tot=rng.integers(0, 65536, n).astype(np.uint16),
         toa=rng.integers(0, 2**64, n, dtype=np.uint64),
     )
-    back = ev.parse_events(write_events(el))
-    assert all(
-        np.array_equal(getattr(el, f), getattr(back, f))
-        for f in ("x", "y", "tot", "toa")
-    )
     import tempfile, os
     from mpoxrf.sim import SpectralImage
 
@@ -345,10 +347,21 @@ def test_criterion_9_property_suites(report):
         e_min=0.0, e_bin_width=0.5, pixel_pitch_um=55.0, seed=1, photons=2,
     )
     with tempfile.TemporaryDirectory() as d:
+        events_path = os.path.join(d, "ev.tpxe")
+        write_events_file(events_path, el)
+        back = read_events(events_path)
         path = os.path.join(d, "c.sic")
         sic.write_sic(path, cube)
-        cube_back = sic.read_sic(path)
+        with open(path, "rb") as fh:
+            cube_back = decode_sic(fh.read())
+        # the window command's reader: every bin of the cube, summed
+        full = sic.read_window(path, 0.0, 10.0)
+    assert all(
+        np.array_equal(getattr(el, f), getattr(back, f))
+        for f in ("x", "y", "tot", "toa")
+    )
     assert np.array_equal(cube_back.counts, cube.counts)
+    assert np.array_equal(full.values, cube.counts.sum(axis=2).astype(float))
 
     # windowing additivity (exact integer counts)
     sci = SpectralImage(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpoxrf import analysis as an
 from mpoxrf.optics import IRIDIUM, MpoGeometry
@@ -61,6 +63,33 @@ class TestEnergyWindow:
         cube = small_cube(np.ones((2, 2, 4), np.uint64))
         with pytest.raises(ValueError):
             an.energy_window(cube, 5.0, 5.0)
+
+    @given(
+        e_min=st.floats(-50.0, 50.0),
+        width=st.floats(1e-9, 10.0),
+        n_bins=st.integers(1, 3000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_bins_equal_searchsorted(self, e_min, width, n_bins, data):
+        # the bisection picks the run that np.searchsorted picks on an array
+        # of the bin centers, also at an exact center, its float neighbours
+        # and the infinities
+        centers = e_min + (np.arange(n_bins) + 0.5) * width
+        near = st.sampled_from(centers.tolist()).flatmap(
+            lambda c: st.sampled_from(
+                [c, np.nextafter(c, -math.inf), np.nextafter(c, math.inf)]
+            )
+        )
+        edge = near | st.floats(allow_nan=False)
+        lo, hi = data.draw(edge), data.draw(edge)
+        assume(lo < hi)
+        want = slice(*np.searchsorted(centers, [lo, hi]).tolist())
+        assert an.window_bins(e_min, width, n_bins, lo, hi) == want
+
+    def test_window_bins_of_billions_of_bins(self):
+        # found by bisection: no array of 2^32 - 1 centers is built
+        assert an.window_bins(0.0, 0.1, 2**32 - 1, 6.0, 9.0) == slice(60, 90)
 
 
 class TestFlatField:

@@ -21,7 +21,13 @@ from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
 from mpoxrf.config import AnalysisParams, ConfigError, load_config
 from mpoxrf.optics import MpoGeometry, PathClass
 from mpoxrf.sim import DetectorSpec, Scene
-from support import synthesize_line_events, write_events, write_events_file
+from support import (
+    decode_sic,
+    read_events,
+    synthesize_line_events,
+    write_events,
+    write_events_file,
+)
 
 MINIMAL = """
 [mpo]
@@ -51,6 +57,24 @@ lines = 8.0:1.0
 photons = 200000
 seed = 3
 """
+
+
+def run_in_3_gib(argv) -> subprocess.CompletedProcess:
+    """Run ``mpoxrf argv`` in a child process whose address space is limited
+    to 3 GiB."""
+    limit = 3 << 30
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+         "from mpoxrf.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n",
+         *argv],
+        # one BLAS thread: its buffers then take little of the address space
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                 OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def write_spot(path):
@@ -360,6 +384,34 @@ def test_bad_physical_parameter_exits_2(tmp_path, capsys, edit, argv, message):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["flatfield", "clean"])
+@pytest.mark.parametrize(
+    "shape, pitch, other",
+    [((40, 60), 55.0, "60x40 image at 55.0 um pitch"),
+     ((40, 50), 110.0, "50x40 image at 110.0 um pitch")],
+    ids=["shape", "pitch"],
+)
+def test_image_grid_mismatch_io_exit(tmp_path, capsys, command, shape, pitch, other):
+    # an image of another shape or pitch is refused, naming both files,
+    # before any output is written
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    rng = np.random.default_rng(5)
+    fileio.write_image_csv(first, Image2D(rng.uniform(1, 2, (40, 50)), 55.0))
+    fileio.write_image_csv(second, Image2D(rng.uniform(1, 2, shape), pitch))
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "flatfield":
+        argv = ["flatfield", "--image", str(first), "--flat", str(second)]
+    else:
+        argv = ["clean", str(first), str(first), str(second)]
+    assert cli.main(argv + ["--out-prefix", str(out / "x")]) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"input format error: {second}: {other} does not match the 50x40 image "
+        f"at 55.0 um pitch of {first}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 class TestCliSimulate:
     def test_simulate_writes_cube_and_summary(self, config_path, tmp_path, capsys):
         out = tmp_path / "run.sic"
@@ -370,7 +422,7 @@ class TestCliSimulate:
         text = capsys.readouterr().out
         assert "simulated 200000 photons" in text
         assert "central_focus" in text
-        cube = sic.read_sic(out)
+        cube = decode_sic(out.read_bytes())
         assert cube.photons == 200000
         assert cube.seed == 3
 
@@ -381,7 +433,7 @@ class TestCliSimulate:
              "--out", str(out)]
         )
         assert code == 0
-        assert sic.read_sic(out).counts.sum() == 0
+        assert decode_sic(out.read_bytes()).counts.sum() == 0
 
     def test_same_seed_byte_identical(self, config_path, tmp_path):
         a = tmp_path / "a.sic"
@@ -476,7 +528,7 @@ class TestCliSimulate:
         else:
             config_path.write_text(MINIMAL.replace("seed = 3", f"seed = {seed}"))
         assert cli.main(argv) == 0
-        assert sic.read_sic(out).seed == seed
+        assert decode_sic(out.read_bytes()).seed == seed
 
     def test_unallocatable_cube_exits_2(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -709,7 +761,7 @@ class TestCliCalibration:
             ["apply-cal", "--events", str(cu), "--cal", str(tmp_path / "cal.csv"),
              "--out", str(out), "--bin-width", "0.05", "--n-bins", "500"]
         ) == 0
-        cube = sic.read_sic(out)
+        cube = decode_sic(out.read_bytes())
         spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
         peak_bin = ev.find_line_peaks(spectrum)
         assert 0.05 * (peak_bin + 0.5) == pytest.approx(8.05, abs=0.1)
@@ -860,19 +912,7 @@ class TestCliCalibration:
                 tot.astype(np.uint16), pix.astype(np.uint64),
             ))
             args += ["--events", f"{label}={path}"]
-        limit = 3 << 30
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import resource, sys\n"
-             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-             "from mpoxrf.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n",
-             *args],
-            # one BLAS thread: its buffers then take little of the address space
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-                     OPENBLAS_NUM_THREADS="1"),
-            capture_output=True, text=True, timeout=120,
-        )
+        run = run_in_3_gib(args)
         assert run.returncode == cli.EXIT_IO, run.stderr
         offset = ev.HEADER.size + 299 * ev.RECORD_DTYPE.itemsize
         assert run.stderr == (
@@ -897,7 +937,7 @@ class TestCliCalibration:
             write_events_file(
                 path, synthesize_line_events(e_kev, gain, offset, 200, rng)
             )
-            parsed = ev.parse_events_file(path)
+            parsed = read_events(path)
             all_events_bytes += sum(
                 a.nbytes for a in (parsed.x, parsed.y, parsed.tot, parsed.toa)
             )
@@ -1221,9 +1261,9 @@ class TestSicFormat:
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
         assert path.stat().st_size == 56 + 8 * 8 * 4 * 16
-        back = sic.read_sic(path)
+        back = decode_sic(path.read_bytes())
         assert np.array_equal(back.counts, cube.counts)
-        assert (back.n_y, back.n_x, back.n_bins) == (8, 4, 16)
+        assert back.counts.shape == (8, 4, 16)
         assert back.e_min == 0.5
         assert back.e_bin_width == 0.125
         assert back.pixel_pitch_um == 82.5
@@ -1244,7 +1284,7 @@ class TestSicFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(fileio.FileFormatError, match="length"):
-            sic.read_sic(path)
+            sic.read_window(path, 0.0, 2.0)
 
     @staticmethod
     def _cube(shape):
@@ -1256,6 +1296,16 @@ class TestSicFormat:
             e_bin_width=0.25,
             pixel_pitch_um=55.0,
         )
+
+    @staticmethod
+    def _bin_images(path, cube):
+        """The cube in the SIC file ``path``, as ``read_window`` reads it: one
+        window about each bin center, as floats."""
+        width = cube.e_bin_width
+        return np.stack([
+            sic.read_window(path, center - width / 4, center + width / 4).values
+            for center in cube.e_min + (np.arange(cube.n_bins) + 0.5) * width
+        ], axis=2)
 
     @staticmethod
     def _dense_bytes(cube):
@@ -1278,7 +1328,7 @@ class TestSicFormat:
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
         assert path.read_bytes() == self._dense_bytes(cube)
-        assert np.array_equal(sic.read_sic(path).counts, cube.counts)
+        assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
 
     def test_file_without_holes_reads_back(self, tmp_path):
         cube = self._cube((40, 30, 50))
@@ -1286,7 +1336,7 @@ class TestSicFormat:
         cube.counts[-1, -1, -1] = 2**64 - 1
         path = tmp_path / "c.sic"
         path.write_bytes(self._dense_bytes(cube))
-        assert np.array_equal(sic.read_sic(path).counts, cube.counts)
+        assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
 
     @staticmethod
     def _fs_reports_holes(tmp_path):
@@ -1336,20 +1386,6 @@ class TestSicFormat:
                 tracemalloc.stop()
             assert peak < 1 << 20, (shape, peak)
 
-    def test_read_holds_one_cube(self, tmp_path):
-        cube = self._cube((256, 256, 100))
-        cube.counts[5, 7, 9] = 3
-        path = tmp_path / "c.sic"
-        sic.write_sic(path, cube)
-        tracemalloc.start()
-        try:
-            back = sic.read_sic(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= cube.counts.nbytes + (1 << 20), peak
-        assert np.array_equal(back.counts, cube.counts)
-
     @pytest.mark.parametrize("holes", [True, False], ids=["sparse", "dense"])
     def test_window_holds_no_cube(self, tmp_path, holes):
         # one uint64 image, its float copy and one read buffer: 1.5 MiB for
@@ -1386,25 +1422,34 @@ class TestSicFormat:
             fh.seek(sic.HEADER.size + 8 * ((512 * n_x + 512) * n_bins + 75))
             fh.write(np.uint64(3).tobytes())
             fh.truncate(sic.HEADER.size + 8 * n_x * n_y * n_bins)
-        limit = 3 << 30
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import resource, sys\n"
-             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-             "from mpoxrf.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n",
-             "window", "--cube", str(path), "--lo", "6", "--hi", "9",
-             "--out-prefix", str(tmp_path / "w")],
-            # one BLAS thread: its buffers then take little of the address space
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-                     OPENBLAS_NUM_THREADS="1"),
-            capture_output=True, text=True, timeout=120,
-        )
+        run = run_in_3_gib(["window", "--cube", str(path), "--lo", "6", "--hi", "9",
+                            "--out-prefix", str(tmp_path / "w")])
         assert run.returncode == cli.EXIT_OK, run.stderr
         assert run.stdout.startswith("window [6.0, 9.0) keV: 3 counts -> ")
         image = fileio.read_image_csv(tmp_path / "w.csv")
         assert image.values.shape == (n_y, n_x)
         assert image.values[512, 512] == 3 and image.values.sum() == 3
+
+    def test_unallocatable_read_buffer_io_exit(self, tmp_path):
+        # a 1x1x(2^32-1) cube, 32 GiB long, holding one count in bin 75: its
+        # window bins are found without an array of bin centers, and its
+        # one-pixel read buffer, 32 GiB, does not fit a 3 GiB address space.
+        # Run only under that limit: the read would touch 32 GiB.
+        n_bins = 2**32 - 1
+        path = tmp_path / "deep.sic"
+        with open(path, "wb") as fh:
+            fh.write(sic.HEADER.pack(sic.MAGIC, 1, 1, n_bins, 0.0, 0.1, 55.0, 0, 1))
+            fh.seek(sic.HEADER.size + 8 * 75)
+            fh.write(np.uint64(1).tobytes())
+            fh.truncate(sic.HEADER.size + 8 * n_bins)
+        run = run_in_3_gib(["window", "--cube", str(path), "--lo", "6", "--hi", "9",
+                            "--out-prefix", str(tmp_path / "w")])
+        assert run.returncode == cli.EXIT_IO, run.stderr
+        assert run.stderr == (
+            f"input format error: {path}: a 1x1x{n_bins} cube needs a 32.00 GiB "
+            "read buffer, which could not be allocated\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_pipe_io_exit(self, tmp_path, capsys):
         # a pipe has no length to check the header against
@@ -1431,12 +1476,11 @@ class TestSicFormat:
         # fields 0 and 6: mode and size
         full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
         monkeypatch.setattr(fileio.os, "fstat", lambda fd: full)
-        for read in (sic.read_sic, lambda p: sic.read_window(p, 0.0, 1.0)):
-            with pytest.raises(fileio.FileFormatError) as err:
-                read(path)
-            assert str(err.value) == (
-                f"{path}: file ends after {len(data) - 8} of {len(data)} bytes"
-            )
+        with pytest.raises(fileio.FileFormatError) as err:
+            sic.read_window(path, 0.0, 1.0)
+        assert str(err.value) == (
+            f"{path}: file ends after {len(data) - 8} of {len(data)} bytes"
+        )
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,7 +1,9 @@
 import os
 import pickle
 import stat
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from hypothesis import strategies as st
 from mpoxrf import events as ev, fileio
 from mpoxrf.fileio import FileFormatError
 from mpoxrf.sim import FWHM_PER_SIGMA, DetectorSpec
-from support import synthesize_line_events, write_events, write_events_file
+from support import (
+    decode_tpxe,
+    read_events,
+    synthesize_line_events,
+    write_events,
+    write_events_file,
+)
 
 
 def make_events(n_x, n_y, x, y, tot, toa=None):
@@ -28,15 +36,37 @@ def make_events(n_x, n_y, x, y, tot, toa=None):
     )
 
 
-class TestTpxeFormat:
-    def test_roundtrip_small(self):
-        el = make_events(256, 256, [0, 255, 7], [255, 0, 9], [1, 65535, 160])
-        back = ev.parse_events(write_events(el))
-        for f in ("x", "y", "tot", "toa"):
-            assert np.array_equal(getattr(el, f), getattr(back, f))
-        assert (back.n_x, back.n_y) == (256, 256)
+def tpxe_file(directory, data: bytes):
+    """The path of a TPXE file in ``directory`` holding ``data``."""
+    path = directory / "events.tpxe"
+    path.write_bytes(data)
+    return path
 
-    def test_roundtrip_large_random(self):
+
+def assert_same_events(back, el):
+    assert (back.n_x, back.n_y) == (el.n_x, el.n_y)
+    for f in ("x", "y", "tot", "toa"):
+        assert np.array_equal(getattr(el, f), getattr(back, f)), f
+
+
+class TestTpxeFormat:
+    """The file reader of every command against the TPXE layout: records
+    round-trip, and each broken rule is an error at its byte offset whose
+    message names the file."""
+
+    @staticmethod
+    def _error(path):
+        with pytest.raises(ev.EventFormatError) as err:
+            read_events(path)
+        assert err.value.message.startswith(f"{path}: ")
+        return err.value
+
+    def test_roundtrip_small(self, tmp_path):
+        el = make_events(256, 256, [0, 255, 7], [255, 0, 9], [1, 65535, 160])
+        assert_same_events(read_events(tpxe_file(tmp_path, write_events(el))), el)
+
+    def test_roundtrip_large_random(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ev, "_READ_RECORDS", 4096)  # three slices
         rng = np.random.default_rng(8)
         n = 10_000
         el = make_events(
@@ -47,9 +77,9 @@ class TestTpxeFormat:
             rng.integers(0, 65536, n),
             rng.integers(0, 2**64, n, dtype=np.uint64),
         )
-        back = ev.parse_events(write_events(el))
-        for f in ("x", "y", "tot", "toa"):
-            assert np.array_equal(getattr(el, f), getattr(back, f))
+        data = write_events(el)
+        assert_same_events(read_events(tpxe_file(tmp_path, data)), el)
+        assert_same_events(decode_tpxe(data), el)
 
     @given(
         st.lists(
@@ -72,68 +102,70 @@ class TestTpxeFormat:
             [r[2] for r in records],
             np.array([r[3] for r in records], dtype=np.uint64),
         )
-        back = ev.parse_events(write_events(el))
-        for f in ("x", "y", "tot", "toa"):
-            assert np.array_equal(getattr(el, f), getattr(back, f))
+        with tempfile.TemporaryDirectory() as directory:
+            back = read_events(tpxe_file(Path(directory), write_events(el)))
+        assert_same_events(back, el)
 
-    def test_empty_stream(self):
+    def test_empty_stream(self, tmp_path):
         el = make_events(64, 32, [], [], [])
-        back = ev.parse_events(write_events(el))
+        back = read_events(tpxe_file(tmp_path, write_events(el)))
         assert len(back) == 0
         assert (back.n_x, back.n_y) == (64, 32)
 
-    def test_bad_magic_offset_zero(self):
+    def test_bad_magic_offset_zero(self, tmp_path):
         data = write_events(make_events(8, 8, [], [], []))
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events(b"NOPE" + data[4:])
-        assert err.value.offset == 0
+        path = tpxe_file(tmp_path, b"NOPE" + data[4:])
+        err = self._error(path)
+        assert err.offset == 0
+        assert err.message == f"{path}: bad magic b'NOPE'"
 
-    def test_version_mismatch_offset(self):
+    def test_version_mismatch_offset(self, tmp_path):
         data = bytearray(write_events(make_events(8, 8, [], [], [])))
         data[4:8] = (99).to_bytes(4, "little")
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events(bytes(data))
-        assert err.value.offset == 4
+        path = tpxe_file(tmp_path, bytes(data))
+        err = self._error(path)
+        assert err.offset == 4
+        assert err.message == f"{path}: unsupported version 99"
 
-    def test_truncated_mid_record(self):
+    def test_truncated_mid_record(self, tmp_path):
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
-        data = write_events(el)
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events(data[:-5])  # cuts into the third record
-        assert err.value.offset == ev.HEADER.size + 2 * 16
-        assert "2 of 3" in str(err.value)
+        path = tpxe_file(tmp_path, write_events(el)[:-5])  # cuts into the third record
+        err = self._error(path)
+        assert err.offset == ev.HEADER.size + 2 * 16
+        assert err.message == f"{path}: stream ends after 2 of 3 records"
 
-    def test_out_of_range_pixel_offset(self):
+    def test_out_of_range_pixel_offset(self, tmp_path):
         el = make_events(8, 8, [1, 2], [1, 2], [10, 20])
         data = bytearray(write_events(el))
         # corrupt the second record's x to 300 (>= 8)
         rec2 = ev.HEADER.size + 16
         data[rec2 : rec2 + 2] = (300).to_bytes(2, "little")
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events(bytes(data))
-        assert err.value.offset == rec2
+        path = tpxe_file(tmp_path, bytes(data))
+        err = self._error(path)
+        assert err.offset == rec2
+        assert err.message == f"{path}: record 1 pixel (300, 2) outside 8x8 matrix"
 
-    def test_truncated_header(self):
-        with pytest.raises(ev.EventFormatError):
-            ev.parse_events(b"TPXE\x01")
+    def test_truncated_header(self, tmp_path):
+        path = tpxe_file(tmp_path, b"TPXE\x01")
+        err = self._error(path)
+        assert (err.offset, err.message) == (5, f"{path}: truncated header")
 
     @pytest.mark.parametrize(
         "n_x, n_y, offset",
         [(0, 8, 8), (8, 0, 12), (0, 0, 8), (65537, 8, 8), (8, 2**20, 12),
          (2**20, 2**20, 8)],
     )
-    def test_matrix_side_outside_u16_range(self, n_x, n_y, offset):
+    def test_matrix_side_outside_u16_range(self, tmp_path, n_x, n_y, offset):
         # a u16 coordinate addresses sides of 1..65536
-        data = ev.HEADER.pack(ev.MAGIC, ev.VERSION, n_x, n_y, 0)
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events(data)
-        assert err.value.offset == offset
+        path = tpxe_file(tmp_path, ev.HEADER.pack(ev.MAGIC, ev.VERSION, n_x, n_y, 0))
+        err = self._error(path)
+        assert err.offset == offset
         name, side = ("n_x", n_x) if offset == 8 else ("n_y", n_y)
-        assert err.value.message == f"{name} {side} outside 1..65536"
+        assert err.message == f"{path}: {name} {side} outside 1..65536"
 
-    def test_largest_addressable_matrix(self):
+    def test_largest_addressable_matrix(self, tmp_path):
         data = ev.HEADER.pack(ev.MAGIC, ev.VERSION, 65536, 65536, 0)
-        back = ev.parse_events(data)
+        back = read_events(tpxe_file(tmp_path, data))
         assert (back.n_x, back.n_y, len(back)) == (65536, 65536, 0)
 
     def test_format_error_is_file_format_error(self):
@@ -155,10 +187,9 @@ class TestTpxeFormat:
         el = make_events(8, 8, [1, 2, 3], [1, 2, 3], [10, 20, 30])
         path = tmp_path / "cut.tpxe"
         path.write_bytes(write_events(el)[:-5])
-        with pytest.raises(ev.EventFormatError) as err:
-            ev.parse_events_file(path)
-        assert err.value.offset == ev.HEADER.size + 2 * 16
-        assert str(err.value) == (
+        err = self._error(path)
+        assert err.offset == ev.HEADER.size + 2 * 16
+        assert str(err) == (
             f"{path}: stream ends after 2 of 3 records (byte offset 56)"
         )
 
@@ -166,8 +197,7 @@ class TestTpxeFormat:
         el = make_events(16, 16, [3], [4], [500])
         path = tmp_path / "ev.tpxe"
         write_events_file(path, el)
-        back = ev.parse_events_file(path)
-        assert np.array_equal(back.tot, el.tot)
+        assert_same_events(read_events(path), el)
 
 
 class TestSynthesize:
@@ -318,7 +348,7 @@ class TestChunkedReader:
             assert (source.n_x, source.n_y, len(source)) == (n_x, n_y, n)
             hists = ev.tot_histograms(source)
             peaks = ev.line_peaks(source)
-        want = ev.tot_histograms(ev.parse_events_file(path))
+        want = ev.tot_histograms(el)
         assert hists.dtype == want.dtype
         assert np.array_equal(hists, want)
         assert hists.shape == ((n_y * n_x, 91) if n else (n_y * n_x, 1))
@@ -350,19 +380,23 @@ class TestChunkedReader:
         assert from_file.stats.n_photons == from_file.photons == k
 
     def _same_outcome(self, path, data):
-        """The file readers raise what ``parse_events`` raises on the same
-        bytes, with the path in front, or succeed with its events."""
-        try:
-            want = ev.parse_events(data)
-        except ev.EventFormatError as exc:
-            for read in (self._histograms, self._check, ev.parse_events_file):
+        """Where the layout decoder refuses ``data``, both file readers raise
+        the same error, which names the file; otherwise both read the
+        decoded events.  Returns those events, or None."""
+        want = decode_tpxe(data)
+        if want is None:
+            errors = set()
+            for read in (self._histograms, self._check):
                 with pytest.raises(ev.EventFormatError) as err:
                     read(path)
-                assert err.value.offset == exc.offset
-                assert str(err.value) == f"{path}: {exc}"
+                assert err.value.message.startswith(f"{path}: ")
+                errors.add((str(err.value), err.value.offset))
+            assert len(errors) == 1, errors
             return None
         self._check(path)
-        assert np.array_equal(self._histograms(path), ev.tot_histograms(want))
+        assert np.array_equal(
+            self._histograms(path), ev.tot_histograms(ev.EventList(*want))
+        )
         return want
 
     def _file(self, tmp_path, data):
@@ -402,7 +436,7 @@ class TestChunkedReader:
         # fields 0 and 6: mode and size
         full = os.stat_result((stat.S_IFREG,) + (0,) * 5 + (len(data),) + (0,) * 3)
         monkeypatch.setattr(fileio.os, "fstat", lambda fd: full)
-        for read in (self._histograms, self._check, ev.parse_events_file):
+        for read in (self._histograms, self._check):
             with pytest.raises(ev.EventFormatError) as err:
                 read(path)
             assert err.value.offset == ev.HEADER.size + 6 * 16
@@ -434,7 +468,7 @@ class TestChunkedReader:
         os.mkfifo(path)
         writer = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # keeps open() from blocking
         try:
-            for read in (self._histograms, ev.parse_events_file):
+            for read in (self._histograms, self._check):
                 with pytest.raises(FileFormatError, match="not a regular file"):
                     read(path)
         finally:
@@ -472,7 +506,7 @@ class TestChunkedReader:
         peaks = {}
         for name, run in (
             ("file", from_file),
-            ("memory", lambda: ev.line_peaks(ev.parse_events_file(path))),
+            ("memory", lambda: ev.line_peaks(read_events(path))),
         ):
             tracemalloc.start()
             try:

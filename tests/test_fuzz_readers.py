@@ -1,7 +1,9 @@
 """Fuzz the binary readers: any byte string parses or raises the reader's
 format error, and the CLI maps a bad file to exit 3, never to another code
-or an uncaught exception.  The TPXE file source of the calibration path
-raises exactly what the in-memory parser raises, or agrees with it.
+or an uncaught exception.  Each reader that a command runs, the TPXE file
+source (``open_events``) and the SIC window (``read_window``), refuses
+exactly the files that break README's layout, and reads the others as an
+independent decoder of that layout (``tests/support.py``) does.
 
 The corrupted inputs start from small valid TPXE and SIC files.  Besides
 flipping random bits, they may rewrite one header field with any value of
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.analysis import energy_window
 from mpoxrf.sim import SpectralImage
-from support import write_events
+from support import decode_sic, decode_tpxe, write_events
 
 N_X, N_Y = 3, 2
 
@@ -104,16 +106,43 @@ def sic_inputs(valid: bytes):
 FUZZ = settings(max_examples=150, deadline=None)
 
 
+def check_event_file(path, data: bytes) -> None:
+    """``open_events`` on the file ``path`` holding ``data`` raises an
+    :class:`ev.EventFormatError` that names the file at an offset inside the
+    data exactly when the decoder refuses ``data``; otherwise its slices
+    hold the decoded records, and its ToT histograms are their bincount."""
+    want = decode_tpxe(data)
+    try:
+        with ev.open_events(path) as source:
+            got = [[getattr(part, name).copy() for name in ("x", "y", "tot", "toa")]
+                   for part in source.slices()]
+            n_pix = source.n_x * source.n_y
+            # no histogram block of a huge matrix
+            hists = ev.tot_histograms(source) if n_pix <= 4096 else None
+    except ev.EventFormatError as exc:
+        assert want is None, exc
+        assert exc.message.startswith(f"{path}: ")
+        assert 0 <= exc.offset <= len(data)
+        return
+    assert want is not None, "a file the layout refuses was read"
+    assert (source.n_x, source.n_y) == (want.n_x, want.n_y)
+    for k, name in enumerate(("x", "y", "tot", "toa")):
+        column = np.concatenate([part[k] for part in got]) if got else []
+        assert np.array_equal(column, getattr(want, name)), name
+    if hists is not None:
+        width = int(want.tot.max()) + 1 if want.tot.size else 1
+        flat = (want.y.astype(np.int64) * want.n_x + want.x) * width + want.tot
+        counts = np.bincount(flat, minlength=n_pix * width).reshape(n_pix, width)
+        assert np.array_equal(hists, counts)
+
+
 class TestParseEvents:
     @FUZZ
     @given(data=tpxe_inputs())
-    def test_parses_or_raises_format_error(self, data):
-        try:
-            events = ev.parse_events(data)
-        except ev.EventFormatError as exc:
-            assert 0 <= exc.offset <= len(data)
-            return
-        assert np.all(events.x < events.n_x) and np.all(events.y < events.n_y)
+    def test_parses_or_raises_format_error(self, workdir, data):
+        path = workdir / "events.tpxe"
+        path.write_bytes(data)
+        check_event_file(path, data)
 
     @FUZZ
     @given(data=tpxe_inputs())
@@ -134,23 +163,7 @@ class TestParseEvents:
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ev, "_READ_RECORDS", 3)
-            try:
-                events = ev.parse_events(data)
-            except ev.EventFormatError as exc:
-                with pytest.raises(ev.EventFormatError) as err:
-                    with ev.open_events(path) as source:
-                        ev.tot_histograms(source)
-                assert err.value.message == f"{path}: {exc.message}"
-                assert err.value.offset == exc.offset
-                return
-            with ev.open_events(path) as source:
-                assert (source.n_x, source.n_y) == (events.n_x, events.n_y)
-                if events.n_x * events.n_y > 4096:  # no histogram block that large
-                    for _ in source.slices():
-                        pass
-                    return
-                hists = ev.tot_histograms(source)
-        assert np.array_equal(hists, ev.tot_histograms(events))
+            check_event_file(path, data)
 
 
 class TestReadSic:
@@ -158,21 +171,28 @@ class TestReadSic:
     @given(data=st.data())
     def test_reads_or_raises_format_error(self, workdir, valid_sic, data):
         raw = data.draw(sic_inputs(valid_sic))
+        lo, hi = data.draw(
+            st.just((6.0, 9.0))
+            | st.lists(st.floats(-10.0, 40.0), min_size=2, max_size=2,
+                       unique=True).map(sorted)
+        )
         path = workdir / "cube.sic"
         path.write_bytes(raw)
+        want = decode_sic(raw)
         try:
-            cube = sic.read_sic(path)
+            image = sic.read_window(path, lo, hi)
         except fileio.FileFormatError as exc:
-            # the window reader refuses the file in the same words
-            with pytest.raises(fileio.FileFormatError) as err:
-                sic.read_window(path, 6.0, 9.0)
-            assert str(err.value) == str(exc)
+            assert want is None, exc
+            assert str(exc).startswith(f"{path}: ")
             return
-        assert cube.counts.size * 8 + sic.HEADER.size == len(raw)
-        assert cube.counts.size > 0
-        assert cube.e_bin_width > 0 and cube.pixel_pitch_um > 0
-        window = sic.read_window(path, 6.0, 9.0)
-        assert np.array_equal(window.values, energy_window(cube, 6.0, 9.0).values)
+        assert want is not None, "a file the layout refuses was read"
+        n_bins = want.counts.shape[2]
+        centers = want.e_min + (np.arange(n_bins) + 0.5) * want.e_bin_width
+        sel = (centers >= lo) & (centers < hi)
+        assert np.array_equal(
+            image.values, want.counts[:, :, sel].sum(axis=2).astype(float)
+        )
+        assert image.pitch_um == want.pixel_pitch_um
 
     @FUZZ
     @given(data=st.data())
@@ -225,7 +245,7 @@ class TestSicHoles:
         assert path.read_bytes() == sic.HEADER.pack(
             sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, n_cells
         ) + counts.tobytes()
-        back = sic.read_sic(path)
+        back = decode_sic(path.read_bytes())
         assert np.array_equal(back.counts, counts)
         assert (back.seed, back.photons) == (7, n_cells)
 
@@ -235,7 +255,8 @@ class TestSicHoles:
         counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
         cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
                              pixel_pitch_um=55.0)
-        first, last = cube.bin_centers()[[0, -1]]
+        centers = 1.5 + (np.arange(counts.shape[2]) + 0.5) * 0.5
+        first, last = centers[[0, -1]]
         lo, hi = data.draw(
             st.sampled_from([
                 (first - 0.25, first + 0.25),  # the first bin
@@ -253,7 +274,6 @@ class TestSicHoles:
             sic.write_sic(path, cube)
         dense = workdir / "window_dense.sic"
         dense.write_bytes(path.read_bytes())
-        centers = cube.bin_centers()
         want = counts[:, :, (centers >= lo) & (centers < hi)].sum(axis=2).astype(float)
         assert np.array_equal(energy_window(cube, lo, hi).values, want)
         with pytest.MonkeyPatch.context() as mp:

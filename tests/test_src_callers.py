@@ -11,14 +11,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mpoxrf"
 
 #: Public names kept without a caller in the package, and why.
 ALLOWED = {
-    # the in-memory TPXE reader that the fuzz properties drive
-    "parse_events": "events",
-    # the bench's span table times it as events.parse_s
-    "parse_events_file": "events",
-    # the in-memory cube reader and window of library code and tests; the
-    # bench's span table names them (sic.read_s, analysis.window_s), and
-    # ``window`` sums a cube file with sic.read_window instead
-    "read_sic": "sic",
+    # the in-memory window of a simulate() cube, used in README's library
+    # sketch
     "energy_window": "analysis",
 }
 
