@@ -18,16 +18,21 @@ any count is read.
 
 A point-source cube is almost all zeros, so a regular output file gets its
 all-zero blocks as holes: its apparent size and bytes are those above, but
-it allocates about 1/60 of them on disk.  The one reader,
+it allocates about 1/60 of them on disk.  :func:`write_sic` writes from
+the cube's non-zero bins (:class:`mpoxrf.sim.SpectralImage`): it finds the
+data blocks from their byte offsets and fills each run of them through one
+reused 512 KiB buffer, so it never allocates, touches or scans a dense
+cube.  An output that cannot seek, such as a pipe, gets the dense byte
+stream through the same buffer.  The one reader,
 :func:`read_window`, sums an energy window of the cube: it asks the file
 system for the data extents, rounds each out to whole pixels and reads
 those pixels once, a fixed number at a time, through one reused buffer,
 whose window bins it adds into its image.  It never allocates the cube,
-nor an array of the bins: it holds one n_y x n_x image and one buffer of
-512 KiB (or one pixel's spectrum, if that is larger), whatever the cube's
-size, and a buffer that cannot be allocated is a format error.  A file
-without holes reads the same, in one extent; an output that cannot seek,
-such as a pipe, gets the dense byte stream.
+nor an array of the bins: it holds one n_y x n_x image (u64 sums and their
+float copy) and one buffer of 512 KiB (or one pixel's spectrum, if that is
+larger), whatever the cube's size, and an image or buffer that cannot be
+allocated is a format error.  A file without holes reads the same, in one
+extent.
 """
 
 from __future__ import annotations
@@ -53,13 +58,17 @@ HEADER = struct.Struct("<4sIIIdddQQ")
 # flat-field cube this turns 3,208 data runs into 415.
 MIN_HOLE_BLOCKS = 4
 # A read buffer holds as many whole pixels as fit in this many bytes, one at
-# least: 655 pixels of a 100-bin spectrum.  On a 2-vCPU VM a window of a
-# dense 256x256x100 cube took 6-9 ms with buffers of 256 KiB to 1 MiB;
-# smaller ones cost more calls, larger ones fall out of the cache.
+# least: 655 pixels of a 100-bin spectrum; a write buffer holds this many
+# bytes of counts.  On a 2-vCPU VM a window of a dense 256x256x100 cube took
+# 6-9 ms with buffers of 256 KiB to 1 MiB; smaller ones cost more calls,
+# larger ones fall out of the cache.
 BUFFER_BYTES = 1 << 19
 
 
 def write_sic(path, cube: SpectralImage) -> None:
+    """Write ``cube`` from its non-zero bins: to a regular file, the header
+    and the :func:`_data_runs`, then the full length, so the blocks between
+    runs are holes; to any other output, the dense byte stream."""
     header = HEADER.pack(
         MAGIC,
         cube.n_x,
@@ -71,41 +80,68 @@ def write_sic(path, cube: SpectralImage) -> None:
         cube.seed,
         cube.photons,
     )
-    counts = np.ascontiguousarray(cube.counts, dtype="<u8")
+    size = 8 * math.prod(cube.shape)
     with open(path, "wb") as fh:
         fd = fh.fileno()
         info = os.fstat(fd)
         if not stat.S_ISREG(info.st_mode):
             fh.write(header)
-            fh.write(counts)
+            for _, piece in _body_pieces(cube, [(0, size)]):
+                fh.write(piece)
             return
         _pwrite_all(fd, header, 0)
-        body = counts.reshape(-1).view(np.uint8)
-        for start, stop in _data_ranges(body, -HEADER.size % info.st_blksize,
-                                        info.st_blksize):
-            _pwrite_all(fd, body[start:stop], HEADER.size + start)
-        os.ftruncate(fd, HEADER.size + body.size)
+        runs = _data_runs(cube.bins, size, info.st_blksize)
+        for offset, piece in _body_pieces(cube, runs):
+            _pwrite_all(fd, piece, HEADER.size + offset)
+        os.ftruncate(fd, HEADER.size + size)
 
 
-def _data_ranges(body: np.ndarray, skip: int, block: int):
-    """``(start, stop)`` byte ranges of ``body`` that must be written: the
-    first ``skip`` bytes, which share a block with the header, then every
-    block-sized row that holds a non-zero byte, runs of them merged across
-    gaps shorter than ``MIN_HOLE_BLOCKS``.  One ``max`` pass over views of
-    ``body``; nothing is copied."""
-    rows = max(body.size - skip, 0) // block
-    tail = body[skip + rows * block:]
-    # block flags: the header's block, the rows, the tail; a zero each side
-    data = np.zeros(rows + 4, np.int8)
-    data[1] = 1
-    data[2:-2] = body[skip:skip + rows * block].reshape(rows, block).max(axis=1) != 0
-    data[-2] = tail.size > 0 and tail.max() != 0
-    edges = np.flatnonzero(np.diff(data))  # block numbers: run starts, stops
-    starts, stops = edges[::2], edges[1::2]
-    hole = starts[1:] - stops[:-1] >= MIN_HOLE_BLOCKS  # shorter gaps are written
-    starts, stops = starts[np.r_[True, hole]], stops[np.r_[hole, True]]
-    bounds = np.clip(skip + (np.c_[starts, stops] - 1) * block, 0, body.size)
+def _data_runs(bins: np.ndarray, size: int, block: int) -> list:
+    """``(start, stop)`` byte ranges of a ``size``-byte cube body whose
+    non-zero counts sit at the ascending flat indices ``bins``: the body
+    bytes in the header's last file block, then every ``block``-sized file
+    block that holds a count, runs of them merged across gaps of fewer than
+    ``MIN_HOLE_BLOCKS`` blocks.  The rest of the body is zeros.
+
+    A scan of the dense body for non-zero bytes finds the same blocks: a
+    count is 8 bytes at an 8-aligned offset, so it lies in one block of any
+    size that is a multiple of 8.  Neighbouring counts at most
+    ``MIN_HOLE_BLOCKS`` blocks' worth of counts apart have no hole between
+    them, so only the counts either side of a wider gap are placed in
+    blocks: each cluster between such gaps is one span of written blocks.
+    """
+    after_gap = np.ones(bins.size, bool)
+    after_gap[1:] = np.diff(bins) > MIN_HOLE_BLOCKS * block // 8
+    before_gap = np.roll(after_gap, -1)  # the last count ends a cluster, too
+    head = (HEADER.size - 1) // block
+    first = np.r_[head, (HEADER.size + 8 * bins[after_gap]) // block]
+    last = np.r_[head, (HEADER.size + 8 * bins[before_gap]) // block]
+    cut = np.flatnonzero(first[1:] - last[:-1] > MIN_HOLE_BLOCKS) + 1
+    starts = first[np.r_[0, cut]]
+    stops = last[np.r_[cut - 1, last.size - 1]] + 1
+    bounds = np.clip(np.c_[starts, stops] * block - HEADER.size, 0, size)
     return bounds.tolist()
+
+
+def _body_pieces(cube: SpectralImage, ranges):
+    """``(offset, bytes)`` of the dense body of ``cube`` over each
+    ``(start, stop)`` byte range of ``ranges`` (multiples of 8, ascending),
+    in pieces of at most ``BUFFER_BYTES``.  Every piece is the same reused
+    buffer, zeroed and then given the counts that fall in it, valid until
+    the next one is asked for.  The counts of every piece are found in one
+    search: a point-source cube is hundreds of short runs."""
+    buffer = np.empty(max(1, BUFFER_BYTES // 8), "<u8")
+    pieces = [
+        (first, min(first + buffer.size, stop // 8))
+        for start, stop in ranges
+        for first in range(start // 8, stop // 8, buffer.size)
+    ]
+    bins, counts = cube.bins, cube.bin_counts
+    for (first, end), (lo, hi) in zip(pieces, bins.searchsorted(pieces).tolist()):
+        piece = buffer[: end - first]
+        piece.fill(0)
+        piece[bins[lo:hi] - first] = counts[lo:hi]
+        yield 8 * first, piece.view(np.uint8)
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -231,15 +267,22 @@ def read_window(path, e_lo: float, e_hi: float) -> Image2D:
     The window is checked before the file is opened, and the file as
     :func:`_open_sic` checks it.  Each pixel's window bins are summed into
     a uint64 image, which is cast to float once: the same integers as the
-    in-memory window, pixel for pixel.
+    in-memory window, pixel for pixel.  Both images are allocated before
+    any count is read; where they cannot be, that is a format error.
     """
     check_window(e_lo, e_hi)
     with _open_sic(path) as (fd, head):
         bins = window_bins(head.e_min, head.e_bin_width, head.n_bins, e_lo, e_hi)
-        sums = np.zeros(head.n_y * head.n_x, np.uint64)
+        try:
+            sums = np.zeros(head.n_y * head.n_x, np.uint64)
+            values = np.empty((head.n_y, head.n_x))
+        except (MemoryError, ValueError):  # numpy refuses sizes past intp, too
+            raise FileFormatError(
+                f"{path}: a {head.n_x}x{head.n_y}x{head.n_bins} cube needs a "
+                f"{16 * head.n_y * head.n_x / 2**30:.2f} GiB window image, which "
+                "could not be allocated"
+            ) from None
         for first, block in _pixel_blocks(path, fd, head):
             block[:, bins].sum(axis=1, out=sums[first : first + len(block)])
-    return Image2D(
-        values=sums.reshape(head.n_y, head.n_x).astype(float),
-        pitch_um=head.pixel_pitch_um,
-    )
+    values[:] = sums.reshape(head.n_y, head.n_x)
+    return Image2D(values=values, pitch_um=head.pixel_pitch_um)

@@ -4,12 +4,13 @@ The chain for every photon is: sample an emission point and a direction
 aimed at the plate, find the pore it enters (or the web that swallows it),
 unfold its in-channel trajectory, propagate the survivors to the detector
 plane, smear the energy with the detector response, and bin the hit into a
-pixel x energy cube.  Only photons aimed inside the acceptance window
-about their own emission point can survive the channels; the others are
-drawn as web and wall tallies without being transported.  The windows are
-computed once per run.  The transport steps are the array kernels of
-:mod:`mpoxrf.optics`; this module owns emission, batching and the detector
-stage, which :func:`mpoxrf.events.apply_calibration` shares.
+pixel x energy cube, which is held as its non-zero bins.  Only photons
+aimed inside the acceptance window about their own emission point can
+survive the channels; the others are drawn as web and wall tallies without
+being transported.  The windows are computed once per run.  The transport
+steps are the array kernels of :mod:`mpoxrf.optics`; this module owns
+emission, batching and the detector stage, which
+:func:`mpoxrf.events.apply_calibration` shares.
 
 Photons are counted in fixed batches of ``BATCH_SIZE``.  Batch ``b`` of a
 run with seed ``s`` uses its own Philox stream keyed by a SplitMix64 mix of
@@ -186,13 +187,20 @@ class SimStats:
 
 @dataclass
 class SpectralImage:
-    """Per-pixel, per-energy-bin count cube.
+    """Per-pixel, per-energy-bin count cube of ``shape`` (n_y, n_x, n_bins),
+    held as its non-zero bins.
 
-    ``counts`` has shape (n_y, n_x, n_bins), dtype uint64.  ``stats`` is
+    ``bins`` holds the flat SIC indices ``((y*n_x) + x)*n_bins + bin`` of
+    the non-zero bins, ascending and unique (int64), and ``bin_counts``
+    their counts (uint64, each above 0).  A point-source cube has at most
+    one non-zero bin per detected photon, so it stays small whatever the
+    detector; :attr:`counts` builds the dense array.  ``stats`` is
     in-memory bookkeeping only; it is not part of the on-disk cube format.
     """
 
-    counts: np.ndarray
+    shape: tuple[int, int, int]
+    bins: np.ndarray
+    bin_counts: np.ndarray
     e_min: float
     e_bin_width: float
     pixel_pitch_um: float
@@ -206,24 +214,43 @@ class SpectralImage:
         """An all-zero cube shaped and binned for ``detector``; ``meta``
         sets the remaining fields (seed, photons, scene_digest, stats)."""
         return cls(
-            counts=_zeros((detector.n_y, detector.n_x, detector.n_bins), "cube"),
+            shape=(detector.n_y, detector.n_x, detector.n_bins),
+            bins=np.empty(0, np.int64),
+            bin_counts=np.empty(0, np.uint64),
             e_min=detector.e_min,
             e_bin_width=detector.e_bin_width,
             pixel_pitch_um=detector.pitch,
             **meta,
         )
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, **meta) -> "SpectralImage":
+        """The cube of a dense (n_y, n_x, n_bins) count array; ``meta`` sets
+        the remaining fields."""
+        flat = counts.reshape(-1)
+        bins = np.flatnonzero(flat)
+        return cls(shape=counts.shape, bins=bins,
+                   bin_counts=flat[bins].astype(np.uint64, copy=False), **meta)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense (n_y, n_x, n_bins) uint64 cube, built on each call; a
+        cube that cannot be allocated is a ValueError."""
+        dense = _zeros(self.shape, "cube")
+        dense.reshape(-1)[self.bins] = self.bin_counts
+        return dense
+
     @property
     def n_y(self) -> int:
-        return self.counts.shape[0]
+        return self.shape[0]
 
     @property
     def n_x(self) -> int:
-        return self.counts.shape[1]
+        return self.shape[1]
 
     @property
     def n_bins(self) -> int:
-        return self.counts.shape[2]
+        return self.shape[2]
 
 
 def _zeros(shape, what: str) -> np.ndarray:
@@ -234,6 +261,27 @@ def _zeros(shape, what: str) -> np.ndarray:
         gib = math.prod(shape) * 8 / 2**30
         size = f"{'x'.join(map(str, shape))} {what} ({gib:.2f} GiB)"
         raise ValueError(f"cannot allocate the {size}") from None
+
+
+def _add_hits(bins, bin_counts, flat):
+    """The non-zero bins ``(bins, bin_counts)`` of a cube (see
+    :class:`SpectralImage`) plus one count at each flat cube index of
+    ``flat``, in the same form.
+
+    The indices are sorted together and each run of equal ones becomes one
+    bin, its weights summed: a sort and a neighbour compare, since the
+    first ``np.unique`` of a process imports ``numpy.ma`` (9 ms or more).
+    Counts add as integers, so the result does not depend on how the hits
+    are split between calls.
+    """
+    index = np.concatenate((bins, flat))
+    order = np.argsort(index)
+    index = index[order]
+    weight = np.concatenate((bin_counts, np.ones(flat.size, np.uint64)))[order]
+    first = np.ones(index.size, bool)
+    first[1:] = index[1:] != index[:-1]
+    starts = np.flatnonzero(first)
+    return index[starts], np.add.reduceat(weight, starts)
 
 
 def scene_digest(scene: Scene, geometry: MpoGeometry, detector: DetectorSpec) -> str:
@@ -672,7 +720,11 @@ def simulate(
     process gets as many chunks.  The number of processes used is
     ``stats.processes``.
 
-    The returned stats carry one 2-D hit image per
+    The cube is held as its non-zero bins (:class:`SpectralImage`): each
+    chunk's hits are merged into them as the chunk arrives
+    (:func:`_add_hits`), so no dense cube is allocated and the bins held
+    are at most the distinct ones plus one chunk's hits.  The returned
+    stats carry one 2-D hit image per
     :class:`~mpoxrf.optics.PathClass` (summed over energy bins) and the
     class counts, the sums of those images.
     """
@@ -689,7 +741,6 @@ def simulate(
         scene_digest=scene_digest(scene, mpo, detector),
         stats=total,
     )
-    cube = image.counts.reshape(-1)
     classes = _zeros((len(PathClass), detector.n_y, detector.n_x), "class-image stack")
     total.class_images = dict(zip(PathClass, classes))
 
@@ -713,7 +764,7 @@ def simulate(
         for k in range(n_chunks)
     ]
     for flat, class_flat, stats in run_tasks(_run_chunk, tasks, processes):
-        np.add.at(cube, flat, np.uint64(1))
+        image.bins, image.bin_counts = _add_hits(image.bins, image.bin_counts, flat)
         np.add.at(classes.reshape(-1), class_flat, np.uint64(1))
         total.add(stats)
 

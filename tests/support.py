@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from mpoxrf import sic
 from mpoxrf.analysis import AnalysisError, PsfProfile, _outer_background
 from mpoxrf.events import HEADER, MAGIC, RECORD_DTYPE, VERSION, EventList, open_events
 from mpoxrf.sim import FWHM_PER_SIGMA
@@ -204,3 +205,26 @@ def decode_sic(data: bytes) -> Sic | None:
         return None
     counts = np.frombuffer(data, "<u8", offset=56).reshape(n_y, n_x, n_bins)
     return Sic(e_min, width, pitch, seed, photons, counts.copy())
+
+
+def scan_data_ranges(body: np.ndarray, skip: int, block: int) -> list:
+    """``(start, stop)`` byte ranges of a dense SIC body ``body`` (uint8)
+    that a hole-aware writer writes, found by scanning it: the first
+    ``skip`` bytes, which share a block with the header, then every
+    block-sized row that holds a non-zero byte, runs of them merged across
+    gaps shorter than ``sic.MIN_HOLE_BLOCKS``.  The oracle of
+    ``sic._data_runs``, which finds the same ranges from the non-zero bins.
+    """
+    rows = max(body.size - skip, 0) // block
+    tail = body[skip + rows * block:]
+    # block flags: the header's block, the rows, the tail; a zero each side
+    data = np.zeros(rows + 4, np.int8)
+    data[1] = 1
+    data[2:-2] = body[skip:skip + rows * block].reshape(rows, block).max(axis=1) != 0
+    data[-2] = tail.size > 0 and tail.max() != 0
+    edges = np.flatnonzero(np.diff(data))  # block numbers: run starts, stops
+    starts, stops = edges[::2], edges[1::2]
+    hole = starts[1:] - stops[:-1] >= sic.MIN_HOLE_BLOCKS  # shorter gaps are written
+    starts, stops = starts[np.r_[True, hole]], stops[np.r_[hole, True]]
+    bounds = np.clip(skip + (np.c_[starts, stops] - 1) * block, 0, body.size)
+    return bounds.tolist()

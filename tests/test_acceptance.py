@@ -342,8 +342,8 @@ def test_criterion_9_property_suites(report):
     import tempfile, os
     from mpoxrf.sim import SpectralImage
 
-    cube = SpectralImage(
-        counts=rng.integers(0, 50, (16, 16, 20)).astype(np.uint64),
+    cube = SpectralImage.from_counts(
+        rng.integers(0, 50, (16, 16, 20)).astype(np.uint64),
         e_min=0.0, e_bin_width=0.5, pixel_pitch_um=55.0, seed=1, photons=2,
     )
     with tempfile.TemporaryDirectory() as d:
@@ -364,8 +364,8 @@ def test_criterion_9_property_suites(report):
     assert np.array_equal(full.values, cube.counts.sum(axis=2).astype(float))
 
     # windowing additivity (exact integer counts)
-    sci = SpectralImage(
-        counts=rng.integers(0, 9, (8, 8, 40)).astype(np.uint64),
+    sci = SpectralImage.from_counts(
+        rng.integers(0, 9, (8, 8, 40)).astype(np.uint64),
         e_min=0.0, e_bin_width=0.25, pixel_pitch_um=55.0,
     )
     a = an.energy_window(sci, 0.0, 4.0)

@@ -30,8 +30,8 @@ def gaussian_image(n=128, sigma_mm=0.5, pitch_um=55.0, cx=None, cy=None):
 
 def small_cube(counts, e_min=0.0, width=0.25, pitch=55.0):
     counts = np.asarray(counts, np.uint64)
-    return SpectralImage(
-        counts=counts, e_min=e_min, e_bin_width=width, pixel_pitch_um=pitch
+    return SpectralImage.from_counts(
+        counts, e_min=e_min, e_bin_width=width, pixel_pitch_um=pitch
     )
 
 

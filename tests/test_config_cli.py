@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -533,7 +534,8 @@ class TestCliSimulate:
     def test_unallocatable_cube_exits_2(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
-        # a 3.1 TiB cube is refused before the acceptance windows or any photon
+        # the cube is held as its non-zero bins, but the 160 GiB per-class
+        # image stack is refused before the acceptance windows or any photon
         config_path.write_text(
             MINIMAL.replace("n_x = 64\nn_y = 64", "n_x = 65536\nn_y = 65536")
         )
@@ -546,7 +548,8 @@ class TestCliSimulate:
         argv = ["simulate", "--config", str(config_path), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: cannot allocate the 65536x65536x100 cube (3200.00 GiB)\n"
+            "error: cannot allocate the 5x65536x65536 class-image stack "
+            "(160.00 GiB)\n"
         )
         assert not out.exists()
 
@@ -1250,8 +1253,8 @@ class TestSicFormat:
         from mpoxrf.sim import SpectralImage
 
         rng = np.random.default_rng(9)
-        cube = SpectralImage(
-            counts=rng.integers(0, 9, (8, 4, 16)).astype(np.uint64),
+        cube = SpectralImage.from_counts(
+            rng.integers(0, 9, (8, 4, 16)).astype(np.uint64),
             e_min=0.5,
             e_bin_width=0.125,
             pixel_pitch_um=82.5,
@@ -1273,8 +1276,8 @@ class TestSicFormat:
     def test_length_mismatch_rejected(self, tmp_path):
         from mpoxrf.sim import SpectralImage
 
-        cube = SpectralImage(
-            counts=np.zeros((2, 2, 2), np.uint64),
+        cube = SpectralImage.from_counts(
+            np.zeros((2, 2, 2), np.uint64),
             e_min=0.0,
             e_bin_width=1.0,
             pixel_pitch_um=55.0,
@@ -1287,11 +1290,11 @@ class TestSicFormat:
             sic.read_window(path, 0.0, 2.0)
 
     @staticmethod
-    def _cube(shape):
+    def _cube(counts):
         from mpoxrf.sim import SpectralImage
 
-        return SpectralImage(
-            counts=np.zeros(shape, np.uint64),
+        return SpectralImage.from_counts(
+            counts,
             e_min=0.0,
             e_bin_width=0.25,
             pixel_pitch_um=55.0,
@@ -1318,22 +1321,24 @@ class TestSicFormat:
     def test_bytes_on_disk_are_dense_layout(self, tmp_path, kind):
         # holes read back as zeros: the file's bytes are the v1 layout
         shape = (255, 3, 99) if kind == "odd" else (64, 64, 10)
-        cube = self._cube(shape)
+        counts = np.zeros(shape, np.uint64)
         if kind == "last":
-            cube.counts[-1, -1, -1] = 1
+            counts[-1, -1, -1] = 1
         elif kind == "dense":
-            cube.counts[:] = np.random.default_rng(3).integers(0, 2**63, shape)
+            counts[:] = np.random.default_rng(3).integers(0, 2**63, shape)
         elif kind == "odd":
-            cube.counts[::7, :, ::5] = 11  # a 605,880-byte body: no whole blocks
+            counts[::7, :, ::5] = 11  # a 605,880-byte body: no whole blocks
+        cube = self._cube(counts)
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
         assert path.read_bytes() == self._dense_bytes(cube)
         assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
 
     def test_file_without_holes_reads_back(self, tmp_path):
-        cube = self._cube((40, 30, 50))
-        cube.counts[3, 4, 5] = 6
-        cube.counts[-1, -1, -1] = 2**64 - 1
+        counts = np.zeros((40, 30, 50), np.uint64)
+        counts[3, 4, 5] = 6
+        counts[-1, -1, -1] = 2**64 - 1
+        cube = self._cube(counts)
         path = tmp_path / "c.sic"
         path.write_bytes(self._dense_bytes(cube))
         assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
@@ -1351,17 +1356,19 @@ class TestSicFormat:
     def test_zero_blocks_are_holes(self, tmp_path):
         if not self._fs_reports_holes(tmp_path):
             pytest.skip("the file system here allocates holes")
-        cube = self._cube((256, 256, 100))
-        cube.counts[5, 7, 9] = 3
+        counts = np.zeros((256, 256, 100), np.uint64)
+        counts[5, 7, 9] = 3
+        cube = self._cube(counts)
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
         info = path.stat()
-        assert info.st_size == 56 + cube.counts.nbytes
+        assert info.st_size == 56 + counts.nbytes
         assert info.st_blocks * 512 < info.st_size / 10, info.st_blocks
 
     def test_write_to_pipe_is_dense(self, tmp_path):
-        cube = self._cube((16, 16, 40))
-        cube.counts[2, 3, 4] = 5
+        counts = np.zeros((16, 16, 40), np.uint64)
+        counts[2, 3, 4] = 5
+        cube = self._cube(counts)
         path = tmp_path / "out.fifo"
         os.mkfifo(path)
         got = []
@@ -1377,7 +1384,7 @@ class TestSicFormat:
     def test_write_copies_no_cube(self, tmp_path):
         # the odd shape's body is no whole number of blocks: no padded copy
         for shape in [(256, 256, 100), (255, 256, 99)]:
-            cube = self._cube(shape)  # 50 MiB of counts
+            cube = self._cube(np.zeros(shape, np.uint64))  # 50 MiB of counts
             tracemalloc.start()
             try:
                 sic.write_sic(tmp_path / "c.sic", cube)
@@ -1390,9 +1397,10 @@ class TestSicFormat:
     def test_window_holds_no_cube(self, tmp_path, holes):
         # one uint64 image, its float copy and one read buffer: 1.5 MiB for
         # a 50 MiB cube, with or without holes
-        cube = self._cube((256, 256, 100))
-        cube.counts[5, 7, 30] = 3
-        cube.counts[200, :, 2] = 1
+        counts = np.zeros((256, 256, 100), np.uint64)
+        counts[5, 7, 30] = 3
+        counts[200, :, 2] = 1
+        cube = self._cube(counts)
         path = tmp_path / "c.sic"
         if holes:
             sic.write_sic(path, cube)
@@ -1451,6 +1459,48 @@ class TestSicFormat:
         )
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_unallocatable_window_image_io_exit(self, tmp_path):
+        # a 65536x65536x1 cube, 32 GiB long, holding one count: its window
+        # image, a u64 sum and a float a pixel, is 64 GiB, which does not fit
+        # a 3 GiB address space; it is refused before any count is read.
+        # Run only under that limit.
+        side = 65536
+        path = tmp_path / "wide.sic"
+        with open(path, "wb") as fh:
+            fh.write(sic.HEADER.pack(sic.MAGIC, side, side, 1, 7.0, 0.1, 55.0, 0, 1))
+            fh.seek(sic.HEADER.size + 8 * (side * side // 2))
+            fh.write(np.uint64(1).tobytes())
+            fh.truncate(sic.HEADER.size + 8 * side * side)
+        run = run_in_3_gib(["window", "--cube", str(path), "--lo", "6", "--hi", "9",
+                            "--out-prefix", str(tmp_path / "w")])
+        assert run.returncode == cli.EXIT_IO, run.stderr
+        assert run.stderr == (
+            f"input format error: {path}: a {side}x{side}x1 cube needs a 64.00 GiB "
+            "window image, which could not be allocated\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_simulate_a_cube_larger_than_memory(self, config_path, tmp_path):
+        # a 1024x1024x400 detector's cube is 3.1 GiB dense; held as its
+        # non-zero bins, it is simulated, written and windowed in a 3 GiB
+        # address space
+        config_path.write_text(
+            MINIMAL.replace("n_x = 64\nn_y = 64",
+                            "n_x = 1024\nn_y = 1024\nn_bins = 400")
+        )
+        path = tmp_path / "big.sic"
+        run = run_in_3_gib(["simulate", "--config", str(config_path),
+                            "--out", str(path)])
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        detected = int(re.search(r"^  detected +(\d+)$", run.stdout, re.M).group(1))
+        assert detected > 0
+        assert path.stat().st_size == sic.HEADER.size + 8 * 1024 * 1024 * 400
+        # every bin: 400 bins of 0.25 keV from 0 keV
+        run = run_in_3_gib(["window", "--cube", str(path), "--lo", "0", "--hi", "100",
+                            "--out-prefix", str(tmp_path / "w")])
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        assert run.stdout.startswith(f"window [0.0, 100.0) keV: {detected} counts -> ")
+
     def test_pipe_io_exit(self, tmp_path, capsys):
         # a pipe has no length to check the header against
         path = tmp_path / "fifo.sic"
@@ -1470,7 +1520,7 @@ class TestSicFormat:
     def test_file_shorter_than_its_size_says(self, tmp_path, monkeypatch):
         # a file that shrinks after its length is checked ends inside the read
         path = tmp_path / "c.sic"
-        sic.write_sic(path, self._cube((2, 3, 4)))
+        sic.write_sic(path, self._cube(np.zeros((2, 3, 4), np.uint64)))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         # fields 0 and 6: mode and size

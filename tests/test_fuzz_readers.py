@@ -14,6 +14,7 @@ or negative energy axes and pitches are all reached.
 import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from mpoxrf import cli, events as ev, fileio, sic
 from mpoxrf.analysis import energy_window
 from mpoxrf.sim import SpectralImage
-from support import decode_sic, decode_tpxe, write_events
+from support import decode_sic, decode_tpxe, scan_data_ranges, write_events
 
 N_X, N_Y = 3, 2
 
@@ -45,7 +46,9 @@ def valid_sic(tmp_path_factory):
     counts = np.arange(N_Y * N_X * 4, dtype=np.uint64).reshape(N_Y, N_X, 4)
     sic.write_sic(
         path,
-        SpectralImage(counts=counts, e_min=5.0, e_bin_width=1.0, pixel_pitch_um=55.0),
+        SpectralImage.from_counts(
+            counts, e_min=5.0, e_bin_width=1.0, pixel_pitch_um=55.0
+        ),
     )
     return path.read_bytes()
 
@@ -211,50 +214,110 @@ class TestReadSic:
 def sparse_counts(draw, block: int):
     """Mostly-zero (n_y, n_x, n_bins) counts whose file holes fall in any
     place: 1 to 3 * block / 8 bins, so a pixel may straddle a ``block``-byte
-    edge of the file, and up to eight counts drawn anywhere and on both
-    sides of each block edge."""
+    edge of the file, and up to eight counts (none, too) drawn anywhere, in
+    the first and last bin and on both sides of each block edge, from 1 to
+    2**64 - 1."""
     n_y, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n_bins = draw(st.integers(1, 3 * block // 8))
     size = n_y * n_x * n_bins
     edges = [i for k in range(1, (size * 8 + sic.HEADER.size) // block + 1)
              for i in ((k * block - sic.HEADER.size) // 8 + d for d in (-1, 0))
-             if i < size]
-    index = st.integers(0, size - 1)
+             if 0 <= i < size]
+    index = st.integers(0, size - 1) | st.sampled_from([0, size - 1])
     if edges:
         index |= st.sampled_from(edges)
-    cells = draw(st.dictionaries(index, st.integers(1, 2**64 - 1), max_size=8))
+    count = st.integers(1, 2**64 - 1) | st.sampled_from([1, 2**64 - 1])
+    cells = draw(st.dictionaries(index, count, max_size=8))
     counts = np.zeros((n_y, n_x, n_bins), np.uint64)
     counts.reshape(-1)[list(cells)] = list(cells.values())
     return counts
+
+
+def write_scanned(path, data: bytes, block: int) -> None:
+    """Write the SIC bytes ``data`` with the holes a scan of their dense body
+    finds (:func:`support.scan_data_ranges`)."""
+    body = np.frombuffer(data, np.uint8, offset=sic.HEADER.size)
+    with open(path, "wb") as fh:
+        fd = fh.fileno()
+        os.pwrite(fd, data[: sic.HEADER.size], 0)
+        for start, stop in scan_data_ranges(body, -sic.HEADER.size % block, block):
+            os.pwrite(fd, body[start:stop], sic.HEADER.size + start)
+        os.ftruncate(fd, len(data))
+
+
+def extents(path) -> list:
+    with open(path, "rb") as fh:
+        return list(sic._data_extents(fh.fileno(), 0, os.fstat(fh.fileno()).st_size))
+
+
+def read_from_fifo(path, write) -> bytes:
+    """What ``write()`` writes into the FIFO ``path``, read by a thread."""
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write()
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    return got[0]
 
 
 class TestSicHoles:
     @FUZZ
     @given(data=st.data())
     def test_sparse_write_is_dense_bytes(self, workdir, data):
-        counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
+        # written from the non-zero bins, a file has the dense layout's bytes
+        # and the data extents of a scan of the dense body; a FIFO gets the
+        # dense layout as a stream
+        block = os.stat(workdir).st_blksize
+        counts = data.draw(sparse_counts(block))
         n_y, n_x, n_bins = counts.shape
         n_cells = np.count_nonzero(counts)
-        cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
-                             pixel_pitch_um=55.0, seed=7, photons=n_cells)
-        path = workdir / "holes.sic"
+        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
+                                         pixel_pitch_um=55.0, seed=7, photons=n_cells)
+        dense = sic.HEADER.pack(
+            sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, n_cells
+        ) + counts.tobytes()
+        path, scanned, fifo = (workdir / name
+                               for name in ("holes.sic", "scanned.sic", "holes.fifo"))
+        if not fifo.exists():
+            os.mkfifo(fifo)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sic, "MIN_HOLE_BLOCKS",
                        data.draw(st.sampled_from([1, sic.MIN_HOLE_BLOCKS])))
             sic.write_sic(path, cube)
-        assert path.read_bytes() == sic.HEADER.pack(
-            sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, n_cells
-        ) + counts.tobytes()
+            write_scanned(scanned, dense, block)
+            streamed = read_from_fifo(fifo, lambda: sic.write_sic(fifo, cube))
+        assert path.read_bytes() == dense
+        assert streamed == dense
+        assert extents(path) == extents(scanned)
         back = decode_sic(path.read_bytes())
         assert np.array_equal(back.counts, counts)
         assert (back.seed, back.photons) == (7, n_cells)
 
     @FUZZ
     @given(data=st.data())
+    def test_data_runs_equal_the_scan_rule(self, data):
+        # any block size a multiple of 8, the header's size among them
+        block = data.draw(st.sampled_from([8, 16, 24, 56, 4096])
+                          | st.integers(1, 64).map(lambda k: 8 * k))
+        counts = data.draw(sparse_counts(block))
+        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
+                                         pixel_pitch_um=55.0)
+        body = counts.reshape(-1).view(np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sic, "MIN_HOLE_BLOCKS",
+                       data.draw(st.sampled_from([1, 2, sic.MIN_HOLE_BLOCKS])))
+            want = scan_data_ranges(body, -sic.HEADER.size % block, block)
+            assert sic._data_runs(cube.bins, body.size, block) == want
+
+    @FUZZ
+    @given(data=st.data())
     def test_window_sums_the_in_memory_window(self, workdir, data):
         counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
-        cube = SpectralImage(counts=counts, e_min=1.5, e_bin_width=0.5,
-                             pixel_pitch_um=55.0)
+        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
+                                         pixel_pitch_um=55.0)
         centers = 1.5 + (np.arange(counts.shape[2]) + 0.5) * 0.5
         first, last = centers[[0, -1]]
         lo, hi = data.draw(

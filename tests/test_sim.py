@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpoxrf.config import load_config
 from mpoxrf.optics import (
@@ -28,6 +30,7 @@ from mpoxrf.sim import (
     Source,
     SimStats,
     _acceptance_windows,
+    _add_hits,
     _axis_window,
     _batch_rng,
     _cube_index,
@@ -542,6 +545,8 @@ class TestSimulate:
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 0, seed=1)
         assert cube.counts.sum() == 0
         assert cube.photons == 0
+        assert cube.shape == (256, 256, 100)
+        assert cube.bins.size == cube.bin_counts.size == 0
 
     def test_count_conservation(self):
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 300_000, seed=2)
@@ -899,6 +904,71 @@ class TestBatchGroups:
         one, three = peak(1), peak(3)
         assert one > 5 * BATCH_SIZE * 8  # the batch's uniforms alone
         assert three < 2 * one, (one, three)
+
+
+class TestSparseCube:
+    """A simulated cube is held as its non-zero bins; they equal the dense
+    cube that ``np.add.at`` builds from the same chunk hits."""
+
+    @staticmethod
+    def check_bins(cube):
+        assert cube.bins.dtype == np.int64 and cube.bin_counts.dtype == np.uint64
+        assert np.all(np.diff(cube.bins) > 0)
+        assert np.all(cube.bin_counts > 0)
+        assert np.all((cube.bins >= 0) & (cube.bins < math.prod(cube.shape)))
+
+    @pytest.mark.parametrize("name", ["reference", "flatfield", "lossy"])
+    def test_bins_equal_dense_add_at(self, monkeypatch, name):
+        cfg = load_config(CONFIGS / f"{'elemental' if name == 'lossy' else name}.ini")
+        mpo = replace(cfg.mpo, reflectivity=0.8) if name == "lossy" else cfg.mpo
+        # three-batch chunks: four chunks, merged one after another, and at
+        # two jobs a pool of two
+        monkeypatch.setattr("mpoxrf.sim.CHUNK_BATCHES", 3)
+        monkeypatch.setattr("mpoxrf.sim._available_cpus", lambda: 2)
+        hits = []
+
+        def recording(fn, tasks, n_workers):
+            for result in run_tasks(fn, tasks, n_workers):
+                hits.append(result[0])
+                yield result
+
+        monkeypatch.setattr("mpoxrf.sim.run_tasks", recording)
+        cubes = []
+        for jobs in (1, 2):
+            hits.clear()
+            cube = simulate(cfg.scene, mpo, cfg.detector, 12 * BATCH_SIZE,
+                            seed=5, n_workers=jobs)
+            assert (len(hits), cube.stats.processes) == (4, jobs)
+            dense = np.zeros(cube.shape, np.uint64)
+            np.add.at(dense.reshape(-1), np.concatenate(hits), np.uint64(1))
+            self.check_bins(cube)
+            assert np.array_equal(cube.bins, np.flatnonzero(dense))
+            assert np.array_equal(cube.bin_counts, dense.reshape(-1)[cube.bins])
+            assert np.array_equal(cube.counts, dense)
+            assert int(cube.bin_counts.sum()) == cube.stats.detected > 0
+            cubes.append(cube)
+        a, b = cubes
+        assert np.array_equal(a.bins, b.bins)
+        assert np.array_equal(a.bin_counts, b.bin_counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.lists(st.integers(0, 40) | st.sampled_from([0, 40]), max_size=30),
+            max_size=5,
+        )
+    )
+    def test_add_hits_equals_add_at(self, parts):
+        # hits split into any parts, empty ones too, and repeated indices
+        bins, counts = np.empty(0, np.int64), np.empty(0, np.uint64)
+        dense = np.zeros(41, np.uint64)
+        for part in parts:
+            flat = np.array(part, np.int64)
+            bins, counts = _add_hits(bins, counts, flat)
+            np.add.at(dense, flat, np.uint64(1))
+            assert np.array_equal(bins, np.flatnonzero(dense))
+            assert np.array_equal(counts, dense[bins])
+            assert (bins.dtype, counts.dtype) == (np.int64, np.uint64)
 
 
 class TestConstantPerBounceRoulette:
