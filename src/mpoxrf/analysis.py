@@ -2,11 +2,12 @@
 
 Everything here operates on plain 2-D images (:class:`Image2D`), whether
 they came from the simulator's spectral cubes or from calibrated event
-data.  Images are indexed ``[row, col]`` = ``[z, x]``; "horizontal" means
-along x (a row), "vertical" along z (a column).  An energy window sums the
-bins whose centers lie in [lo, hi), found by bisection without an array of
-the centers (:func:`window_bins`): one rule for an in-memory cube
-(:func:`energy_window`) and a cube file (:func:`mpoxrf.sic.read_window`).
+data; nothing here holds a cube.  Images are indexed ``[row, col]`` =
+``[z, x]``; "horizontal" means along x (a row), "vertical" along z (a
+column).  An energy window sums the bins whose centers lie in [lo, hi),
+found by bisection without an array of the centers (:func:`window_bins`);
+:func:`mpoxrf.sic.read_window`, the one way from a cube to an image, sums
+them from a cube file.
 
 The FFT pipeline follows the background-suppression recipe: multiply each
 PSF by a Gaussian window about its center, take the 2-D transform
@@ -26,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from .optics import Material, MpoGeometry, critical_slope, straight_through_slope
-from .sim import SpectralImage
 
 log = logging.getLogger(__name__)
 
@@ -139,19 +139,6 @@ def window_bins(
     return bins
 
 
-def energy_window(cube: SpectralImage, e_lo: float, e_hi: float) -> Image2D:
-    """Sum an in-memory cube over its :func:`window_bins`.
-
-    Additive over adjacent windows by construction.  A window that covers
-    no bin centers yields an all-zero image.  The ``window`` command sums a
-    cube file to the same image without allocating the cube
-    (:func:`mpoxrf.sic.read_window`).
-    """
-    bins = window_bins(cube.e_min, cube.e_bin_width, cube.n_bins, e_lo, e_hi)
-    values = cube.counts[:, :, bins].sum(axis=2).astype(float)
-    return Image2D(values=values, pitch_um=cube.pixel_pitch_um)
-
-
 def flat_field_correct(image: Image2D, flat: Image2D) -> Image2D:
     """Divide out pixel-to-pixel sensitivity using a flat exposure.
 
@@ -165,7 +152,7 @@ def flat_field_correct(image: Image2D, flat: Image2D) -> Image2D:
         )
     mean = float(flat.values.mean())
     if mean <= 0:
-        raise ValueError("flat image has non-positive mean")
+        raise AnalysisError("flat image has non-positive mean")
     norm = flat.values / mean
     good = norm >= FLAT_EPSILON
     out = np.zeros_like(image.values)
@@ -208,8 +195,11 @@ def extract_arm_profiles(
     """Cut horizontal and vertical profiles through the PSF center.
 
     Each profile averages the ``rows_averaged`` rows (or columns) nearest
-    the center; positions are in mm relative to the center.
+    the center, an odd count centred on the center's row (column);
+    positions are in mm relative to the center.
     """
+    if rows_averaged < 1 or rows_averaged % 2 == 0:
+        raise ValueError(f"rows_averaged must be odd and >= 1, got {rows_averaged}")
     cx, cy = center
     half = rows_averaged // 2
     r0 = int(round(cy))

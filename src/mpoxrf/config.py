@@ -123,6 +123,8 @@ class AnalysisParams:
             )
         if self.rows_averaged < 1:
             raise ValueError(f"rows_averaged must be >= 1, got {self.rows_averaged}")
+        if self.rows_averaged % 2 == 0:
+            raise ValueError(f"rows_averaged must be odd, got {self.rows_averaged}")
 
 
 @dataclass

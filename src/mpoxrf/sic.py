@@ -16,16 +16,17 @@ width and pitch.  A written file is exactly this layout of the cube.  Only
 a regular file is read: its length is checked against the header before
 any count is read.
 
-A point-source cube is almost all zeros, so a regular output file gets its
-all-zero blocks as holes: its apparent size and bytes are those above, but
-it allocates about 1/60 of them on disk.  :func:`write_sic` writes from
-the cube's non-zero bins (:class:`mpoxrf.sim.SpectralImage`): it finds the
-data blocks from their byte offsets and fills each run of them through one
-reused 512 KiB buffer, so it never allocates, touches or scans a dense
-cube.  An output that cannot seek, such as a pipe, gets the dense byte
-stream through the same buffer.  The one reader,
-:func:`read_window`, sums an energy window of the cube: it asks the file
-system for the data extents, rounds each out to whole pixels and reads
+A cube is held as its non-zero bins (:class:`mpoxrf.sim.SpectralImage`)
+and never as a dense array.  A point-source cube is almost all zeros, so a
+regular output file gets its all-zero blocks as holes: its apparent size
+and bytes are those above, but it allocates about 1/60 of them on disk.
+:func:`write_sic` writes from the cube's bins in one loop over runs of the
+body: for a regular file, the data blocks found from their byte offsets;
+for any other output, such as a pipe, the whole body as one run.  Each run
+is filled through one reused 512 KiB buffer, so it never allocates, touches
+or scans a dense cube.  The one reader, :func:`read_window`, is the one way
+from a cube to an image: it sums an energy window of the cube.  It asks the
+file system for the data extents, rounds each out to whole pixels and reads
 those pixels once, a fixed number at a time, through one reused buffer,
 whose window bins it adds into its image.  It never allocates the cube,
 nor an array of the bins: it holds one n_y x n_x image (u64 sums and their
@@ -54,7 +55,7 @@ from .sim import SpectralImage
 MAGIC = b"SIC1"
 HEADER = struct.Struct("<4sIIIdddQQ")
 # A run of fewer zero blocks between two data blocks is written as zeros:
-# a pwrite costs about as much as 16 KiB of zeros.  On a half-full
+# a seek and a write cost about as much as 16 KiB of zeros.  On a half-full
 # flat-field cube this turns 3,208 data runs into 415.
 MIN_HOLE_BLOCKS = 4
 # A read buffer holds as many whole pixels as fit in this many bytes, one at
@@ -66,9 +67,14 @@ BUFFER_BYTES = 1 << 19
 
 
 def write_sic(path, cube: SpectralImage) -> None:
-    """Write ``cube`` from its non-zero bins: to a regular file, the header
-    and the :func:`_data_runs`, then the full length, so the blocks between
-    runs are holes; to any other output, the dense byte stream."""
+    """Write ``cube`` from its non-zero bins: the header, then one loop over
+    runs of the body.  A regular file gets the :func:`_data_runs`, each at
+    its offset, and then its full length, so the blocks between runs are
+    holes; any other output, such as a pipe, gets the whole body as one run.
+    A run is written in pieces of at most ``BUFFER_BYTES`` through one
+    reused buffer, zeroed and then given the counts that fall in it.  The
+    counts of every piece are found in one search: a point-source cube is
+    hundreds of short runs."""
     header = HEADER.pack(
         MAGIC,
         cube.n_x,
@@ -81,19 +87,27 @@ def write_sic(path, cube: SpectralImage) -> None:
         cube.photons,
     )
     size = 8 * math.prod(cube.shape)
+    bins, counts = cube.bins, cube.bin_counts
+    buffer = np.empty(max(1, BUFFER_BYTES // 8), "<u8")
     with open(path, "wb") as fh:
-        fd = fh.fileno()
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            fh.write(header)
-            for _, piece in _body_pieces(cube, [(0, size)]):
-                fh.write(piece)
-            return
-        _pwrite_all(fd, header, 0)
-        runs = _data_runs(cube.bins, size, info.st_blksize)
-        for offset, piece in _body_pieces(cube, runs):
-            _pwrite_all(fd, piece, HEADER.size + offset)
-        os.ftruncate(fd, HEADER.size + size)
+        info = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        runs = _data_runs(bins, size, info.st_blksize) if regular else [(0, size)]
+        pieces = [
+            (first, min(first + buffer.size, stop // 8))
+            for start, stop in runs
+            for first in range(start // 8, stop // 8, buffer.size)
+        ]
+        fh.write(header)
+        for (first, end), (lo, hi) in zip(pieces, bins.searchsorted(pieces).tolist()):
+            piece = buffer[: end - first]
+            piece.fill(0)
+            piece[bins[lo:hi] - first] = counts[lo:hi]
+            if regular:
+                fh.seek(HEADER.size + 8 * first)
+            fh.write(piece)
+        if regular:
+            fh.truncate(HEADER.size + size)
 
 
 def _data_runs(bins: np.ndarray, size: int, block: int) -> list:
@@ -121,35 +135,6 @@ def _data_runs(bins: np.ndarray, size: int, block: int) -> list:
     stops = last[np.r_[cut - 1, last.size - 1]] + 1
     bounds = np.clip(np.c_[starts, stops] * block - HEADER.size, 0, size)
     return bounds.tolist()
-
-
-def _body_pieces(cube: SpectralImage, ranges):
-    """``(offset, bytes)`` of the dense body of ``cube`` over each
-    ``(start, stop)`` byte range of ``ranges`` (multiples of 8, ascending),
-    in pieces of at most ``BUFFER_BYTES``.  Every piece is the same reused
-    buffer, zeroed and then given the counts that fall in it, valid until
-    the next one is asked for.  The counts of every piece are found in one
-    search: a point-source cube is hundreds of short runs."""
-    buffer = np.empty(max(1, BUFFER_BYTES // 8), "<u8")
-    pieces = [
-        (first, min(first + buffer.size, stop // 8))
-        for start, stop in ranges
-        for first in range(start // 8, stop // 8, buffer.size)
-    ]
-    bins, counts = cube.bins, cube.bin_counts
-    for (first, end), (lo, hi) in zip(pieces, bins.searchsorted(pieces).tolist()):
-        piece = buffer[: end - first]
-        piece.fill(0)
-        piece[bins[lo:hi] - first] = counts[lo:hi]
-        yield 8 * first, piece.view(np.uint8)
-
-
-def _pwrite_all(fd: int, data, offset: int) -> None:
-    view = memoryview(data)
-    while view.nbytes:
-        done = os.pwrite(fd, view, offset)
-        view = view[done:]
-        offset += done
 
 
 def _data_extents(fd: int, start: int, stop: int):
@@ -261,14 +246,16 @@ def _pixel_blocks(path, fd: int, head: _Header):
 
 
 def read_window(path, e_lo: float, e_hi: float) -> Image2D:
-    """:func:`mpoxrf.analysis.energy_window` of the cube in a SIC file,
-    summed from its data extents without allocating the cube.
+    """The image of the cube in a SIC file over the energy window [e_lo,
+    e_hi): each pixel's sum over the :func:`mpoxrf.analysis.window_bins`,
+    read from the file's data extents without allocating the cube.
 
-    The window is checked before the file is opened, and the file as
-    :func:`_open_sic` checks it.  Each pixel's window bins are summed into
-    a uint64 image, which is cast to float once: the same integers as the
-    in-memory window, pixel for pixel.  Both images are allocated before
-    any count is read; where they cannot be, that is a format error.
+    Additive over adjacent windows by construction; a window that covers
+    no bin center yields an all-zero image.  The window is checked before
+    the file is opened, and the file as :func:`_open_sic` checks it.  Each
+    pixel's window bins are summed into a uint64 image, which is cast to
+    float once.  Both images are allocated before any count is read; where
+    they cannot be, that is a format error.
     """
     check_window(e_lo, e_hi)
     with _open_sic(path) as (fd, head):

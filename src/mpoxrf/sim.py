@@ -194,8 +194,10 @@ class SpectralImage:
     the non-zero bins, ascending and unique (int64), and ``bin_counts``
     their counts (uint64, each above 0).  A point-source cube has at most
     one non-zero bin per detected photon, so it stays small whatever the
-    detector; :attr:`counts` builds the dense array.  ``stats`` is
-    in-memory bookkeeping only; it is not part of the on-disk cube format.
+    detector.  It has no dense view: :func:`mpoxrf.sic.write_sic` writes it
+    from its bins, and :func:`mpoxrf.sic.read_window` sums an energy window
+    of the written file.  ``stats`` is in-memory bookkeeping only; it is not
+    part of the on-disk cube format.
     """
 
     shape: tuple[int, int, int]
@@ -231,14 +233,6 @@ class SpectralImage:
         bins = np.flatnonzero(flat)
         return cls(shape=counts.shape, bins=bins,
                    bin_counts=flat[bins].astype(np.uint64, copy=False), **meta)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The dense (n_y, n_x, n_bins) uint64 cube, built on each call; a
-        cube that cannot be allocated is a ValueError."""
-        dense = _zeros(self.shape, "cube")
-        dense.reshape(-1)[self.bins] = self.bin_counts
-        return dense
 
     @property
     def n_y(self) -> int:

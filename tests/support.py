@@ -1,6 +1,7 @@
 """Test helpers that no command runs: an independent oracle of the channel
-transit, an arm-extent measurement, TPXE fixture writers, and decoders of
-the TPXE and SIC byte layouts that README states.
+transit, an arm-extent measurement, TPXE fixture writers, dense and
+windowed oracles of a cube held as its non-zero bins, and decoders of the
+TPXE and SIC byte layouts that README states.
 
 Test files import them as ``from support import ...``; pytest's default
 import mode puts this directory on ``sys.path``.
@@ -73,6 +74,41 @@ def arm_extent(
     if above.size == 0:
         raise AnalysisError("arm never reaches the threshold level")
     return float(np.abs(x[above]).max())
+
+
+def dense(cube) -> np.ndarray:
+    """The dense (n_y, n_x, n_bins) uint64 counts of ``cube``, built from
+    its non-zero bins ``bins`` / ``bin_counts``."""
+    counts = np.zeros(cube.shape, np.uint64)
+    counts.reshape(-1)[cube.bins] = cube.bin_counts
+    return counts
+
+
+def same_bins(a, b) -> bool:
+    """Whether the cubes ``a`` and ``b`` hold the same non-zero bins with the
+    same counts."""
+    return np.array_equal(a.bins, b.bins) and np.array_equal(a.bin_counts, b.bin_counts)
+
+
+def window_image(cube, lo: float, hi: float) -> np.ndarray:
+    """The (n_y, n_x) float image of ``cube`` over the energy window [lo,
+    hi): each pixel's counts in the bins whose centers, computed here as an
+    array, lie in the window.  The oracle of ``sic.read_window``."""
+    centers = cube.e_min + (np.arange(cube.n_bins) + 0.5) * cube.e_bin_width
+    inside = (centers >= lo) & (centers < hi)
+    pixel, k = np.divmod(cube.bins, cube.n_bins)
+    keep = inside[k]
+    sums = np.zeros(cube.n_y * cube.n_x, np.uint64)
+    np.add.at(sums, pixel[keep], cube.bin_counts[keep])
+    return sums.reshape(cube.n_y, cube.n_x).astype(float)
+
+
+def window_of(cube, path, lo: float, hi: float):
+    """The image of ``cube`` over [lo, hi) as the ``window`` command gets
+    it: the cube written to the SIC file ``path``, then summed by
+    ``sic.read_window``."""
+    sic.write_sic(path, cube)
+    return sic.read_window(path, lo, hi)
 
 
 def write_events(events: EventList) -> bytes:

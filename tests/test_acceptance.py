@@ -17,9 +17,11 @@ from mpoxrf.sim import DetectorSpec, Scene, Source, simulate
 from support import (
     arm_extent,
     decode_sic,
+    dense,
     march_plane,
     read_events,
     synthesize_line_events,
+    window_of,
     write_events_file,
 )
 
@@ -97,12 +99,12 @@ def test_criterion_2_oracle_equivalence(report):
               f"{n} rays (counts exact, worst exit error {worst:.2e} um)")
 
 
-def test_criterion_3_true_focusing_geometry(report):
+def test_criterion_3_true_focusing_geometry(tmp_path, report):
     # 27.5 um pixels resolve the focused spot that 55 um pixels floor
     det = DetectorSpec(n_x=512, n_y=512, pitch=27.5)
 
     cube = simulate(point_scene(8.0), REFERENCE_MPO, det, 10_000_000, seed=33)
-    img = an.energy_window(cube, 0.0, 25.0)
+    img = window_of(cube, tmp_path / "sym.sic", 0.0, 25.0)
     center = an.find_psf_center(img)
     h, v = an.extract_arm_profiles(img, center)
     fwhm_sym = (an.fwhm(h) + an.fwhm(v)) / 2.0
@@ -112,7 +114,7 @@ def test_criterion_3_true_focusing_geometry(report):
         point_scene(8.0, L_s=50.0, L_i=20.0), REFERENCE_MPO, det,
         40_000_000, seed=33,
     )
-    img_a = an.energy_window(cube_a, 0.0, 25.0)
+    img_a = window_of(cube_a, tmp_path / "asym.sic", 0.0, 25.0)
     center_a = an.find_psf_center(img_a)
     h_a, v_a = an.extract_arm_profiles(img_a, center_a)
     fwhm_asym = (an.fwhm(h_a) + an.fwhm(v_a)) / 2.0
@@ -122,7 +124,7 @@ def test_criterion_3_true_focusing_geometry(report):
               f"{fwhm_asym / fwhm_sym:.1f}x focused (>= 3x)")
 
 
-def test_criterion_4_energy_dependent_arms(report):
+def test_criterion_4_energy_dependent_arms(tmp_path, report):
     det = DetectorSpec()
     results = {}
     for label, energy, seed in (("Ti", 4.5, 91), ("Cu", 8.0, 92)):
@@ -130,7 +132,7 @@ def test_criterion_4_energy_dependent_arms(report):
             point_scene(energy, label=label), ARM_MPO, det, 200_000_000,
             seed=seed,
         )
-        img = an.energy_window(cube, 0.0, 25.0)
+        img = window_of(cube, tmp_path / f"{label}.sic", 0.0, 25.0)
         center = an.find_psf_center(img)
         h, v = an.extract_arm_profiles(img, center)
         extent = (arm_extent(h, core_exclude_mm=0.25)
@@ -177,7 +179,7 @@ def site_counts(img, x_mm, z_mm, radius_mm=1.0):
     return float(img.values[np.hypot(px - x_mm, pz - z_mm) <= radius_mm].sum())
 
 
-def test_criterion_5_elemental_mapping(report):
+def test_criterion_5_elemental_mapping(tmp_path, report):
     scene = Scene(
         sources=(
             Source("Ti", ((4.5, 1.0),), (-1.5, -25.0, -1.5)),
@@ -187,8 +189,10 @@ def test_criterion_5_elemental_mapping(report):
         L_i=25.0,
     )
     cube = simulate(scene, REFERENCE_MPO, DetectorSpec(), 20_000_000, seed=44)
-    ti_img = an.energy_window(cube, 2.5, 5.5)
-    cu_img = an.energy_window(cube, 6.0, 9.0)
+    path = tmp_path / "map.sic"
+    sic.write_sic(path, cube)
+    ti_img = sic.read_window(path, 2.5, 5.5)
+    cu_img = sic.read_window(path, 6.0, 9.0)
 
     ti_same = site_counts(ti_img, -1.5, -1.5)
     ti_cross = site_counts(ti_img, 1.5, 1.5)
@@ -232,7 +236,7 @@ def test_criterion_6_calibration_closure(report):
     for label, e_kev in line_set.lines:
         fresh = synthesize_line_events(e_kev, gain, offset, 300, rng)
         cube = ev.apply_calibration(fresh, cal, det)
-        spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
+        spectrum = dense(cube).sum(axis=(0, 1)).astype(float)
         peak_bin = ev.find_line_peaks(spectrum)
         e_peak = det.e_min + (peak_bin + 0.5) * det.e_bin_width
         worst = max(worst, abs(e_peak - e_kev))
@@ -242,7 +246,7 @@ def test_criterion_6_calibration_closure(report):
               f"{worst:.3f} keV (<= 0.1)")
 
 
-def test_criterion_7_fft_pipeline(report):
+def test_criterion_7_fft_pipeline(tmp_path, report):
     det = DetectorSpec()
     scene = point_scene(8.0)
     sigma_mm = 0.5  # matched to the Cu PSF support (arms end at 0.54 mm)
@@ -251,7 +255,7 @@ def test_criterion_7_fft_pipeline(report):
     transfer_list, before = [], []
     for seed in (101, 202, 303):
         cube = simulate(scene, REFERENCE_MPO, det, 20_000_000, seed=seed)
-        img = an.energy_window(cube, 0.0, 25.0)
+        img = window_of(cube, tmp_path / f"{seed}.sic", 0.0, 25.0)
         center = an.find_psf_center(img)
         before.append(
             an.background_level(img, excl_mm, center, arm_half_width_mm=band_mm)
@@ -302,7 +306,7 @@ def test_criterion_8_cli_determinism(tmp_path, report):
               f"({len(digests[0])} byte cubes, seed 2718)")
 
 
-def test_criterion_9_property_suites(report):
+def test_criterion_9_property_suites(tmp_path, report):
     rng = np.random.default_rng(11)
 
     # critical-angle scaling law
@@ -339,38 +343,37 @@ def test_criterion_9_property_suites(report):
         tot=rng.integers(0, 65536, n).astype(np.uint16),
         toa=rng.integers(0, 2**64, n, dtype=np.uint64),
     )
-    import tempfile, os
     from mpoxrf.sim import SpectralImage
 
     cube = SpectralImage.from_counts(
         rng.integers(0, 50, (16, 16, 20)).astype(np.uint64),
         e_min=0.0, e_bin_width=0.5, pixel_pitch_um=55.0, seed=1, photons=2,
     )
-    with tempfile.TemporaryDirectory() as d:
-        events_path = os.path.join(d, "ev.tpxe")
-        write_events_file(events_path, el)
-        back = read_events(events_path)
-        path = os.path.join(d, "c.sic")
-        sic.write_sic(path, cube)
-        with open(path, "rb") as fh:
-            cube_back = decode_sic(fh.read())
-        # the window command's reader: every bin of the cube, summed
-        full = sic.read_window(path, 0.0, 10.0)
+    events_path = tmp_path / "ev.tpxe"
+    write_events_file(events_path, el)
+    back = read_events(events_path)
+    path = tmp_path / "c.sic"
+    sic.write_sic(path, cube)
+    cube_back = decode_sic(path.read_bytes())
+    # the window command's reader: every bin of the cube, summed
+    full = sic.read_window(path, 0.0, 10.0)
     assert all(
         np.array_equal(getattr(el, f), getattr(back, f))
         for f in ("x", "y", "tot", "toa")
     )
-    assert np.array_equal(cube_back.counts, cube.counts)
-    assert np.array_equal(full.values, cube.counts.sum(axis=2).astype(float))
+    assert np.array_equal(cube_back.counts, dense(cube))
+    assert np.array_equal(full.values, dense(cube).sum(axis=2).astype(float))
 
-    # windowing additivity (exact integer counts)
+    # windowing additivity (exact integer counts), read from the cube file
     sci = SpectralImage.from_counts(
         rng.integers(0, 9, (8, 8, 40)).astype(np.uint64),
         e_min=0.0, e_bin_width=0.25, pixel_pitch_um=55.0,
     )
-    a = an.energy_window(sci, 0.0, 4.0)
-    b = an.energy_window(sci, 4.0, 10.0)
-    c = an.energy_window(sci, 0.0, 10.0)
+    sci_path = tmp_path / "sci.sic"
+    sic.write_sic(sci_path, sci)
+    a = sic.read_window(sci_path, 0.0, 4.0)
+    b = sic.read_window(sci_path, 4.0, 10.0)
+    c = sic.read_window(sci_path, 0.0, 10.0)
     assert np.array_equal(a.values + b.values, c.values)
 
     # ATF shift invariance

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpoxrf import analysis as an
+from mpoxrf import analysis as an, sic
 from mpoxrf.optics import IRIDIUM, MpoGeometry
 from mpoxrf.sim import SpectralImage
-from support import arm_extent
+from support import arm_extent, window_image, window_of
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 
@@ -36,33 +36,38 @@ def small_cube(counts, e_min=0.0, width=0.25, pitch=55.0):
 
 
 class TestEnergyWindow:
-    def test_full_range_totals(self):
+    # the window of a cube is read from its file: sic.read_window is the one
+    # way from a cube to an image
+    def test_full_range_totals(self, tmp_path):
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 5, (4, 4, 10)).astype(np.uint64)
-        cube = small_cube(counts)
-        img = an.energy_window(cube, 0.0, 10.0)
+        img = window_of(small_cube(counts), tmp_path / "c.sic", 0.0, 10.0)
         assert np.array_equal(img.values, counts.sum(axis=2).astype(float))
 
-    def test_additivity_over_adjacent_windows(self):
+    def test_additivity_over_adjacent_windows(self, tmp_path):
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 7, (8, 8, 40)).astype(np.uint64)
         cube = small_cube(counts)
-        a = an.energy_window(cube, 0.0, 3.25)
-        b = an.energy_window(cube, 3.25, 10.0)
-        c = an.energy_window(cube, 0.0, 10.0)
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, cube)
+        a = sic.read_window(path, 0.0, 3.25)
+        b = sic.read_window(path, 3.25, 10.0)
+        c = sic.read_window(path, 0.0, 10.0)
         assert np.array_equal(a.values + b.values, c.values)
+        assert np.array_equal(a.values, window_image(cube, 0.0, 3.25))
 
-    def test_empty_window_is_zero_image(self, caplog):
+    def test_empty_window_is_zero_image(self, tmp_path, caplog):
         cube = small_cube(np.ones((2, 2, 4), np.uint64))
         with caplog.at_level("WARNING"):
-            img = an.energy_window(cube, 50.0, 60.0)
+            img = window_of(cube, tmp_path / "c.sic", 50.0, 60.0)
         assert np.all(img.values == 0)
         assert any("covers no bin" in m for m in caplog.messages)
 
-    def test_bad_bounds(self):
-        cube = small_cube(np.ones((2, 2, 4), np.uint64))
+    def test_bad_bounds(self, tmp_path):
+        path = tmp_path / "c.sic"
+        sic.write_sic(path, small_cube(np.ones((2, 2, 4), np.uint64)))
         with pytest.raises(ValueError):
-            an.energy_window(cube, 5.0, 5.0)
+            sic.read_window(path, 5.0, 5.0)
 
     @given(
         e_min=st.floats(-50.0, 50.0),
@@ -123,6 +128,10 @@ class TestFlatField:
         with pytest.raises(ValueError):
             an.flat_field_correct(image(np.ones((4, 4))), image(np.ones((4, 5))))
 
+    def test_non_positive_mean_flat_is_analysis_error(self):
+        with pytest.raises(an.AnalysisError, match="non-positive mean"):
+            an.flat_field_correct(image(np.ones((2, 2))), image(np.zeros((2, 2))))
+
 
 class TestFindPsfCenter:
     def test_single_pixel(self):
@@ -177,6 +186,13 @@ class TestArmProfiles:
         assert h.positions.max() - h.positions.min() == pytest.approx(
             63 * 0.055, rel=1e-9
         )
+
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_even_or_no_rows_refused(self, rows):
+        # a profile centred on one row averages an odd count of rows
+        img = image(np.arange(64.0 * 64).reshape(64, 64))
+        with pytest.raises(ValueError, match="rows_averaged must be odd"):
+            an.extract_arm_profiles(img, (32.0, 32.0), rows_averaged=rows)
 
     def test_center_near_edge_rejected(self):
         img = image(np.ones((16, 16)))

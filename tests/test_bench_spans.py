@@ -24,6 +24,9 @@ RETIRED = {
     # no command read a dense cube: ``window`` sums the file with
     # sic.read_window
     "mpoxrf.sic.read_sic": "sic.read_s",
+    # no command summed an in-memory cube: ``window`` sums the file with
+    # sic.read_window, the one way from a cube to an image
+    "mpoxrf.analysis.energy_window": "analysis.window_s",
 }
 
 

@@ -24,6 +24,7 @@ from mpoxrf.optics import MpoGeometry, PathClass
 from mpoxrf.sim import DetectorSpec, Scene
 from support import (
     decode_sic,
+    dense,
     read_events,
     synthesize_line_events,
     write_events,
@@ -334,6 +335,8 @@ BAD_PARAMETERS = [
             ("resolution_threshold", "1", "in (0, 1)", "1.0"),
             ("resolution_threshold", "nan", "in (0, 1)", "nan"),
             ("rows_averaged", "0", ">= 1", "0"),
+            ("rows_averaged", "2", "odd", "2"),
+            ("rows_averaged", "4", "odd", "4"),
         ]
     ),
     # the range is checked before the ATF CSV is written
@@ -628,6 +631,19 @@ class TestCliAnalysisChain:
         ) == 0
         corr = fileio.read_image_csv(tmp_path / "corr.csv")
         assert np.allclose(corr.values, img.values)
+
+    def test_flatfield_with_non_positive_mean_flat_exits_4(self, tmp_path, capsys):
+        # an all-zero flat cannot be normalised: an analysis error, not a
+        # usage error, and nothing is written
+        image, flat = tmp_path / "image.csv", tmp_path / "flat.csv"
+        fileio.write_image_csv(image, Image2D(values=np.ones((2, 2)), pitch_um=55.0))
+        fileio.write_image_csv(flat, Image2D(values=np.zeros((2, 2)), pitch_um=55.0))
+        code = cli.main(["flatfield", "--image", str(image), "--flat", str(flat),
+                         "--out-prefix", str(tmp_path / "ff")])
+        assert code == cli.EXIT_ANALYSIS
+        assert "flat image has non-positive mean" in capsys.readouterr().err
+        assert not (tmp_path / "ff.csv").exists()
+        assert not (tmp_path / "ff.pgm").exists()
 
     def test_psf_on_empty_image_analysis_exit(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -1265,7 +1281,7 @@ class TestSicFormat:
         sic.write_sic(path, cube)
         assert path.stat().st_size == 56 + 8 * 8 * 4 * 16
         back = decode_sic(path.read_bytes())
-        assert np.array_equal(back.counts, cube.counts)
+        assert np.array_equal(back.counts, dense(cube))
         assert back.counts.shape == (8, 4, 16)
         assert back.e_min == 0.5
         assert back.e_bin_width == 0.125
@@ -1315,7 +1331,7 @@ class TestSicFormat:
         return sic.HEADER.pack(
             sic.MAGIC, cube.n_x, cube.n_y, cube.n_bins, cube.e_min,
             cube.e_bin_width, cube.pixel_pitch_um, cube.seed, cube.photons,
-        ) + cube.counts.tobytes()
+        ) + dense(cube).tobytes()
 
     @pytest.mark.parametrize("kind", ["zero", "last", "dense", "odd"])
     def test_bytes_on_disk_are_dense_layout(self, tmp_path, kind):
@@ -1332,7 +1348,7 @@ class TestSicFormat:
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
         assert path.read_bytes() == self._dense_bytes(cube)
-        assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
+        assert np.array_equal(self._bin_images(path, cube), dense(cube).astype(float))
 
     def test_file_without_holes_reads_back(self, tmp_path):
         counts = np.zeros((40, 30, 50), np.uint64)
@@ -1341,7 +1357,7 @@ class TestSicFormat:
         cube = self._cube(counts)
         path = tmp_path / "c.sic"
         path.write_bytes(self._dense_bytes(cube))
-        assert np.array_equal(self._bin_images(path, cube), cube.counts.astype(float))
+        assert np.array_equal(self._bin_images(path, cube), dense(cube).astype(float))
 
     @staticmethod
     def _fs_reports_holes(tmp_path):

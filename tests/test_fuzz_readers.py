@@ -22,9 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpoxrf import cli, events as ev, fileio, sic
-from mpoxrf.analysis import energy_window
 from mpoxrf.sim import SpectralImage
-from support import decode_sic, decode_tpxe, scan_data_ranges, write_events
+from support import (
+    decode_sic,
+    decode_tpxe,
+    scan_data_ranges,
+    window_image,
+    write_events,
+)
 
 N_X, N_Y = 3, 2
 
@@ -337,8 +342,7 @@ class TestSicHoles:
             sic.write_sic(path, cube)
         dense = workdir / "window_dense.sic"
         dense.write_bytes(path.read_bytes())
-        want = counts[:, :, (centers >= lo) & (centers < hi)].sum(axis=2).astype(float)
-        assert np.array_equal(energy_window(cube, lo, hi).values, want)
+        want = window_image(cube, lo, hi)
         with pytest.MonkeyPatch.context() as mp:
             # one pixel a buffer, two, or the default
             pixel = 8 * counts.shape[2]

@@ -43,7 +43,7 @@ from mpoxrf.sim import (
     run_tasks,
     simulate,
 )
-from support import arm_extent, march_plane
+from support import arm_extent, dense, march_plane, same_bins, window_of
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -447,8 +447,9 @@ class TestEnergyResponse:
         det = DetectorSpec(energy_fwhm=0.0)
         cube = simulate(cu_scene(), GEOM, det, 300_000, seed=12)
         line_bin = int((8.0 - det.e_min) / det.e_bin_width)
-        assert cube.counts.sum() > 0
-        assert cube.counts[:, :, line_bin].sum() == cube.counts.sum()
+        counts = dense(cube)
+        assert counts.sum() > 0
+        assert counts[:, :, line_bin].sum() == counts.sum()
 
     def test_sigma_matches_fwhm(self):
         assert FWHM_PER_SIGMA == pytest.approx(
@@ -465,7 +466,7 @@ class TestEnergyResponse:
             e_bin_width=0.01, n_bins=2500,
         )
         cube = simulate(scene, geom, det, 400_000, seed=12)
-        spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
+        spectrum = dense(cube).sum(axis=(0, 1)).astype(float)
         assert spectrum.sum() > 300_000
         centers = det.e_min + (np.arange(det.n_bins) + 0.5) * det.e_bin_width
         mean = (spectrum * centers).sum() / spectrum.sum()
@@ -543,7 +544,7 @@ class TestRunTasks:
 class TestSimulate:
     def test_zero_photons_valid_empty_cube(self):
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 0, seed=1)
-        assert cube.counts.sum() == 0
+        assert dense(cube).sum() == 0
         assert cube.photons == 0
         assert cube.shape == (256, 256, 100)
         assert cube.bins.size == cube.bin_counts.size == 0
@@ -551,7 +552,7 @@ class TestSimulate:
     def test_count_conservation(self):
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 300_000, seed=2)
         s = cube.stats
-        assert int(cube.counts.sum()) == s.detected
+        assert int(dense(cube).sum()) == s.detected
         assert s.detected <= 300_000
         assert (
             s.web_absorbed
@@ -567,7 +568,7 @@ class TestSimulate:
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
         c1 = simulate(n_photons=200_000, seed=9, n_workers=1, **kwargs)
         c3 = simulate(n_photons=200_000, seed=9, n_workers=3, **kwargs)
-        assert np.array_equal(c1.counts, c3.counts)
+        assert same_bins(c1, c3)
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -600,14 +601,14 @@ class TestSimulate:
         # so its draws, and the cube, stay byte-identical
         cfg = load_config(CONFIGS / f"{name}.ini")
         cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
-        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(dense(cube).tobytes()).hexdigest() == digest
 
     def test_rect_source_stream_pinned(self):
         # the flat emitter's window lengths bend at the plate's pore edges,
         # so its cube pins the lattice that the sampler integrates over
         cfg = load_config(CONFIGS / "flatfield.ini")
         cube = simulate(cfg.scene, cfg.mpo, cfg.detector, 300_000, seed=5)
-        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == (
+        assert hashlib.sha256(dense(cube).tobytes()).hexdigest() == (
             "ddc2f24b42c439b11b75db9518535db205ecc8f3ee4bdcc776037e0d15ca9941"
         )
 
@@ -617,7 +618,7 @@ class TestSimulate:
         cfg = load_config(CONFIGS / "elemental.ini")
         mpo = replace(cfg.mpo, reflectivity=0.8)
         cube = simulate(cfg.scene, mpo, cfg.detector, 300_000, seed=5)
-        assert hashlib.sha256(cube.counts.tobytes()).hexdigest() == (
+        assert hashlib.sha256(dense(cube).tobytes()).hexdigest() == (
             "59cb87ab1d696401a531de164a45b356952aa131305452a16ecb030ee9a3e3f0"
         )
 
@@ -625,7 +626,7 @@ class TestSimulate:
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
         a = simulate(n_photons=100_000, seed=1, **kwargs)
         b = simulate(n_photons=100_000, seed=2, **kwargs)
-        assert not np.array_equal(a.counts, b.counts)
+        assert not same_bins(a, b)
 
     def test_matches_scalar_chain(self):
         # with FWHM=0 and lossless walls, a batch is a deterministic
@@ -676,12 +677,12 @@ class TestSimulate:
         assert fates["exit"] > 500
         assert s.detected == int(expected.sum()) > 500
         assert s.class_counts == {cls: classes[cls] for cls in PathClass}
-        assert np.array_equal(cube.counts, expected)
+        assert np.array_equal(dense(cube), expected)
 
     def test_mirror_symmetry_on_axis(self):
         det = DetectorSpec()
         cube = simulate(cu_scene(), GEOM, det, 3_000_000, seed=101)
-        img = cube.counts.sum(axis=2).astype(np.int64)
+        img = dense(cube).sum(axis=2).astype(np.int64)
         left = img[:, : det.n_x // 2]
         right = img[:, det.n_x // 2 :][:, ::-1]
         a = left + right
@@ -690,7 +691,7 @@ class TestSimulate:
         dof = int(mask.sum())
         assert chi2 / dof < 1.5
 
-    def test_cross_size_grows_with_working_distance(self):
+    def test_cross_size_grows_with_working_distance(self, tmp_path):
         # projection magnification: arm reach scales with L_s + L_i
         from mpoxrf import analysis as an
 
@@ -698,7 +699,7 @@ class TestSimulate:
         extents = {}
         for L in (25.0, 45.0):
             cube = simulate(cu_scene(L_s=L, L_i=L), GEOM, det, 10_000_000, seed=21)
-            img = an.energy_window(cube, 0.0, 25.0)
+            img = window_of(cube, tmp_path / f"{L}.sic", 0.0, 25.0)
             c = an.find_psf_center(img)
             h, v = an.extract_arm_profiles(img, c)
             extents[L] = (
@@ -712,7 +713,7 @@ class TestSimulate:
         # focused spot plus arms along the channel axes, weak quadrants
         det = DetectorSpec()
         cube = simulate(cu_scene(), GEOM, det, 3_000_000, seed=55)
-        img = cube.counts.sum(axis=2).astype(float)
+        img = dense(cube).sum(axis=2).astype(float)
         c = det.n_x // 2
         band = 2  # +-2 px about each axis
         arm_x = img[c - band : c + band + 1, :].sum()
@@ -745,7 +746,7 @@ class TestSimulate:
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
         a = simulate(n_photons=n, seed=4, n_workers=1, **kwargs)
         b = simulate(n_photons=n, seed=4, n_workers=2, **kwargs)
-        assert np.array_equal(a.counts, b.counts)
+        assert same_bins(a, b)
         assert a.stats.n_photons == n
         # the pool results merge into the same class images and counts
         for cls in PathClass:
@@ -772,7 +773,7 @@ class TestSimulate:
         monkeypatch.setattr("mpoxrf.sim._available_cpus", lambda: 4)
         b = simulate(n_photons=n_photons, n_workers=workers, **kwargs)
         assert (a.stats.processes, b.stats.processes) == (1, workers if n_photons else 1)
-        assert np.array_equal(a.counts, b.counts)
+        assert same_bins(a, b)
         for f in fields(SimStats):
             if f.name not in ("class_images", "processes"):
                 assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
@@ -861,7 +862,7 @@ class TestBatchGroups:
         # about 115 in-window photons a batch: a cap of 240 pairs them
         assert len(passes) == (6 if cap < 240 else 3)
         assert a.stats.detected > 0
-        assert np.array_equal(a.counts, b.counts)
+        assert same_bins(a, b)
         for f in fields(SimStats):
             if f.name != "class_images":
                 assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
@@ -939,12 +940,12 @@ class TestSparseCube:
             cube = simulate(cfg.scene, mpo, cfg.detector, 12 * BATCH_SIZE,
                             seed=5, n_workers=jobs)
             assert (len(hits), cube.stats.processes) == (4, jobs)
-            dense = np.zeros(cube.shape, np.uint64)
-            np.add.at(dense.reshape(-1), np.concatenate(hits), np.uint64(1))
+            want = np.zeros(cube.shape, np.uint64)
+            np.add.at(want.reshape(-1), np.concatenate(hits), np.uint64(1))
             self.check_bins(cube)
-            assert np.array_equal(cube.bins, np.flatnonzero(dense))
-            assert np.array_equal(cube.bin_counts, dense.reshape(-1)[cube.bins])
-            assert np.array_equal(cube.counts, dense)
+            assert np.array_equal(cube.bins, np.flatnonzero(want))
+            assert np.array_equal(cube.bin_counts, want.reshape(-1)[cube.bins])
+            assert np.array_equal(dense(cube), want)
             assert int(cube.bin_counts.sum()) == cube.stats.detected > 0
             cubes.append(cube)
         a, b = cubes
@@ -1146,7 +1147,7 @@ class TestFullPlateEquivalence:
             shape = (det.n_y // block, block, det.n_x // block, block)
             return img.reshape(shape).sum(axis=(1, 3))
 
-        return n, windowed.stats, image(windowed.counts), full_stats, image(full_counts)
+        return n, windowed.stats, image(dense(windowed)), full_stats, image(full_counts)
 
     def test_web_and_wall_fractions(self, runs):
         n, windowed, _, full, _ = runs

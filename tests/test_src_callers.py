@@ -10,11 +10,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mpoxrf"
 
 #: Public names kept without a caller in the package, and why.
-ALLOWED = {
-    # the in-memory window of a simulate() cube, used in README's library
-    # sketch
-    "energy_window": "analysis",
-}
+ALLOWED = {}
 
 
 def _modules():
