@@ -324,17 +324,31 @@ def atf(image: Image2D) -> Atf:
     Discarding the phase removes the impulse position (a pure translation
     only changes the phase), which is what makes transfer functions from
     differently placed sources comparable and averageable.
+
+    The DFT of a real image is Hermitian, so its magnitude is the same at
+    (ky, kx) and (-ky, -kx): the half ``rfft2`` returns is computed, and
+    the other half is its mirror.  The kx = 0 column, and for an even n_x
+    the Nyquist column, pair within the half; each of their bins takes the
+    value of its pair member with the smaller row index.  The amplitude is
+    therefore exactly mirror-symmetric, not only up to rounding.
     """
-    spectrum = np.abs(np.fft.fft2(image.values))
+    n_y, n_x = image.values.shape
+    half = np.abs(np.fft.rfft2(image.values))
+    flip = -np.arange(n_y) % n_y  # the row of -ky
+    own = [0, n_x // 2] if n_x % 2 == 0 else [0]
+    half[n_y // 2 + 1 :, own] = half[flip[n_y // 2 + 1 :, None], own]
+    # columns n_x // 2 + 1 .. n_x - 1 mirror columns (n_x - 1) // 2 .. 1
+    rest = half[flip, (n_x - 1) // 2 : 0 : -1]
     return Atf(
-        amplitude=spectrum,
-        freq_x=np.fft.fftfreq(image.n_x, d=image.pitch_mm),
-        freq_y=np.fft.fftfreq(image.n_y, d=image.pitch_mm),
+        amplitude=np.concatenate((half, rest), axis=1),
+        freq_x=np.fft.fftfreq(n_x, d=image.pitch_mm),
+        freq_y=np.fft.fftfreq(n_y, d=image.pitch_mm),
     )
 
 
 def average_atf(atfs: list[Atf]) -> Atf:
-    """Element-wise mean of amplitude spectra."""
+    """Element-wise mean of amplitude spectra; a mean of mirror-symmetric
+    spectra is mirror-symmetric again, bit for bit."""
     if not atfs:
         raise ValueError("need at least one transfer function")
     shape = atfs[0].amplitude.shape
@@ -357,10 +371,16 @@ def average_atf(atfs: list[Atf]) -> Atf:
 def idealized_psf(transfer: Atf, pitch_um: float) -> Image2D:
     """Zero-phase inverse transform of an amplitude spectrum.
 
-    The real part of ifft2(amplitude) is recentered at the image midpoint
-    and scaled to a peak of 1.
+    The real part of ifft2(amplitude) is made exactly even, v(i, j) and
+    v(-i, -j) both becoming their mean (the inverse of a real, even
+    spectrum is even, up to rounding), then recentered at the image
+    midpoint and scaled to a peak of 1.  The result is exactly symmetric
+    about the center pixel.
     """
-    centered = np.fft.fftshift(np.real(np.fft.ifft2(transfer.amplitude)))
+    inverse = np.real(np.fft.ifft2(transfer.amplitude))
+    n_y, n_x = inverse.shape
+    mirror = inverse[-np.arange(n_y) % n_y][:, -np.arange(n_x) % n_x]
+    centered = np.fft.fftshift((inverse + mirror) / 2)
     peak = float(centered.max())
     if peak <= 0:
         raise AnalysisError("inverse transform has no positive peak")

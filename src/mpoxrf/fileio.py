@@ -4,7 +4,9 @@ one opener of the binary inputs.
 Every CSV value is the ``repr`` of its float, so it reads back exactly.
 Whole-number rows (window counts, zero rows of a flat-field image) and
 PGM pixels are integers, whose text numpy builds in one pass per digit
-(:func:`_int_text`); the rest are joined from ``repr`` value by value.
+(:func:`_int_text`); the rest are joined from one ``repr`` per distinct
+value (:func:`_repr_text`), so a transfer function, whose mirror bins are
+equal, formats half its values.
 """
 
 from __future__ import annotations
@@ -122,13 +124,35 @@ def _int_text(values, tail: bytes, sep: bytes) -> bytes:
     return chars[keep].tobytes()
 
 
+def _repr_text(rows) -> bytes:
+    """The bytes of ``",".join(map(repr, row))`` plus a newline, for each
+    row of a non-empty 2-D float array, with one ``repr`` per distinct value.
+
+    The values are sorted by their 64-bit patterns and a neighbour compare
+    marks each distinct pattern, so -0.0 and 0.0, and NaNs with different
+    payloads, stay apart and keep their own text (``np.unique`` would
+    import ``numpy.ma``).  Each value then takes its pattern's text.
+    """
+    flat = rows.reshape(-1)
+    bits = flat.view(np.uint64)
+    order = np.argsort(bits)
+    first = np.empty(flat.size, bool)
+    first[0] = True
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    texts = np.array(list(map(repr, flat[order[first]].tolist())), dtype=object)
+    slot = np.empty(flat.size, np.intp)
+    slot[order] = np.cumsum(first) - 1
+    lines = texts[slot.reshape(rows.shape)].tolist()
+    return ("\n".join(map(",".join, lines)) + "\n").encode()
+
+
 def _write_rows(fh, rows) -> None:
     """One comma-separated line per row of a 2-D array; each value is the
     ``repr`` of its Python float, so the text reads back exactly.
 
     A row of whole numbers in [0, 2**53), none of them -0.0, is built by
     :func:`_int_text`: there ``repr`` is the integer's digits plus ".0".
-    Any other row joins ``repr`` value by value.  Rows keep their order.
+    Other rows are built by :func:`_repr_text`.  Rows keep their order.
     """
     rows = np.asarray(rows, dtype=float)
     with np.errstate(invalid="ignore"):  # NaN compares False, quietly
@@ -142,9 +166,7 @@ def _write_rows(fh, rows) -> None:
         if by_row[start]:
             fh.write(_int_text(block.astype(np.uint64), b".0", b","))
         else:
-            fh.write("".join(
-                ",".join(map(repr, row)) + "\n" for row in block.tolist()
-            ).encode())
+            fh.write(_repr_text(block))
 
 
 def write_image_csv(path, image: Image2D) -> None:

@@ -292,7 +292,23 @@ class TestGaussianWindow:
             an.gaussian_window(gaussian_image(), 0.0, (0, 0))
 
 
+def mirror(n):
+    """The index of -k for each DFT index k of an n-long axis."""
+    return -np.arange(n) % n
+
+
 class TestAtf:
+    @pytest.mark.parametrize(
+        "shape", [(64, 64), (31, 45), (32, 17), (17, 32), (1, 40), (40, 1), (1, 1)])
+    def test_exactly_mirror_symmetric(self, shape):
+        rng = np.random.default_rng(11)
+        values = rng.gamma(2.0, 5.0, shape)
+        amp = an.atf(image(values)).amplitude
+        n_y, n_x = shape
+        assert np.array_equal(amp, amp[mirror(n_y)][:, mirror(n_x)])
+        full = np.abs(np.fft.fft2(values))
+        assert np.abs(amp - full).max() <= 1e-12 * full.max()
+
     def test_delta_image_flat_spectrum(self):
         vals = np.zeros((32, 32))
         vals[5, 9] = 3.0
@@ -376,13 +392,27 @@ class TestIdealizedPsf:
     def test_parseval_consistency(self):
         img = gaussian_image(n=64, sigma_mm=0.4)
         t = an.atf(img)
-        raw = np.fft.fftshift(np.real(np.fft.ifft2(t.amplitude)))
-        energy_image = float((raw**2).sum())
+        raw = np.real(np.fft.ifft2(t.amplitude))
+        even = np.fft.fftshift((raw + raw[mirror(64)][:, mirror(64)]) / 2)
         energy_spectrum = float((t.amplitude**2).sum()) / raw.size
-        assert energy_image == pytest.approx(energy_spectrum, rel=1e-9)
-        # the idealized PSF is that inverse scaled to a peak of 1
+        for inverse in (raw, even):
+            energy_image = float((inverse**2).sum())
+            assert energy_image == pytest.approx(energy_spectrum, rel=1e-9)
+        # the idealized PSF is the even part of that inverse, recentered and
+        # scaled to a peak of 1
         ideal = an.idealized_psf(t, img.pitch_um)
-        assert np.array_equal(ideal.values, raw / raw.max())
+        assert np.array_equal(ideal.values, even / even.max())
+
+    @pytest.mark.parametrize("shape", [(64, 64), (31, 45), (32, 17), (1, 40), (40, 1)])
+    def test_exactly_symmetric_about_center(self, shape):
+        rng = np.random.default_rng(12)
+        t = an.atf(image(rng.gamma(2.0, 5.0, shape)))
+        ideal = an.idealized_psf(t, 55.0)
+        # recentered about pixel (n_y // 2, n_x // 2): undo the shift, mirror
+        unshifted = np.fft.ifftshift(ideal.values)
+        n_y, n_x = shape
+        assert np.array_equal(unshifted, unshifted[mirror(n_y)][:, mirror(n_x)])
+        assert ideal.values[n_y // 2, n_x // 2] == 1.0
 
 
 class TestResolution:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpoxrf import analysis, cli, events as ev, fileio, sic, sim
@@ -1587,11 +1587,19 @@ def repr_rows(rows) -> bytes:
 EDGE_VALUES = [0.0, 9.0, 10.0, 2.0**53 - 1, 2.0**53, 1e16, -3.0, -0.0,
                math.nan, math.inf, -math.inf, 0.5, 2.0**52 + 0.5, 1e-300]
 
+#: NaNs of either sign with a payload: distinct bit patterns, one text
+NAN_PAYLOADS = st.builds(
+    lambda sign, payload: np.array(sign << 63 | 0x7FF << 52 | payload, np.uint64)
+    .view(float).item(),
+    st.integers(0, 1), st.integers(1, 2**52 - 1),
+)
+
 
 @st.composite
 def mixed_rows(draw):
-    """A float array, 1 x N, N x 1 or small, whose rows are whole numbers
-    or mixed with the edge values and any float."""
+    """A float array, 1 x N, N x 1 or small, whose rows are whole numbers,
+    mixed with the edge values, NaN payloads and any float, or drawn from a
+    few such values, so that most values repeat."""
     n_rows, n_cols = draw(st.one_of(
         st.tuples(st.just(1), st.integers(1, 40)),
         st.tuples(st.integers(1, 40), st.just(1)),
@@ -1602,10 +1610,12 @@ def mixed_rows(draw):
         whole,
         st.sampled_from(EDGE_VALUES),
         st.integers(-(2**53), -1).map(float),
+        NAN_PAYLOADS,
         st.floats(),
     )
+    repeats = st.sampled_from(draw(st.lists(mixed, min_size=1, max_size=3)))
     return np.array([
-        draw(st.lists(draw(st.sampled_from([whole, mixed])),
+        draw(st.lists(draw(st.sampled_from([whole, mixed, repeats])),
                       min_size=n_cols, max_size=n_cols))
         for _ in range(n_rows)
     ])
@@ -1635,6 +1645,11 @@ class TestIntText:
 
     @given(mixed_rows())
     @settings(max_examples=300, deadline=None)
+    @example(np.array([[0.0, -0.0, 0.0, -0.0], [2.0, 3.0, 4.0, 5.0],
+                       [math.nan, -math.nan, math.inf, -math.inf],
+                       [0.1, 0.1, 0.1, -0.1]]))
+    @example(np.array([0x7FF8000000000001, 0x7FF8000000000000, 0xFFF0000000000002,
+                       0, 1 << 63], np.uint64).view(float).reshape(1, -1))
     def test_write_rows_equals_repr(self, rows):
         fh = io.BytesIO()
         fileio._write_rows(fh, rows)
@@ -1838,4 +1853,40 @@ for argv in (
         )
         if run.returncode == 77:
             pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert run.returncode == 0, run.stderr
+
+    def test_commands_do_not_import_a_process_pool(self, tmp_path):
+        # a fresh interpreter, as each command runs: concurrent.futures
+        # brings multiprocessing and socket with it, and only a pool of
+        # workers needs it; a 2 M-photon simulate is one chunk, so --jobs 2
+        # runs it in-process
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        script = f"""
+import sys
+from mpoxrf.cli import main
+from mpoxrf.sim import run_tasks
+pool = ("concurrent.futures", "multiprocessing")
+for argv in (
+    ["simulate", "--config", {str(configs / "flatfield.ini")!r},
+     "--photons", "200000", "--out", "flat.sic"],
+    ["simulate", "--config", {str(configs / "reference.ini")!r},
+     "--photons", "2000000", "--jobs", "2", "--out", "cu.sic"],
+    ["window", "--cube", "flat.sic", "--lo", "6", "--hi", "9", "--out-prefix", "flat"],
+    ["window", "--cube", "cu.sic", "--lo", "6", "--hi", "9", "--out-prefix", "cu"],
+    ["psf", "--image", "cu.csv", "--out-prefix", "psf"],
+    ["atf", "--image", "cu.csv", "--out", "atf.csv"],
+    ["clean", "cu.csv", "cu.csv", "--out-prefix", "clean"],
+    ["flatfield", "--image", "cu.csv", "--flat", "flat.csv", "--out-prefix", "ff"],
+):
+    assert main(argv) == 0, argv
+    assert not [name for name in pool if name in sys.modules], argv
+# two tasks on two workers do start a pool, and the check sees its import
+assert list(run_tasks(abs, [1, -2], 2)) == [1, 2]
+assert all(name in sys.modules for name in pool)
+"""
+        run = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True, timeout=120,
+        )
         assert run.returncode == 0, run.stderr

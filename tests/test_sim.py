@@ -29,6 +29,7 @@ from mpoxrf.sim import (
     Scene,
     Source,
     SimStats,
+    SpectralImage,
     _acceptance_windows,
     _add_hits,
     _axis_window,
@@ -526,7 +527,8 @@ class TestRunTasks:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("mpoxrf.sim.ProcessPoolExecutor", Recorder)
+        # run_tasks imports the pool class from concurrent.futures as it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         assert list(run_tasks(abs, [-1, 2], 64)) == [1, 2]
         assert list(run_tasks(abs, [-1, 2, -3], 2)) == [1, 2, 3]
         assert list(run_tasks(abs, [-1], 64)) == [1]  # one task: no pool
@@ -799,7 +801,7 @@ class TestSimulate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("mpoxrf.sim.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         monkeypatch.setattr("mpoxrf.sim._available_cpus", lambda: 3)
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec(), seed=1)
 
@@ -970,6 +972,19 @@ class TestSparseCube:
             assert np.array_equal(bins, np.flatnonzero(dense))
             assert np.array_equal(counts, dense[bins])
             assert (bins.dtype, counts.dtype) == (np.int64, np.uint64)
+
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.33, 1.0])
+    def test_from_counts_bins_equal_flatnonzero(self, density):
+        # apply-cal's dense accumulator, empty, sparse, a third full and full
+        rng = np.random.default_rng(6)
+        counts = np.zeros((16, 12, 50), np.uint64)
+        hit = rng.random(counts.shape) < density
+        counts[hit] = rng.integers(1, 2**40, hit.sum(), dtype=np.uint64)
+        cube = SpectralImage.from_counts(counts, e_min=0.0, e_bin_width=0.5,
+                                         pixel_pitch_um=55.0)
+        self.check_bins(cube)
+        assert np.array_equal(cube.bins, np.flatnonzero(counts))
+        assert np.array_equal(dense(cube), counts)
 
 
 class TestConstantPerBounceRoulette:
