@@ -132,12 +132,9 @@ def _cmd_atf(args) -> int:
     image = fileio.read_image_csv(args.image)
     transfer = analysis.atf(image)
     # checks --threshold, so a bad value leaves no CSV behind
-    res = analysis.resolution_lp_per_mm(transfer, threshold=args.threshold)
+    resolution = _resolution_line(transfer, args.threshold)
     fileio.write_atf_csv(args.out, transfer)
-    if res is None:
-        print(f"resolution at {args.threshold:.2f} of DC: beyond Nyquist")
-    else:
-        print(f"resolution at {args.threshold:.2f} of DC: {res:.3f} lp/mm")
+    print(resolution)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -181,16 +178,16 @@ def _cmd_clean(args) -> int:
     print(f"background after (idealized, peak-normalized): {bg_after:.6f}")
     if before > 0:
         print(f"background ratio after/before: {bg_after / before:.4f}")
-    res = analysis.resolution_lp_per_mm(
-        averaged, threshold=params.resolution_threshold
-    )
-    if res is None:
-        print(f"resolution at {params.resolution_threshold:.2f} of DC: beyond Nyquist")
-    else:
-        print(
-            f"resolution at {params.resolution_threshold:.2f} of DC: {res:.3f} lp/mm"
-        )
+    print(_resolution_line(averaged, params.resolution_threshold))
     return EXIT_OK
+
+
+def _resolution_line(transfer, threshold: float) -> str:
+    """The line that reports ``transfer``'s resolution at ``threshold``
+    times DC; a threshold outside (0, 1) is a ValueError."""
+    res = analysis.resolution_lp_per_mm(transfer, threshold=threshold)
+    at = "beyond Nyquist" if res is None else f"{res:.3f} lp/mm"
+    return f"resolution at {threshold:.2f} of DC: {at}"
 
 
 def _parse_line_list(raw: str) -> LineSet:
@@ -336,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atf", help="amplitude transfer function of an image")
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument(
+        "--threshold", type=float, default=AnalysisParams.resolution_threshold
+    )
     p.set_defaults(func=_cmd_atf)
 
     p = sub.add_parser(

@@ -483,12 +483,7 @@ def apply_calibration(
     for part in events.slices():
         stats.add(_bin_calibrated(part.x, part.y, part.tot, cal, detector, flat))
     return SpectralImage.from_counts(
-        counts,
-        e_min=detector.e_min,
-        e_bin_width=detector.e_bin_width,
-        pixel_pitch_um=detector.pitch,
-        photons=len(events),
-        stats=stats,
+        counts, detector, photons=len(events), stats=stats
     )
 
 

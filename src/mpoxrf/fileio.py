@@ -85,39 +85,32 @@ def _percentile(values: np.ndarray, q: float) -> float:
 
 def _int_text(values, tail: bytes, sep: bytes) -> bytes:
     """The bytes of ``sep.join(str(v) + tail for v in row)`` plus a newline,
-    for each row of a 2-D integer array, without a Python object per value.
+    for each row of a 2-D array of non-negative integers, without a Python
+    object per value.
 
-    Every value gets one fixed-width field, ``[sign] digits tail sep``, in a
+    Every value gets one fixed-width field, ``digits tail sep``, in a
     value-major byte matrix: the digits come from ``divmod`` by 10 in the
-    narrowest unsigned type that holds the largest magnitude, comparisons
-    with powers of ten mask the leading zeros, and one boolean compress
-    drops them.  ``sep`` is one byte; a row's last field ends in a newline.
+    narrowest unsigned type that holds the largest value, comparisons with
+    powers of ten mask the leading zeros, and one boolean compress drops
+    them.  ``sep`` is one byte; a row's last field ends in a newline.
     """
     values = np.asarray(values)
     n_rows, n_cols = values.shape
     if values.size == 0:
         return b"\n" * n_rows
-    flat = values.reshape(-1)
-    neg = flat < 0
-    sign = int(neg.any())
-    # as uint64, the magnitude of the int64 minimum wraps to 2**63 exactly
-    mag = np.abs(flat).astype(np.uint64) if sign else flat
-    top = int(mag.max())
+    top = int(values.max())
     kind = np.min_scalar_type(top)
     n_dig = len(str(top))
-    chars = np.empty((flat.size, sign + n_dig + len(tail) + 1), np.uint8)
+    flat = values.reshape(-1).astype(kind)
+    chars = np.empty((flat.size, n_dig + len(tail) + 1), np.uint8)
     keep = np.ones(chars.shape, bool)
-    if sign:
-        chars[:, 0] = ord("-")
-        keep[:, 0] = neg
-    mag = mag.astype(kind)
-    rest = mag
-    for k in range(sign + n_dig - 1, sign - 1, -1):
+    rest = flat
+    for k in range(n_dig - 1, -1, -1):
         rest, digit = np.divmod(rest, kind.type(10))
         np.add(digit, ord("0"), out=chars[:, k], casting="unsafe")
     for k in range(n_dig - 1):
-        np.greater_equal(mag, kind.type(10 ** (n_dig - 1 - k)), out=keep[:, sign + k])
-    chars[:, sign + n_dig : -1] = np.frombuffer(tail, np.uint8)
+        np.greater_equal(flat, kind.type(10 ** (n_dig - 1 - k)), out=keep[:, k])
+    chars[:, n_dig:-1] = np.frombuffer(tail, np.uint8)
     fields = chars.reshape(n_rows, n_cols, -1)
     fields[:, :, -1] = sep[0]
     fields[:, -1, -1] = ord("\n")

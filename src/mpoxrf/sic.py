@@ -16,10 +16,11 @@ width and pitch.  A written file is exactly this layout of the cube.  Only
 a regular file is read: its length is checked against the header before
 any count is read.
 
-A cube is held as its non-zero bins (:class:`mpoxrf.sim.SpectralImage`)
-and never as a dense array.  A point-source cube is almost all zeros, so a
-regular output file gets its all-zero blocks as holes: its apparent size
-and bytes are those above, but it allocates about 1/60 of them on disk.
+A cube is held as the detector it was binned on and its non-zero bins
+(:class:`mpoxrf.sim.SpectralImage`), never as a dense array.  A
+point-source cube is almost all zeros, so a regular output file gets its
+all-zero blocks as holes: its apparent size and bytes are those above, but
+it allocates about 1/60 of them on disk.
 :func:`write_sic` writes from the cube's bins in one loop over runs of the
 body: for a regular file, the data blocks found from their byte offsets;
 for any other output, such as a pipe, the whole body as one run.  Each run
@@ -67,26 +68,28 @@ BUFFER_BYTES = 1 << 19
 
 
 def write_sic(path, cube: SpectralImage) -> None:
-    """Write ``cube`` from its non-zero bins: the header, then one loop over
-    runs of the body.  A regular file gets the :func:`_data_runs`, each at
-    its offset, and then its full length, so the blocks between runs are
-    holes; any other output, such as a pipe, gets the whole body as one run.
-    A run is written in pieces of at most ``BUFFER_BYTES`` through one
-    reused buffer, zeroed and then given the counts that fall in it.  The
-    counts of every piece are found in one search: a point-source cube is
-    hundreds of short runs."""
+    """Write ``cube`` from its detector and its non-zero bins: the header,
+    whose grid, energy axis and pitch are ``cube.detector``'s, then one
+    loop over runs of the body.  A regular file gets the :func:`_data_runs`,
+    each at its offset, and then its full length, so the blocks between
+    runs are holes; any other output, such as a pipe, gets the whole body
+    as one run.  A run is written in pieces of at most ``BUFFER_BYTES``
+    through one reused buffer, zeroed and then given the counts that fall
+    in it.  The counts of every piece are found in one search: a
+    point-source cube is hundreds of short runs."""
+    det = cube.detector
     header = HEADER.pack(
         MAGIC,
-        cube.n_x,
-        cube.n_y,
-        cube.n_bins,
-        cube.e_min,
-        cube.e_bin_width,
-        cube.pixel_pitch_um,
+        det.n_x,
+        det.n_y,
+        det.n_bins,
+        det.e_min,
+        det.e_bin_width,
+        det.pitch,
         cube.seed,
         cube.photons,
     )
-    size = 8 * math.prod(cube.shape)
+    size = 8 * det.n_x * det.n_y * det.n_bins
     bins, counts = cube.bins, cube.bin_counts
     buffer = np.empty(max(1, BUFFER_BYTES // 8), "<u8")
     with open(path, "wb") as fh:

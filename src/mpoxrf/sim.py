@@ -186,64 +186,44 @@ class SimStats:
 
 @dataclass
 class SpectralImage:
-    """Per-pixel, per-energy-bin count cube of ``shape`` (n_y, n_x, n_bins),
-    held as its non-zero bins.
+    """Per-pixel, per-energy-bin count cube binned on ``detector``, held as
+    its non-zero bins.
 
-    ``bins`` holds the flat SIC indices ``((y*n_x) + x)*n_bins + bin`` of
-    the non-zero bins, ascending and unique (int64), and ``bin_counts``
-    their counts (uint64, each above 0).  A point-source cube has at most
-    one non-zero bin per detected photon, so it stays small whatever the
-    detector.  It has no dense view: :func:`mpoxrf.sic.write_sic` writes it
-    from its bins, and :func:`mpoxrf.sic.read_window` sums an energy window
-    of the written file.  ``stats`` is in-memory bookkeeping only; it is not
-    part of the on-disk cube format.
+    ``detector`` is the one record of the cube's (n_y, n_x, n_bins) grid,
+    its energy axis and its pixel pitch.  ``bins`` holds the flat SIC
+    indices ``((y*n_x) + x)*n_bins + bin`` of the non-zero bins, ascending
+    and unique (int64), and ``bin_counts`` their counts (uint64, each above
+    0); both default to empty, an all-zero cube.  A point-source cube has
+    at most one non-zero bin per detected photon, so it stays small
+    whatever the detector.  It has no dense view:
+    :func:`mpoxrf.sic.write_sic` writes it from its bins, and
+    :func:`mpoxrf.sic.read_window` sums an energy window of the written
+    file.  ``stats`` is in-memory bookkeeping only; it is not part of the
+    on-disk cube format.
     """
 
-    shape: tuple[int, int, int]
-    bins: np.ndarray
-    bin_counts: np.ndarray
-    e_min: float
-    e_bin_width: float
-    pixel_pitch_um: float
+    detector: DetectorSpec
+    bins: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    bin_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
     seed: int = 0
     photons: int = 0
     scene_digest: str = ""
     stats: SimStats | None = None
 
     @classmethod
-    def empty(cls, detector: DetectorSpec, **meta) -> "SpectralImage":
-        """An all-zero cube shaped and binned for ``detector``; ``meta``
-        sets the remaining fields (seed, photons, scene_digest, stats)."""
-        return cls(
-            shape=(detector.n_y, detector.n_x, detector.n_bins),
-            bins=np.empty(0, np.int64),
-            bin_counts=np.empty(0, np.uint64),
-            e_min=detector.e_min,
-            e_bin_width=detector.e_bin_width,
-            pixel_pitch_um=detector.pitch,
-            **meta,
-        )
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, **meta) -> "SpectralImage":
-        """The cube of a dense (n_y, n_x, n_bins) count array; ``meta`` sets
-        the remaining fields."""
+    def from_counts(
+        cls, counts: np.ndarray, detector: DetectorSpec, **meta
+    ) -> "SpectralImage":
+        """The cube of a dense count array of ``detector``'s (n_y, n_x,
+        n_bins) shape; ``meta`` sets the remaining fields.  Raises
+        ValueError where the array has another shape."""
+        shape = (detector.n_y, detector.n_x, detector.n_bins)
+        if counts.shape != shape:
+            raise ValueError(f"counts of shape {counts.shape} are not the "
+                             f"detector's {shape}")
         flat = counts.reshape(-1)
         bins = np.flatnonzero(flat != 0)  # through a bool mask: 3x faster on u64
-        return cls(shape=counts.shape, bins=bins,
-                   bin_counts=flat[bins].astype(np.uint64, copy=False), **meta)
-
-    @property
-    def n_y(self) -> int:
-        return self.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.shape[1]
-
-    @property
-    def n_bins(self) -> int:
-        return self.shape[2]
+        return cls(detector, bins, flat[bins].astype(np.uint64, copy=False), **meta)
 
 
 def _zeros(shape, what: str) -> np.ndarray:
@@ -727,7 +707,7 @@ def simulate(
         raise ValueError("n_workers must be >= 1")
 
     total = SimStats()
-    image = SpectralImage.empty(
+    image = SpectralImage(
         detector,
         seed=seed,
         photons=n_photons,

@@ -18,7 +18,7 @@ import numpy as np
 from mpoxrf import sic
 from mpoxrf.analysis import AnalysisError, PsfProfile, _outer_background
 from mpoxrf.events import HEADER, MAGIC, RECORD_DTYPE, VERSION, EventList, open_events
-from mpoxrf.sim import FWHM_PER_SIGMA
+from mpoxrf.sim import FWHM_PER_SIGMA, DetectorSpec
 
 
 def march_plane(entry_u: float, slope: float, width: float, thickness_um: float):
@@ -76,10 +76,20 @@ def arm_extent(
     return float(np.abs(x[above]).max())
 
 
+def detector_of(counts, **axes) -> DetectorSpec:
+    """The detector whose (n_y, n_x, n_bins) grid is the shape of the count
+    array ``counts``; ``axes`` sets its other fields (``e_min``,
+    ``e_bin_width``, ``pitch``, ...)."""
+    n_y, n_x, n_bins = counts.shape
+    return DetectorSpec(n_x=n_x, n_y=n_y, n_bins=n_bins, **axes)
+
+
 def dense(cube) -> np.ndarray:
-    """The dense (n_y, n_x, n_bins) uint64 counts of ``cube``, built from
-    its non-zero bins ``bins`` / ``bin_counts``."""
-    counts = np.zeros(cube.shape, np.uint64)
+    """The dense (n_y, n_x, n_bins) uint64 counts of ``cube`` on its
+    detector's grid, built from its non-zero bins ``bins`` /
+    ``bin_counts``."""
+    det = cube.detector
+    counts = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
     counts.reshape(-1)[cube.bins] = cube.bin_counts
     return counts
 
@@ -93,14 +103,16 @@ def same_bins(a, b) -> bool:
 def window_image(cube, lo: float, hi: float) -> np.ndarray:
     """The (n_y, n_x) float image of ``cube`` over the energy window [lo,
     hi): each pixel's counts in the bins whose centers, computed here as an
-    array, lie in the window.  The oracle of ``sic.read_window``."""
-    centers = cube.e_min + (np.arange(cube.n_bins) + 0.5) * cube.e_bin_width
+    array from the cube's detector, lie in the window.  The oracle of
+    ``sic.read_window``."""
+    det = cube.detector
+    centers = det.e_min + (np.arange(det.n_bins) + 0.5) * det.e_bin_width
     inside = (centers >= lo) & (centers < hi)
-    pixel, k = np.divmod(cube.bins, cube.n_bins)
+    pixel, k = np.divmod(cube.bins, det.n_bins)
     keep = inside[k]
-    sums = np.zeros(cube.n_y * cube.n_x, np.uint64)
+    sums = np.zeros(det.n_y * det.n_x, np.uint64)
     np.add.at(sums, pixel[keep], cube.bin_counts[keep])
-    return sums.reshape(cube.n_y, cube.n_x).astype(float)
+    return sums.reshape(det.n_y, det.n_x).astype(float)
 
 
 def window_of(cube, path, lo: float, hi: float):

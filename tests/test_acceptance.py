@@ -347,7 +347,9 @@ def test_criterion_9_property_suites(tmp_path, report):
 
     cube = SpectralImage.from_counts(
         rng.integers(0, 50, (16, 16, 20)).astype(np.uint64),
-        e_min=0.0, e_bin_width=0.5, pixel_pitch_um=55.0, seed=1, photons=2,
+        DetectorSpec(n_x=16, n_y=16, n_bins=20, e_min=0.0, e_bin_width=0.5,
+                     pitch=55.0),
+        seed=1, photons=2,
     )
     events_path = tmp_path / "ev.tpxe"
     write_events_file(events_path, el)
@@ -367,7 +369,8 @@ def test_criterion_9_property_suites(tmp_path, report):
     # windowing additivity (exact integer counts), read from the cube file
     sci = SpectralImage.from_counts(
         rng.integers(0, 9, (8, 8, 40)).astype(np.uint64),
-        e_min=0.0, e_bin_width=0.25, pixel_pitch_um=55.0,
+        DetectorSpec(n_x=8, n_y=8, n_bins=40, e_min=0.0, e_bin_width=0.25,
+                     pitch=55.0),
     )
     sci_path = tmp_path / "sci.sic"
     sic.write_sic(sci_path, sci)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpoxrf import analysis as an, sic
 from mpoxrf.optics import IRIDIUM, MpoGeometry
 from mpoxrf.sim import SpectralImage
-from support import arm_extent, window_image, window_of
+from support import arm_extent, detector_of, window_image, window_of
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 
@@ -31,7 +31,7 @@ def gaussian_image(n=128, sigma_mm=0.5, pitch_um=55.0, cx=None, cy=None):
 def small_cube(counts, e_min=0.0, width=0.25, pitch=55.0):
     counts = np.asarray(counts, np.uint64)
     return SpectralImage.from_counts(
-        counts, e_min=e_min, e_bin_width=width, pixel_pitch_um=pitch
+        counts, detector_of(counts, e_min=e_min, e_bin_width=width, pitch=pitch)
     )
 
 

@@ -25,6 +25,7 @@ from mpoxrf.sim import DetectorSpec, Scene
 from support import (
     decode_sic,
     dense,
+    detector_of,
     read_events,
     synthesize_line_events,
     write_events,
@@ -370,7 +371,7 @@ def test_bad_physical_parameter_exits_2(tmp_path, capsys, edit, argv, message):
         parser[section][key] = value
     with open(inp / "run.ini", "w") as fh:
         parser.write(fh)
-    sic.write_sic(inp / "c.sic", sim.SpectralImage.empty(DetectorSpec(n_x=4, n_y=4)))
+    sic.write_sic(inp / "c.sic", sim.SpectralImage(DetectorSpec(n_x=4, n_y=4)))
     write_spot(inp / "spot.csv")
     ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
     rng = np.random.default_rng(3)
@@ -1190,6 +1191,49 @@ class TestCliCalibration:
         # with its temporaries; holding the run file's records would exceed it
         assert peak < records_bytes, (peak, records_bytes)
 
+    def test_apply_cal_binning_flags_set_the_axes(self, tmp_path, capsys):
+        # the cube's grid, energy axis and pitch are the detector that the
+        # flags build; the header is read with the test decoder
+        n = 4
+        run = tmp_path / "run.tpxe"
+        events = synthesize_line_events(
+            2.25, np.full((n, n), 0.1), np.zeros((n, n)), 40,
+            np.random.default_rng(8), energy_fwhm=0.3,
+        )
+        write_events_file(run, events)
+        cal = tmp_path / "cal.csv"
+        ev.write_calibration_csv(
+            cal,
+            ev.CalibrationMap(
+                gain=np.full((n, n), 0.1),
+                offset=np.zeros((n, n)),
+                residual=np.zeros((n, n)),
+                dead=np.zeros((n, n), dtype=bool),
+            ),
+        )
+        out = tmp_path / "run.sic"
+        assert cli.main(
+            ["apply-cal", "--events", str(run), "--cal", str(cal), "--out", str(out),
+             "--pitch-um", "82.5", "--e-min", "0.5", "--bin-width", "0.125",
+             "--n-bins", "16"]
+        ) == 0
+        back = decode_sic(out.read_bytes())
+        assert back is not None
+        assert out.stat().st_size == 56 + 8 * n * n * 16
+        assert (back.e_min, back.e_bin_width, back.pixel_pitch_um) == (0.5, 0.125, 82.5)
+        assert (back.seed, back.photons) == (0, len(events))
+        assert back.counts.shape == (n, n, 16)
+        # each event at 0.1 keV per ToT unit, above the 2 keV threshold and
+        # inside [0.5, 2.5) keV, in its bin
+        energy = 0.1 * events.tot
+        kept = (energy >= 2.0) & (energy < 2.5)
+        want = np.zeros((n, n, 16), np.uint64)
+        k = np.floor((energy[kept] - 0.5) / 0.125).astype(int)
+        np.add.at(want, (events.y[kept], events.x[kept], k), np.uint64(1))
+        assert want.sum() > 0
+        assert np.array_equal(back.counts, want)
+        assert f"binned {want.sum()} of {len(events)} events" in capsys.readouterr().out
+
     def test_calibration_missing_column_io_exit(self, tmp_path, capsys):
         run = tmp_path / "run.tpxe"
         ones, zeros = np.ones((2, 2)), np.zeros((2, 2))
@@ -1271,9 +1315,8 @@ class TestSicFormat:
         rng = np.random.default_rng(9)
         cube = SpectralImage.from_counts(
             rng.integers(0, 9, (8, 4, 16)).astype(np.uint64),
-            e_min=0.5,
-            e_bin_width=0.125,
-            pixel_pitch_um=82.5,
+            DetectorSpec(n_x=4, n_y=8, n_bins=16, e_min=0.5, e_bin_width=0.125,
+                         pitch=82.5),
             seed=777,
             photons=12345,
         )
@@ -1294,9 +1337,8 @@ class TestSicFormat:
 
         cube = SpectralImage.from_counts(
             np.zeros((2, 2, 2), np.uint64),
-            e_min=0.0,
-            e_bin_width=1.0,
-            pixel_pitch_um=55.0,
+            DetectorSpec(n_x=2, n_y=2, n_bins=2, e_min=0.0, e_bin_width=1.0,
+                         pitch=55.0),
         )
         path = tmp_path / "c.sic"
         sic.write_sic(path, cube)
@@ -1310,27 +1352,26 @@ class TestSicFormat:
         from mpoxrf.sim import SpectralImage
 
         return SpectralImage.from_counts(
-            counts,
-            e_min=0.0,
-            e_bin_width=0.25,
-            pixel_pitch_um=55.0,
+            counts, detector_of(counts, e_min=0.0, e_bin_width=0.25, pitch=55.0)
         )
 
     @staticmethod
     def _bin_images(path, cube):
         """The cube in the SIC file ``path``, as ``read_window`` reads it: one
         window about each bin center, as floats."""
-        width = cube.e_bin_width
+        det = cube.detector
+        width = det.e_bin_width
         return np.stack([
             sic.read_window(path, center - width / 4, center + width / 4).values
-            for center in cube.e_min + (np.arange(cube.n_bins) + 0.5) * width
+            for center in det.e_min + (np.arange(det.n_bins) + 0.5) * width
         ], axis=2)
 
     @staticmethod
     def _dense_bytes(cube):
+        det = cube.detector
         return sic.HEADER.pack(
-            sic.MAGIC, cube.n_x, cube.n_y, cube.n_bins, cube.e_min,
-            cube.e_bin_width, cube.pixel_pitch_um, cube.seed, cube.photons,
+            sic.MAGIC, det.n_x, det.n_y, det.n_bins, det.e_min,
+            det.e_bin_width, det.pitch, cube.seed, cube.photons,
         ) + dense(cube).tobytes()
 
     @pytest.mark.parametrize("kind", ["zero", "last", "dense", "odd"])
@@ -1432,7 +1473,7 @@ class TestSicFormat:
         want = np.zeros((256, 256))
         want[5, 7] = 3
         assert np.array_equal(image.values, want)
-        assert image.pitch_um == cube.pixel_pitch_um
+        assert image.pitch_um == cube.detector.pitch
 
     def test_window_of_a_cube_larger_than_memory(self, tmp_path):
         # a 1024x1024x400 cube is 3.1 GiB long and allocates one block; its
@@ -1627,8 +1668,10 @@ class TestIntText:
         want = "".join(" ".join(map(str, row)) + "\n" for row in values.tolist())
         assert fileio._int_text(values, b"", b" ") == want.encode()
 
+    # the callers pass no negative value: PGM pixels are in 0..65535, and
+    # CSV rows are whole, non-negative uint64
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-               st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+               st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n),
                min_size=1, max_size=6)),
            st.sampled_from([b"", b".0"]), st.sampled_from([b" ", b","]))
     @settings(max_examples=200, deadline=None)
@@ -1637,7 +1680,7 @@ class TestIntText:
             sep.decode().join(str(v) + tail.decode() for v in row) + "\n"
             for row in rows
         )
-        assert fileio._int_text(np.array(rows, np.int64), tail, sep) == want.encode()
+        assert fileio._int_text(np.array(rows, np.uint64), tail, sep) == want.encode()
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty(self, shape):

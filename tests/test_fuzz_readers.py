@@ -26,6 +26,7 @@ from mpoxrf.sim import SpectralImage
 from support import (
     decode_sic,
     decode_tpxe,
+    detector_of,
     scan_data_ranges,
     window_image,
     write_events,
@@ -52,7 +53,7 @@ def valid_sic(tmp_path_factory):
     sic.write_sic(
         path,
         SpectralImage.from_counts(
-            counts, e_min=5.0, e_bin_width=1.0, pixel_pitch_um=55.0
+            counts, detector_of(counts, e_min=5.0, e_bin_width=1.0, pitch=55.0)
         ),
     )
     return path.read_bytes()
@@ -279,8 +280,10 @@ class TestSicHoles:
         counts = data.draw(sparse_counts(block))
         n_y, n_x, n_bins = counts.shape
         n_cells = np.count_nonzero(counts)
-        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
-                                         pixel_pitch_um=55.0, seed=7, photons=n_cells)
+        cube = SpectralImage.from_counts(
+            counts, detector_of(counts, e_min=1.5, e_bin_width=0.5, pitch=55.0),
+            seed=7, photons=n_cells,
+        )
         dense = sic.HEADER.pack(
             sic.MAGIC, n_x, n_y, n_bins, 1.5, 0.5, 55.0, 7, n_cells
         ) + counts.tobytes()
@@ -308,8 +311,9 @@ class TestSicHoles:
         block = data.draw(st.sampled_from([8, 16, 24, 56, 4096])
                           | st.integers(1, 64).map(lambda k: 8 * k))
         counts = data.draw(sparse_counts(block))
-        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
-                                         pixel_pitch_um=55.0)
+        cube = SpectralImage.from_counts(
+            counts, detector_of(counts, e_min=1.5, e_bin_width=0.5, pitch=55.0)
+        )
         body = counts.reshape(-1).view(np.uint8)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sic, "MIN_HOLE_BLOCKS",
@@ -321,8 +325,9 @@ class TestSicHoles:
     @given(data=st.data())
     def test_window_sums_the_in_memory_window(self, workdir, data):
         counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
-        cube = SpectralImage.from_counts(counts, e_min=1.5, e_bin_width=0.5,
-                                         pixel_pitch_um=55.0)
+        cube = SpectralImage.from_counts(
+            counts, detector_of(counts, e_min=1.5, e_bin_width=0.5, pitch=55.0)
+        )
         centers = 1.5 + (np.arange(counts.shape[2]) + 0.5) * 0.5
         first, last = centers[[0, -1]]
         lo, hi = data.draw(

@@ -548,7 +548,7 @@ class TestSimulate:
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 0, seed=1)
         assert dense(cube).sum() == 0
         assert cube.photons == 0
-        assert cube.shape == (256, 256, 100)
+        assert cube.detector == DetectorSpec()
         assert cube.bins.size == cube.bin_counts.size == 0
 
     def test_count_conservation(self):
@@ -918,7 +918,8 @@ class TestSparseCube:
         assert cube.bins.dtype == np.int64 and cube.bin_counts.dtype == np.uint64
         assert np.all(np.diff(cube.bins) > 0)
         assert np.all(cube.bin_counts > 0)
-        assert np.all((cube.bins >= 0) & (cube.bins < math.prod(cube.shape)))
+        det = cube.detector
+        assert np.all((cube.bins >= 0) & (cube.bins < det.n_y * det.n_x * det.n_bins))
 
     @pytest.mark.parametrize("name", ["reference", "flatfield", "lossy"])
     def test_bins_equal_dense_add_at(self, monkeypatch, name):
@@ -942,7 +943,8 @@ class TestSparseCube:
             cube = simulate(cfg.scene, mpo, cfg.detector, 12 * BATCH_SIZE,
                             seed=5, n_workers=jobs)
             assert (len(hits), cube.stats.processes) == (4, jobs)
-            want = np.zeros(cube.shape, np.uint64)
+            det = cfg.detector
+            want = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
             np.add.at(want.reshape(-1), np.concatenate(hits), np.uint64(1))
             self.check_bins(cube)
             assert np.array_equal(cube.bins, np.flatnonzero(want))
@@ -980,11 +982,31 @@ class TestSparseCube:
         counts = np.zeros((16, 12, 50), np.uint64)
         hit = rng.random(counts.shape) < density
         counts[hit] = rng.integers(1, 2**40, hit.sum(), dtype=np.uint64)
-        cube = SpectralImage.from_counts(counts, e_min=0.0, e_bin_width=0.5,
-                                         pixel_pitch_um=55.0)
+        det = DetectorSpec(n_x=12, n_y=16, n_bins=50, e_min=0.0, e_bin_width=0.5,
+                           pitch=55.0)
+        cube = SpectralImage.from_counts(counts, det)
         self.check_bins(cube)
+        assert cube.detector is det
         assert np.array_equal(cube.bins, np.flatnonzero(counts))
         assert np.array_equal(dense(cube), counts)
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 16, 50), (16, 12, 49), (16, 13, 50), (16, 12), (1, 16, 12, 50)]
+    )
+    def test_from_counts_refuses_another_shape(self, shape):
+        # the detector is the one record of the cube's grid: counts of any
+        # other shape, the transposed grid too, are refused
+        det = DetectorSpec(n_x=12, n_y=16, n_bins=50)
+        with pytest.raises(ValueError, match=r"not the detector's \(16, 12, 50\)"):
+            SpectralImage.from_counts(np.ones(shape, np.uint64), det)
+
+    def test_default_cube_is_all_zero(self):
+        # a cube given only its detector holds no bins
+        det = DetectorSpec(n_x=3, n_y=2, n_bins=4)
+        cube = SpectralImage(det)
+        self.check_bins(cube)
+        assert cube.bins.size == cube.bin_counts.size == 0
+        assert np.array_equal(dense(cube), np.zeros((2, 3, 4), np.uint64))
 
 
 class TestConstantPerBounceRoulette:
