@@ -410,10 +410,14 @@ def resolution_lp_per_mm(transfer: Atf, threshold: float = 0.1) -> float | None:
     ``threshold`` times DC for a full radial bin.
 
     Returns None when the spectrum never stays below the threshold inside
-    the sampled band ("beyond Nyquist").
+    the sampled band ("beyond Nyquist").  Raises :class:`AnalysisError`
+    when the DC is not positive: an image with no counts has no level to
+    fall below.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
+    if not transfer.dc > 0:
+        raise AnalysisError(f"image has no counts (ATF DC {transfer.dc})")
     freqs, amps = radial_profile(transfer)
     level = threshold * transfer.dc
     below = amps < level

@@ -158,8 +158,17 @@ def critical_angle_deg(energy: float, material: Material) -> float:
 
 def critical_slope(energy: float, coating: Material) -> float:
     """tan(theta_c) at ``energy`` (keV): the steepest transverse slope that
-    a wall reflects, and so the steepest a reflected ray leaves with."""
-    return math.tan(math.radians(critical_angle_deg(energy, coating)))
+    a wall reflects, and so the steepest a reflected ray leaves with.
+    Raises ValueError where theta_c reaches 90 degrees (on iridium, below
+    about 0.055 keV): the formula has left its grazing-angle regime, and
+    the tangent would wrap to a negative or huge slope."""
+    angle = critical_angle_deg(energy, coating)
+    if angle >= 90.0:
+        raise ValueError(
+            f"critical angle {angle:.4g} deg of {coating.name} at {energy} keV "
+            "is not below 90 deg"
+        )
+    return math.tan(math.radians(angle))
 
 
 def straight_through_slope(geometry: MpoGeometry) -> float:

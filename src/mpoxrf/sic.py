@@ -10,11 +10,12 @@ Little-endian layout:
     u64   photons
     u64   counts[n_x * n_y * n_bins], index = ((y*n_x) + x)*n_bins + bin
 
-Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  A readable
-cube has n_x, n_y, n_bins >= 1, a finite e_min and a positive, finite bin
-width and pitch.  A written file is exactly this layout of the cube.  Only
-a regular file is read: its length is checked against the header before
-any count is read.
+Header is 56 bytes; total file length 56 + 8*n_x*n_y*n_bins.  A header
+is read as the cube's :class:`mpoxrf.sim.DetectorSpec`, so it is checked
+by the rules of a ``[detector]`` section, and a header that breaks one is
+a format error.  The file holds no energy response.  A written file is
+exactly this layout of the cube.  Only a regular file is read: its length
+is checked against the header before any count is read.
 
 A cube is held as the detector it was binned on and its non-zero bins
 (:class:`mpoxrf.sim.SpectralImage`), never as a dense array.  A
@@ -40,18 +41,16 @@ extent.
 from __future__ import annotations
 
 import errno
-import math
 import os
 import stat
 import struct
 from contextlib import contextmanager
-from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import Image2D, check_window, window_bins
 from .fileio import FileFormatError, open_binary
-from .sim import SpectralImage
+from .sim import DetectorSpec, SpectralImage
 
 MAGIC = b"SIC1"
 HEADER = struct.Struct("<4sIIIdddQQ")
@@ -160,41 +159,35 @@ def _data_extents(fd: int, start: int, stop: int):
         start = end
 
 
-class _Header(NamedTuple):
-    n_x: int
-    n_y: int
-    n_bins: int
-    e_min: float
-    e_bin_width: float
-    pixel_pitch_um: float
-    seed: int
-    photons: int
-
-
 @contextmanager
 def _open_sic(path):
-    """Open a SIC file; yields its descriptor and header.  Raises
-    :class:`FileFormatError` on a malformed header, a length that does not
-    match it, or a path that is not a regular file."""
+    """Open a SIC file; yields its descriptor and the cube's
+    :class:`~mpoxrf.sim.DetectorSpec`, built from the header's grid, energy
+    axis and pitch, so a header is checked by the rules of a ``[detector]``
+    section.  The header holds no energy response: the detector keeps the
+    default ``energy_fwhm`` and ``threshold``, and nothing reads them.
+    Raises :class:`FileFormatError` on a malformed header, a length that
+    does not match it, or a path that is not a regular file."""
     with open_binary(path) as (fh, size):
         head = fh.read(HEADER.size)
         if len(head) < HEADER.size:
             raise FileFormatError(
                 f"{path}: too short for a SIC header ({len(head)} bytes)"
             )
-        magic, *fields = HEADER.unpack(head)
-        n_x, n_y, n_bins, e_min, width, pitch = fields[:6]
+        magic, n_x, n_y, n_bins, e_min, width, pitch = HEADER.unpack(head)[:7]
         if magic != MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
-        if min(n_x, n_y, n_bins) == 0:
-            raise FileFormatError(f"{path}: empty {n_x}x{n_y}x{n_bins} cube")
-        if not (
-            math.isfinite(e_min) and 0 < width < math.inf and 0 < pitch < math.inf
-        ):
-            raise FileFormatError(
-                f"{path}: invalid energy axis (e_min {e_min}, bin width {width}) or "
-                f"pixel pitch {pitch}"
+        try:
+            det = DetectorSpec(
+                n_x=n_x,
+                n_y=n_y,
+                pitch=pitch,
+                e_min=e_min,
+                e_bin_width=width,
+                n_bins=n_bins,
             )
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
         expected = HEADER.size + 8 * n_x * n_y * n_bins
         if size != expected:
             raise FileFormatError(
@@ -203,10 +196,10 @@ def _open_sic(path):
             )
         # positional reads only: the buffered reader has read ahead past
         # the header, so its position is not the descriptor's
-        yield fh.fileno(), _Header(*fields)
+        yield fh.fileno(), det
 
 
-def _pixel_blocks(path, fd: int, head: _Header):
+def _pixel_blocks(path, fd: int, det: DetectorSpec):
     """``(first, block)`` for every pixel that a data extent of the file
     touches: ``block`` holds the (k, n_bins) counts of pixels ``first`` to
     ``first + k - 1``.  Extents are rounded out to whole pixels, and a pixel
@@ -214,14 +207,14 @@ def _pixel_blocks(path, fd: int, head: _Header):
     buffer, valid until the next one is asked for.  Raises
     :class:`FileFormatError` where the file ends early, or where the buffer
     (one pixel's spectrum at least) cannot be allocated."""
-    pixel = 8 * head.n_bins
-    expected = HEADER.size + pixel * head.n_x * head.n_y
+    pixel = 8 * det.n_bins
+    expected = HEADER.size + pixel * det.n_x * det.n_y
     n_pixels = max(1, BUFFER_BYTES // pixel)
     try:
-        buffer = np.empty((n_pixels, head.n_bins), "<u8")
+        buffer = np.empty((n_pixels, det.n_bins), "<u8")
     except MemoryError:
         raise FileFormatError(
-            f"{path}: a {head.n_x}x{head.n_y}x{head.n_bins} cube needs a "
+            f"{path}: a {det.n_x}x{det.n_y}x{det.n_bins} cube needs a "
             f"{n_pixels * pixel / 2**30:.2f} GiB read buffer, which could not "
             "be allocated"
         ) from None
@@ -261,18 +254,18 @@ def read_window(path, e_lo: float, e_hi: float) -> Image2D:
     they cannot be, that is a format error.
     """
     check_window(e_lo, e_hi)
-    with _open_sic(path) as (fd, head):
-        bins = window_bins(head.e_min, head.e_bin_width, head.n_bins, e_lo, e_hi)
+    with _open_sic(path) as (fd, det):
+        bins = window_bins(det.e_min, det.e_bin_width, det.n_bins, e_lo, e_hi)
         try:
-            sums = np.zeros(head.n_y * head.n_x, np.uint64)
-            values = np.empty((head.n_y, head.n_x))
+            sums = np.zeros(det.n_y * det.n_x, np.uint64)
+            values = np.empty((det.n_y, det.n_x))
         except (MemoryError, ValueError):  # numpy refuses sizes past intp, too
             raise FileFormatError(
-                f"{path}: a {head.n_x}x{head.n_y}x{head.n_bins} cube needs a "
-                f"{16 * head.n_y * head.n_x / 2**30:.2f} GiB window image, which "
+                f"{path}: a {det.n_x}x{det.n_y}x{det.n_bins} cube needs a "
+                f"{16 * det.n_y * det.n_x / 2**30:.2f} GiB window image, which "
                 "could not be allocated"
             ) from None
-        for first, block in _pixel_blocks(path, fd, head):
+        for first, block in _pixel_blocks(path, fd, det):
             block[:, bins].sum(axis=1, out=sums[first : first + len(block)])
-    values[:] = sums.reshape(head.n_y, head.n_x)
-    return Image2D(values=values, pitch_um=head.pixel_pitch_um)
+    values[:] = sums.reshape(det.n_y, det.n_x)
+    return Image2D(values=values, pitch_um=det.pitch)

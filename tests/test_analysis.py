@@ -430,6 +430,11 @@ class TestResolution:
         df = 1.0 / (512 * 0.055)
         assert res == pytest.approx(expect, abs=2 * df)
 
+    def test_image_without_counts_is_analysis_error(self):
+        # the DC is 0, so no amplitude can fall below a fraction of it
+        with pytest.raises(an.AnalysisError, match=r"no counts \(ATF DC 0\.0\)"):
+            an.resolution_lp_per_mm(an.atf(image(np.zeros((16, 16)))))
+
     def test_threshold_validated(self):
         t = an.atf(gaussian_image(32))
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -314,12 +315,17 @@ BAD_PARAMETERS = [
             ("lines", "inf:1.0", "line (inf, 1.0) needs positive, finite"),
             ("lines", "8.0:nan", "line (8.0, nan) needs positive, finite"),
             ("lines", "8.0:inf", "line (8.0, inf) needs positive, finite"),
+            # theta_c is 124 deg: its tangent, the steepest slope a wall
+            # reflects, would be negative
+            ("lines", "0.04:1.0", "critical angle 124.1 deg of Ir at 0.04 keV"),
         ]
     ),
     (None, WINDOW + ["--lo", "nan"], "need e_lo < e_hi, got [nan, 9.0)"),
     (None, PSF + ["--energy", "nan"], "energy must be positive and finite, got nan"),
     (None, PSF + ["--energy", "inf"], "energy must be positive and finite, got inf"),
     (None, PSF + ["--energy", "0"], "energy must be positive and finite, got 0.0"),
+    # theta_c is far past 90 deg: its tangent would give a negative arm
+    (None, PSF + ["--energy", "1e-300"], "critical angle 4.963e+300 deg of Ir"),
     (None, APPLY_CAL + ["--bin-width", "nan"], "bin width must be positive and finite"),
     (None, APPLY_CAL + ["--threshold", "nan"], "threshold must be finite, got nan"),
     (None, APPLY_CAL + ["--e-min", "inf"], "e_min must be finite, got inf"),
@@ -430,6 +436,22 @@ class TestCliSimulate:
         cube = decode_sic(out.read_bytes())
         assert cube.photons == 200000
         assert cube.seed == 3
+
+    def test_line_above_the_90_deg_energy_simulates(self, tmp_path, capsys):
+        # at 0.06 keV theta_c is 82.7 deg on iridium: every wall reflects
+        path = tmp_path / "soft.ini"
+        path.write_text(
+            MINIMAL.replace("lines = 8.0:1.0", "lines = 0.06:1.0")
+            .replace("threshold_kev = 2.0", "threshold_kev = 0.001")
+        )
+        out = tmp_path / "soft.sic"
+        code = cli.main(["simulate", "--config", str(path), "--photons", "100000",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        text = capsys.readouterr().out
+        assert re.search(r"^  wall absorbed +0$", text, re.M)
+        assert int(re.search(r"^  detected +(\d+)$", text, re.M).group(1)) > 0
+        assert decode_sic(out.read_bytes()).counts.sum() > 0
 
     def test_zero_photons_valid(self, config_path, tmp_path):
         out = tmp_path / "zero.sic"
@@ -655,6 +677,29 @@ class TestCliAnalysisChain:
             ["psf", "--image", str(empty), "--out-prefix", str(tmp_path / "x")]
         )
         assert code == cli.EXIT_ANALYSIS
+
+    @pytest.mark.parametrize("command", ["atf", "psf", "clean"])
+    def test_window_without_counts_exits_4(self, tmp_path, capsys, command):
+        # a window above every count of the cube is an all-zero image: no
+        # peak for psf and clean, and no DC to measure atf's resolution by
+        counts = np.zeros((32, 32, 100), np.uint64)
+        counts[16, 16, 32] = 5  # 8.0-8.25 keV
+        cube = sim.SpectralImage.from_counts(counts, DetectorSpec(n_x=32, n_y=32))
+        sic.write_sic(tmp_path / "c.sic", cube)
+        image = tmp_path / "img.csv"
+        assert cli.main(["window", "--cube", str(tmp_path / "c.sic"), "--lo", "30",
+                         "--hi", "40", "--out-prefix", str(tmp_path / "img")]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "atf": ["atf", "--image", str(image), "--out", str(out / "atf.csv")],
+            "psf": ["psf", "--image", str(image), "--out-prefix", str(out / "psf")],
+            "clean": ["clean", str(image), "--out-prefix", str(out / "clean")],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_ANALYSIS
+        want = "no counts (ATF DC 0.0)" if command == "atf" else "no peak"
+        assert f"analysis error: image has {want}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("energy", ["8.0", "0"])
     def test_psf_energy_without_config_exits_2(self, tmp_path, capsys, energy):
@@ -1596,23 +1641,77 @@ class TestSicFormat:
             ("n_y", 0),
             ("n_bins", 0),
             ("e_min", math.nan),
+            ("e_min", math.inf),
+            ("e_min", -math.inf),
             ("e_bin_width", 0.0),
+            ("e_bin_width", -1.0),
+            ("e_bin_width", math.nan),
             ("e_bin_width", math.inf),
             ("pitch", -55.0),
+            ("pitch", 0.0),
+            ("pitch", math.nan),
+            ("pitch", math.inf),
         ],
     )
     def test_invalid_header_io_exit(self, tmp_path, capsys, field, value):
+        # a header is read as a DetectorSpec: refused by the rule of the
+        # [detector] key, naming the file, before any output is written
         head = dict(n_x=2, n_y=3, n_bins=4, e_min=0.0, e_bin_width=0.25, pitch=55.0)
         head[field] = value
         n_counts = head["n_x"] * head["n_y"] * head["n_bins"]
         path = tmp_path / "c.sic"
-        path.write_bytes(sic.HEADER.pack(sic.MAGIC, *head.values(), 0, 0)
+        path.write_bytes(struct.pack("<4sIIIdddQQ", b"SIC1", *head.values(), 0, 0)
                          + bytes(8 * n_counts))
+        out = tmp_path / "out"
+        out.mkdir()
         assert cli.main(
             ["window", "--cube", str(path), "--lo", "0", "--hi", "1",
-             "--out-prefix", str(tmp_path / "x")]
+             "--out-prefix", str(out / "x")]
         ) == cli.EXIT_IO
-        assert f"input format error: {path}: " in capsys.readouterr().err
+        rule = {
+            "e_min": f"e_min must be finite, got {value}",
+            "e_bin_width": f"energy bin width must be positive and finite, got {value}",
+            "pitch": f"pixel pitch must be positive and finite, got {value}",
+        }.get(field, "pixel and energy bin counts must be positive")
+        assert capsys.readouterr().err == f"input format error: {path}: {rule}\n"
+        assert list(out.iterdir()) == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        det=st.builds(
+            DetectorSpec,
+            n_x=st.integers(1, 5),
+            n_y=st.integers(1, 5),
+            pitch=st.floats(0.0, exclude_min=True, allow_infinity=False),
+            energy_fwhm=st.floats(0.0, 10.0),
+            threshold=st.floats(-10.0, 10.0),
+            e_min=st.floats(allow_nan=False, allow_infinity=False),
+            e_bin_width=st.floats(0.0, exclude_min=True, allow_infinity=False),
+            n_bins=st.integers(1, 40),
+        ),
+        data=st.data(),
+    )
+    def test_header_reads_as_the_detector(self, tmp_path_factory, det, data):
+        # the six grid fields round-trip; the file holds no energy response,
+        # so the FWHM and threshold read back as DetectorSpec's defaults
+        size = det.n_y * det.n_x * det.n_bins
+        cells = data.draw(st.dictionaries(
+            st.integers(0, size - 1), st.integers(1, 2**64 - 1), max_size=6
+        ))
+        counts = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
+        counts.reshape(-1)[list(cells)] = list(cells.values())
+        path = tmp_path_factory.getbasetemp() / "header.sic"
+        sic.write_sic(path, sim.SpectralImage.from_counts(counts, det))
+        with sic._open_sic(path) as (_, back):
+            assert type(back) is DetectorSpec
+            assert back == DetectorSpec(
+                n_x=det.n_x,
+                n_y=det.n_y,
+                pitch=det.pitch,
+                e_min=det.e_min,
+                e_bin_width=det.e_bin_width,
+                n_bins=det.n_bins,
+            )
 
 
 def repr_rows(rows) -> bytes:

@@ -15,6 +15,7 @@ from mpoxrf.optics import (
     _survives,
     _unfold_vec,
     critical_angle_deg,
+    critical_slope,
 )
 from support import march_plane
 
@@ -114,6 +115,20 @@ class TestCriticalAngle:
         a = critical_angle_deg(k * energy, IRIDIUM)
         b = critical_angle_deg(energy, IRIDIUM) / k
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestCriticalSlope:
+    @pytest.mark.parametrize("energy", [0.055, 0.04, 1e-300])
+    def test_angle_of_90_deg_or_more_rejected(self, energy):
+        # theta_c = 4.96 deg / E reaches 90 deg near 0.055 keV on iridium;
+        # its tangent would be negative or huge below that
+        angle = critical_angle_deg(energy, IRIDIUM)
+        assert angle >= 90.0
+        with pytest.raises(ValueError) as err:
+            critical_slope(energy, IRIDIUM)
+        assert str(err.value) == (
+            f"critical angle {angle:.4g} deg of Ir at {energy} keV is not below 90 deg"
+        )
 
 
 class TestGrazingReflectivity:
