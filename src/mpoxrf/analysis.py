@@ -437,11 +437,12 @@ def background_level(
 
     Excludes a disc of ``exclusion_radius_mm`` about the center plus a
     horizontal and a vertical band of ``arm_half_width_mm`` half-width
-    through it.
+    through it.  Where no pixel is left, because the disc reaches half the
+    image or the bands cover the rest, that is an :class:`AnalysisError`.
     """
     half_extent = min(image.n_x, image.n_y) * image.pitch_mm / 2.0
     if exclusion_radius_mm >= half_extent:
-        raise ValueError("exclusion radius must be smaller than half the image")
+        raise AnalysisError("exclusion radius must be smaller than half the image")
     cx, cy = center
     pitch = image.pitch_mm
     ys, xs = np.mgrid[0 : image.n_y, 0 : image.n_x]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import FileFormatError, open_binary
-from .sim import DetectorSpec, SimStats, SpectralImage, _cube_index, _zeros
+from .sim import DetectorSpec, SimStats, SpectralImage, _cube_index
 
 MAGIC = b"TPXE"
 VERSION = 1
@@ -471,14 +471,22 @@ def apply_calibration(
     is binned slice by slice, so the temporaries stay bounded.  A run file
     fills a good share of its cube's bins (23.5% on the bench), so the hits
     are added into a dense cube, which becomes the cube's non-zero bins
-    once, at the end.
+    once, at the end; a dense cube that cannot be allocated is a
+    ValueError naming its shape and size.
     """
     if (cal.n_x, cal.n_y) != (events.n_x, events.n_y):
         raise ValueError("calibration map does not match the event matrix")
     if (detector.n_x, detector.n_y) != (events.n_x, events.n_y):
         raise ValueError("detector does not match the event matrix")
     stats = SimStats()
-    counts = _zeros((detector.n_y, detector.n_x, detector.n_bins), "cube")
+    n_y, n_x, n_bins = shape = (detector.n_y, detector.n_x, detector.n_bins)
+    try:
+        counts = np.zeros(shape, np.uint64)
+    except MemoryError:  # DetectorSpec keeps the size within numpy's reach
+        raise ValueError(
+            f"cannot allocate the {n_y}x{n_x}x{n_bins} cube "
+            f"({8 * n_y * n_x * n_bins / 2**30:.2f} GiB)"
+        ) from None
     flat = counts.reshape(-1)
     for part in events.slices():
         stats.add(_bin_calibrated(part.x, part.y, part.tot, cal, detector, flat))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .analysis import Image2D, check_window, window_bins
 from .fileio import FileFormatError, open_binary
-from .sim import DetectorSpec, SpectralImage
+from .sim import DetectorSpec, SpectralImage, _merge_runs
 
 MAGIC = b"SIC1"
 HEADER = struct.Struct("<4sIIIdddQQ")
@@ -69,7 +69,8 @@ BUFFER_BYTES = 1 << 19
 def write_sic(path, cube: SpectralImage) -> None:
     """Write ``cube`` from its detector and its non-zero bins: the header,
     whose grid, energy axis and pitch are ``cube.detector``'s, then one
-    loop over runs of the body.  A regular file gets the :func:`_data_runs`,
+    loop over runs of the body, which holds the sum of the cube's class
+    planes.  A regular file gets the :func:`_data_runs`,
     each at its offset, and then its full length, so the blocks between
     runs are holes; any other output, such as a pipe, gets the whole body
     as one run.  A run is written in pieces of at most ``BUFFER_BYTES``
@@ -90,6 +91,8 @@ def write_sic(path, cube: SpectralImage) -> None:
     )
     size = 8 * det.n_x * det.n_y * det.n_bins
     bins, counts = cube.bins, cube.bin_counts
+    if cube.planes > 1:  # ascending bins keep their SIC indices ascending
+        bins, counts = _merge_runs(bins // cube.planes, counts)
     buffer = np.empty(max(1, BUFFER_BYTES // 8), "<u8")
     with open(path, "wb") as fh:
         info = os.fstat(fh.fileno())
@@ -259,7 +262,7 @@ def read_window(path, e_lo: float, e_hi: float) -> Image2D:
         try:
             sums = np.zeros(det.n_y * det.n_x, np.uint64)
             values = np.empty((det.n_y, det.n_x))
-        except (MemoryError, ValueError):  # numpy refuses sizes past intp, too
+        except MemoryError:  # DetectorSpec keeps the size within numpy's reach
             raise FileFormatError(
                 f"{path}: a {det.n_x}x{det.n_y}x{det.n_bins} cube needs a "
                 f"{16 * det.n_y * det.n_x / 2**30:.2f} GiB window image, which "

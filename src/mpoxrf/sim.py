@@ -4,7 +4,9 @@ The chain for every photon is: sample an emission point and a direction
 aimed at the plate, find the pore it enters (or the web that swallows it),
 unfold its in-channel trajectory, propagate the survivors to the detector
 plane, smear the energy with the detector response, and bin the hit into a
-pixel x energy cube, which is held as its non-zero bins.  Only photons
+pixel x energy x path-class cube, which is held as its non-zero bins: a
+hit's :class:`~mpoxrf.optics.PathClass` is the last axis of its bin, so
+every per-class image is a sum over the bins.  Only photons
 aimed inside the acceptance window about their own emission point can
 survive the channels; the others are drawn as web and wall tallies without
 being transported.  The windows are computed once per run.  The transport
@@ -70,6 +72,13 @@ FWHM_PER_SIGMA = 2.3548200450309493
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+
+#: Largest ``n_x``, ``n_y`` or ``n_bins``: a u32 field of the SIC header.
+MAX_SIDE = (1 << 32) - 1
+#: Most bins in a detector's grid.  A cube bin's index times its class
+#: planes (five, below eight) then stays below 2**62, and so does the SIC
+#: file length, 8 bytes a bin: both fit an int64.
+MAX_GRID_BINS = 1 << 59
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,13 @@ class DetectorSpec:
     def __post_init__(self):
         if self.n_x <= 0 or self.n_y <= 0 or self.n_bins <= 0:
             raise ValueError("pixel and energy bin counts must be positive")
+        if max(self.n_x, self.n_y, self.n_bins) > MAX_SIDE or (
+            self.n_x * self.n_y * self.n_bins > MAX_GRID_BINS
+        ):
+            raise ValueError(
+                f"a {self.n_x}x{self.n_y}x{self.n_bins} grid is too large: a side "
+                f"is at most {MAX_SIDE} (a u32 of the SIC header), a grid 2**59 bins"
+            )
         for name, value in (
             ("pixel pitch", self.pitch), ("energy bin width", self.e_bin_width)
         ):
@@ -170,7 +186,6 @@ class SimStats:
     detected: int = 0
     dead_pixel_drops: int = 0  # used by the event-calibration path only
     class_counts: dict = field(default_factory=dict)
-    class_images: dict | None = None  # PathClass -> (n_y, n_x) uint64
     processes: int = 1  # processes that ran simulate()'s transport; not added
 
     def add(self, other: "SimStats") -> None:
@@ -187,16 +202,20 @@ class SimStats:
 @dataclass
 class SpectralImage:
     """Per-pixel, per-energy-bin count cube binned on ``detector``, held as
-    its non-zero bins.
+    its non-zero bins, each split into ``planes`` class planes.
 
     ``detector`` is the one record of the cube's (n_y, n_x, n_bins) grid,
-    its energy axis and its pixel pitch.  ``bins`` holds the flat SIC
-    indices ``((y*n_x) + x)*n_bins + bin`` of the non-zero bins, ascending
-    and unique (int64), and ``bin_counts`` their counts (uint64, each above
-    0); both default to empty, an all-zero cube.  A point-source cube has
+    its energy axis and its pixel pitch.  ``bins`` holds the flat indices
+    ``sic_index * planes + plane`` of the non-zero bins, where
+    ``sic_index`` is the SIC index ``((y*n_x) + x)*n_bins + bin``:
+    ascending and unique (int64), with ``bin_counts`` their counts (uint64,
+    each above 0); both default to empty, an all-zero cube.  ``planes`` is
+    ``len(PathClass)`` for a :func:`simulate` cube, whose ``plane`` is
+    each hit's path class in ``PathClass`` order, and 1 for a cube with no
+    classes (:meth:`from_counts`, ``apply-cal``).  A point-source cube has
     at most one non-zero bin per detected photon, so it stays small
     whatever the detector.  It has no dense view:
-    :func:`mpoxrf.sic.write_sic` writes it from its bins, and
+    :func:`mpoxrf.sic.write_sic` writes its plane sum from its bins, and
     :func:`mpoxrf.sic.read_window` sums an energy window of the written
     file.  ``stats`` is in-memory bookkeeping only; it is not part of the
     on-disk cube format.
@@ -205,6 +224,7 @@ class SpectralImage:
     detector: DetectorSpec
     bins: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     bin_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
+    planes: int = 1
     seed: int = 0
     photons: int = 0
     scene_digest: str = ""
@@ -226,31 +246,26 @@ class SpectralImage:
         return cls(detector, bins, flat[bins].astype(np.uint64, copy=False), **meta)
 
 
-def _zeros(shape, what: str) -> np.ndarray:
-    """uint64 zeros; a ``what`` that cannot be allocated is a ValueError."""
-    try:
-        return np.zeros(shape, np.uint64)
-    except (MemoryError, ValueError):  # numpy refuses sizes past intp, too
-        gib = math.prod(shape) * 8 / 2**30
-        size = f"{'x'.join(map(str, shape))} {what} ({gib:.2f} GiB)"
-        raise ValueError(f"cannot allocate the {size}") from None
-
-
 def _add_hits(bins, bin_counts, flat):
     """The non-zero bins ``(bins, bin_counts)`` of a cube (see
     :class:`SpectralImage`) plus one count at each flat cube index of
     ``flat``, in the same form.
 
     The indices are sorted together and each run of equal ones becomes one
-    bin, its weights summed: a sort and a neighbour compare, since the
+    bin (:func:`_merge_runs`): a sort and a neighbour compare, since the
     first ``np.unique`` of a process imports ``numpy.ma`` (9 ms or more).
     Counts add as integers, so the result does not depend on how the hits
     are split between calls.
     """
     index = np.concatenate((bins, flat))
     order = np.argsort(index)
-    index = index[order]
     weight = np.concatenate((bin_counts, np.ones(flat.size, np.uint64)))[order]
+    return _merge_runs(index[order], weight)
+
+
+def _merge_runs(index, weight):
+    """The distinct values of the ascending ``index`` and, for each, the
+    sum of the ``weight`` of its run of equal entries."""
     first = np.ones(index.size, bool)
     first[1:] = index[1:] != index[:-1]
     starts = np.flatnonzero(first)
@@ -554,10 +569,11 @@ def _run_batch(args):
     positive FWHM).  So the group's result is that of its batches
     transported one by one, bit for bit.
 
-    Returns ``(flat, class_flat, stats)``: the counted hits' flat cube
-    indices (:func:`_cube_index`), the same hits' flat indices
-    ``class * n_y * n_x + pixel`` into a ``(len(PathClass), n_y, n_x)``
-    class-image stack, both unsorted with repeats kept, and the tallies.
+    Returns ``(flat, stats)``: the counted hits' flat indices into a cube
+    of ``len(PathClass)`` class planes, ``sic_index * len(PathClass) +
+    class`` (see :class:`SpectralImage`; ``sic_index`` from
+    :func:`_cube_index`, ``class`` from :func:`_class_codes`), unsorted
+    with repeats kept, and the tallies.
     """
     scene, geometry, windows, detector, group = args
     rngs, sizes, starts = zip(*group)
@@ -614,9 +630,7 @@ def _run_batch(args):
 
     hit, flat = _cube_index(pix, e_meas[on_det], detector, stats)
     keep = keep[on_det][hit]
-    # int8 codes: widen before scaling by the image size
-    class_code = _class_codes(n_x[keep], n_z[keep]).astype(np.int64)
-    return flat, class_code * (detector.n_y * detector.n_x) + pix[hit], stats
+    return flat * len(PathClass) + _class_codes(n_x[keep], n_z[keep]), stats
 
 
 def _batch_groups(scene, windows, seed, first, stop, n_photons, cap):
@@ -650,22 +664,19 @@ def _run_chunk(args, group_photons=BATCH_SIZE):
     the largest single batch, and the draws and the result do not depend
     on the grouping.
 
-    Returns ``(flat, class_flat, stats)`` as :func:`_run_batch` does, for
-    the batches together: their hit indices concatenated in batch order and
+    Returns ``(flat, stats)`` as :func:`_run_batch` does, for the batches
+    together: their class-plane hit indices concatenated in batch order and
     their tallies summed.
     """
     scene, geometry, windows, detector, seed, first, stop, n_photons = args
-    flats, class_flats, total = [], [], SimStats()
+    flats, total = [], SimStats()
     for group in _batch_groups(
         scene, windows, seed, first, stop, n_photons, group_photons
     ):
-        flat, class_flat, stats = _run_batch(
-            (scene, geometry, windows, detector, group)
-        )
+        flat, stats = _run_batch((scene, geometry, windows, detector, group))
         flats.append(flat)
-        class_flats.append(class_flat)
         total.add(stats)
-    return np.concatenate(flats), np.concatenate(class_flats), total
+    return np.concatenate(flats), total
 
 
 def simulate(
@@ -693,13 +704,12 @@ def simulate(
     process gets as many chunks.  The number of processes used is
     ``stats.processes``.
 
-    The cube is held as its non-zero bins (:class:`SpectralImage`): each
-    chunk's hits are merged into them as the chunk arrives
-    (:func:`_add_hits`), so no dense cube is allocated and the bins held
-    are at most the distinct ones plus one chunk's hits.  The returned
-    stats carry one 2-D hit image per
-    :class:`~mpoxrf.optics.PathClass` (summed over energy bins) and the
-    class counts, the sums of those images.
+    The cube is held as its non-zero bins (:class:`SpectralImage`), with
+    one class plane per :class:`~mpoxrf.optics.PathClass`: each chunk's
+    hits are merged into them as the chunk arrives (:func:`_add_hits`), so
+    nothing of the detector's size is allocated and the bins held are at
+    most the distinct ones plus one chunk's hits.  The returned stats
+    carry the class counts, the per-plane sums of the bins' counts.
     """
     if n_photons < 0:
         raise ValueError("n_photons must be >= 0")
@@ -709,13 +719,12 @@ def simulate(
     total = SimStats()
     image = SpectralImage(
         detector,
+        planes=len(PathClass),
         seed=seed,
         photons=n_photons,
         scene_digest=scene_digest(scene, mpo, detector),
         stats=total,
     )
-    classes = _zeros((len(PathClass), detector.n_y, detector.n_x), "class-image stack")
-    total.class_images = dict(zip(PathClass, classes))
 
     windows = _acceptance_windows(scene, mpo)
     n_batches = (n_photons + BATCH_SIZE - 1) // BATCH_SIZE
@@ -736,12 +745,14 @@ def simulate(
         )
         for k in range(n_chunks)
     ]
-    for flat, class_flat, stats in run_tasks(_run_chunk, tasks, processes):
+    for flat, stats in run_tasks(_run_chunk, tasks, processes):
         image.bins, image.bin_counts = _add_hits(image.bins, image.bin_counts, flat)
-        np.add.at(classes.reshape(-1), class_flat, np.uint64(1))
         total.add(stats)
 
-    total.class_counts = dict(zip(PathClass, classes.sum(axis=(1, 2)).tolist()))
+    plane = image.bins % image.planes
+    total.class_counts = {
+        cls: int(image.bin_counts[plane == k].sum()) for k, cls in enumerate(PathClass)
+    }
     total.processes = processes
     return image
 

@@ -1,7 +1,7 @@
 """Test helpers that no command runs: an independent oracle of the channel
-transit, an arm-extent measurement, TPXE fixture writers, dense and
-windowed oracles of a cube held as its non-zero bins, and decoders of the
-TPXE and SIC byte layouts that README states.
+transit, an arm-extent measurement, TPXE fixture writers, dense, windowed
+and per-class oracles of a cube held as its non-zero bins, and decoders of
+the TPXE and SIC byte layouts that README states.
 
 Test files import them as ``from support import ...``; pytest's default
 import mode puts this directory on ``sys.path``.
@@ -18,6 +18,7 @@ import numpy as np
 from mpoxrf import sic
 from mpoxrf.analysis import AnalysisError, PsfProfile, _outer_background
 from mpoxrf.events import HEADER, MAGIC, RECORD_DTYPE, VERSION, EventList, open_events
+from mpoxrf.optics import PathClass
 from mpoxrf.sim import FWHM_PER_SIGMA, DetectorSpec
 
 
@@ -86,12 +87,21 @@ def detector_of(counts, **axes) -> DetectorSpec:
 
 def dense(cube) -> np.ndarray:
     """The dense (n_y, n_x, n_bins) uint64 counts of ``cube`` on its
-    detector's grid, built from its non-zero bins ``bins`` /
-    ``bin_counts``."""
+    detector's grid, its class planes summed (the counts that its SIC file
+    holds), built from its non-zero bins ``bins`` / ``bin_counts``."""
     det = cube.detector
     counts = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
-    counts.reshape(-1)[cube.bins] = cube.bin_counts
+    np.add.at(counts.reshape(-1), cube.bins // cube.planes, cube.bin_counts)
     return counts
+
+
+def class_image(cube, cls, lo: float, hi: float) -> np.ndarray:
+    """The (n_y, n_x) float image of the hits of path class ``cls`` in a
+    ``simulate`` cube over the energy window [lo, hi): plane
+    ``list(PathClass).index(cls)`` of the bins whose centers lie in the
+    window."""
+    plane = list(PathClass).index(cls)
+    return window_image(cube, lo, hi, plane=plane)
 
 
 def same_bins(a, b) -> bool:
@@ -100,16 +110,18 @@ def same_bins(a, b) -> bool:
     return np.array_equal(a.bins, b.bins) and np.array_equal(a.bin_counts, b.bin_counts)
 
 
-def window_image(cube, lo: float, hi: float) -> np.ndarray:
+def window_image(cube, lo: float, hi: float, plane=None) -> np.ndarray:
     """The (n_y, n_x) float image of ``cube`` over the energy window [lo,
     hi): each pixel's counts in the bins whose centers, computed here as an
-    array from the cube's detector, lie in the window.  The oracle of
+    array from the cube's detector, lie in the window, over all class
+    planes or over ``plane`` alone.  Over all planes, the oracle of
     ``sic.read_window``."""
     det = cube.detector
     centers = det.e_min + (np.arange(det.n_bins) + 0.5) * det.e_bin_width
     inside = (centers >= lo) & (centers < hi)
-    pixel, k = np.divmod(cube.bins, det.n_bins)
-    keep = inside[k]
+    index, p = np.divmod(cube.bins, cube.planes)
+    pixel, k = np.divmod(index, det.n_bins)
+    keep = inside[k] & ((p == plane) if plane is not None else True)
     sums = np.zeros(det.n_y * det.n_x, np.uint64)
     np.add.at(sums, pixel[keep], cube.bin_counts[keep])
     return sums.reshape(det.n_y, det.n_x).astype(float)

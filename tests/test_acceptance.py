@@ -12,10 +12,17 @@ import pytest
 
 from mpoxrf import analysis as an
 from mpoxrf import cli, events as ev, sic
-from mpoxrf.optics import IRIDIUM, MpoGeometry, _unfold_vec, critical_angle_deg
+from mpoxrf.optics import (
+    IRIDIUM,
+    MpoGeometry,
+    PathClass,
+    _unfold_vec,
+    critical_angle_deg,
+)
 from mpoxrf.sim import DetectorSpec, Scene, Source, simulate
 from support import (
     arm_extent,
+    class_image,
     decode_sic,
     dense,
     march_plane,
@@ -139,9 +146,7 @@ def test_criterion_4_energy_dependent_arms(tmp_path, report):
                   + arm_extent(v, core_exclude_mm=0.25)) / 2.0
         model = an.expected_arm_half_length(energy, ARM_MPO.coating, 25.0, 25.0)
 
-        direct = cube.stats.class_images[
-            next(k for k in cube.stats.class_images if k.value == "direct")
-        ].astype(float)
+        direct = class_image(cube, PathClass.DIRECT, 0.0, 25.0)
         direct_img = an.Image2D(values=direct, pitch_um=det.pitch)
         dx, dy = an.find_psf_center(direct_img)
         # profiles pooled over every row and every column: the direct patch

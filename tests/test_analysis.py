@@ -457,7 +457,7 @@ class TestBackgroundLevel:
 
     def test_oversized_exclusion_rejected(self):
         img = image(np.ones((32, 32)))
-        with pytest.raises(ValueError):
+        with pytest.raises(an.AnalysisError, match="exclusion radius"):
             an.background_level(img, 10.0, (16, 16))
 
     def test_masked_pixels_skipped(self):

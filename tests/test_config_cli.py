@@ -557,14 +557,45 @@ class TestCliSimulate:
         assert cli.main(argv) == 0
         assert decode_sic(out.read_bytes()).seed == seed
 
-    def test_unallocatable_cube_exits_2(
-        self, config_path, tmp_path, capsys, monkeypatch
-    ):
-        # the cube is held as its non-zero bins, but the 160 GiB per-class
-        # image stack is refused before the acceptance windows or any photon
-        config_path.write_text(
-            MINIMAL.replace("n_x = 64\nn_y = 64", "n_x = 65536\nn_y = 65536")
+    def test_wide_sparse_grid_simulates_in_3_gib(self, config_path, tmp_path):
+        # a 65536x65536x1 detector: simulate holds nothing of the detector's
+        # size, so it runs in a 3 GiB address space and writes a 32 GiB cube
+        # that is almost all holes; only window's 64 GiB image is refused
+        config_path.write_text(MINIMAL.replace(
+            "n_x = 64\nn_y = 64",
+            "n_x = 65536\nn_y = 65536\nn_bins = 1\ne_bin_width_kev = 25.0",
+        ))
+        path = tmp_path / "wide.sic"
+        run = run_in_3_gib(["simulate", "--config", str(config_path),
+                            "--out", str(path)])
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        detected = int(re.search(r"^  detected +(\d+)$", run.stdout, re.M).group(1))
+        assert detected > 0
+        info = path.stat()
+        assert info.st_size == sic.HEADER.size + 8 * 65536 * 65536
+        assert info.st_blocks * 512 < info.st_size / 1000
+        run = run_in_3_gib(["window", "--cube", str(path), "--lo", "0", "--hi", "25",
+                            "--out-prefix", str(tmp_path / "w")])
+        assert run.returncode == cli.EXIT_IO, run.stderr
+        assert run.stderr == (
+            f"input format error: {path}: a 65536x65536x1 cube needs a 64.00 GiB "
+            "window image, which could not be allocated\n"
         )
+        assert sorted(tmp_path.iterdir()) == [config_path, path]
+
+    @pytest.mark.parametrize(
+        "key, grid",
+        [("n_x", "4294967296x64x100"), ("n_y", "64x4294967296x100"),
+         ("n_bins", "64x64x4294967296")],
+    )
+    def test_grid_past_the_header_exits_2(
+        self, config_path, tmp_path, capsys, monkeypatch, key, grid
+    ):
+        # a side above the header's u32 is refused when the config loads,
+        # before the acceptance windows or any photon
+        config_path.write_text(MINIMAL.replace(
+            "[detector]\n", f"[detector]\n{key} = 4294967296\n"
+        ).replace(f"\n{key} = 64\n", "\n"))
 
         def transport(*args):
             raise AssertionError("the transport started")
@@ -574,8 +605,8 @@ class TestCliSimulate:
         argv = ["simulate", "--config", str(config_path), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: cannot allocate the 5x65536x65536 class-image stack "
-            "(160.00 GiB)\n"
+            f"config error: {config_path}: a {grid} grid is too large: a side is "
+            "at most 4294967295 (a u32 of the SIC header), a grid 2**59 bins\n"
         )
         assert not out.exists()
 
@@ -667,6 +698,35 @@ class TestCliAnalysisChain:
         assert "flat image has non-positive mean" in capsys.readouterr().err
         assert not (tmp_path / "ff.csv").exists()
         assert not (tmp_path / "ff.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "side, analysis, rule",
+        [
+            # the default 1 mm exclusion disc reaches half a 16x16 image
+            (16, "", "exclusion radius must be smaller than half the image"),
+            # 5 mm arm bands cover every pixel of a 40x40 image
+            (40, "[analysis]\narm_half_width_mm = 5\n", "background region is empty"),
+        ],
+    )
+    def test_clean_without_background_pixels_exits_4(
+        self, tmp_path, capsys, side, analysis, rule
+    ):
+        # no pixel is left to measure the background on: one analysis error,
+        # before any output is written
+        yy, xx = np.mgrid[:side, :side]
+        values = np.exp(-((xx - side / 2) ** 2 + (yy - side / 2) ** 2) / 8.0)
+        image = tmp_path / "spot.csv"
+        fileio.write_image_csv(image, Image2D(values=values, pitch_um=55.0))
+        config = tmp_path / "run.ini"
+        config.write_text(MINIMAL + analysis)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(
+            ["clean", str(image), "--config", str(config),
+             "--out-prefix", str(out / "c")]
+        ) == cli.EXIT_ANALYSIS
+        assert capsys.readouterr().err == f"analysis error: {rule}\n"
+        assert list(out.iterdir()) == []
 
     def test_psf_on_empty_image_analysis_exit(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -1165,16 +1225,11 @@ class TestCliCalibration:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "n_bins, gib",
-        # past the machine's memory, and past what numpy can index at all
-        [(2**40, "32768.00"), (2**60, "34359738368.00")],
-    )
-    def test_apply_cal_unallocatable_cube_exits_2(
-        self, tmp_path, capsys, n_bins, gib
-    ):
-        # the run's second record is outside its 2x2 matrix: reading it
-        # would be exit 3, so exit 2 shows the cube is refused first
+    @staticmethod
+    def _bad_second_record(tmp_path):
+        """A 2x2 run file whose second record is outside its matrix, so
+        that reading the records is exit 3, and an identity calibration;
+        returns the apply-cal argv for them."""
         run = tmp_path / "run.tpxe"
         write_events_file(
             run,
@@ -1192,15 +1247,32 @@ class TestCliCalibration:
         ev.write_calibration_csv(
             cal, ev.CalibrationMap(ones, zeros, zeros, zeros.astype(bool))
         )
-        out = tmp_path / "run.sic"
-        assert cli.main(
-            ["apply-cal", "--events", str(run), "--cal", str(cal), "--out", str(out),
-             "--n-bins", str(n_bins)]
-        ) == cli.EXIT_CONFIG
+        return ["apply-cal", "--events", str(run), "--cal", str(cal),
+                "--out", str(tmp_path / "run.sic")]
+
+    # past the header's u32, past the machine's memory, and past what numpy
+    # can index at all
+    @pytest.mark.parametrize("n_bins", [2**32, 2**40, 2**60])
+    def test_apply_cal_grid_past_the_header_exits_2(self, tmp_path, capsys, n_bins):
+        # exit 2, not 3: the detector is refused before any record is read
+        argv = self._bad_second_record(tmp_path)
+        assert cli.main(argv + ["--n-bins", str(n_bins)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: cannot allocate the 2x2x{n_bins} cube ({gib} GiB)\n"
+            f"error: a 2x2x{n_bins} grid is too large: a side is at most "
+            "4294967295 (a u32 of the SIC header), a grid 2**59 bins\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "run.sic").exists()
+
+    def test_apply_cal_unallocatable_cube_exits_2(self, tmp_path):
+        # the largest header side: a 2x2x(2^32-1) dense cube, 128 GiB, does
+        # not fit a 3 GiB address space, and is refused before any record
+        argv = self._bad_second_record(tmp_path)
+        run = run_in_3_gib(argv + ["--n-bins", str(2**32 - 1)])
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert run.stderr == (
+            "error: cannot allocate the 2x2x4294967295 cube (128.00 GiB)\n"
+        )
+        assert not (tmp_path / "run.sic").exists()
 
     def test_apply_cal_holds_one_buffer(self, tmp_path, monkeypatch):
         n = 64
@@ -1651,17 +1723,23 @@ class TestSicFormat:
             ("pitch", 0.0),
             ("pitch", math.nan),
             ("pitch", math.inf),
+            ("grid", 2**32 - 1),  # every side at the u32 limit
         ],
     )
     def test_invalid_header_io_exit(self, tmp_path, capsys, field, value):
         # a header is read as a DetectorSpec: refused by the rule of the
         # [detector] key, naming the file, before any output is written
         head = dict(n_x=2, n_y=3, n_bins=4, e_min=0.0, e_bin_width=0.25, pitch=55.0)
-        head[field] = value
+        if field == "grid":
+            head.update(n_x=value, n_y=value, n_bins=value)
+        else:
+            head[field] = value
         n_counts = head["n_x"] * head["n_y"] * head["n_bins"]
         path = tmp_path / "c.sic"
+        # the rule is checked before the length: the grid's body, 2**99
+        # bytes, is left out
         path.write_bytes(struct.pack("<4sIIIdddQQ", b"SIC1", *head.values(), 0, 0)
-                         + bytes(8 * n_counts))
+                         + bytes(8 * n_counts if n_counts < 2**20 else 0))
         out = tmp_path / "out"
         out.mkdir()
         assert cli.main(
@@ -1672,6 +1750,8 @@ class TestSicFormat:
             "e_min": f"e_min must be finite, got {value}",
             "e_bin_width": f"energy bin width must be positive and finite, got {value}",
             "pitch": f"pixel pitch must be positive and finite, got {value}",
+            "grid": f"a {value}x{value}x{value} grid is too large: a side is at "
+                    "most 4294967295 (a u32 of the SIC header), a grid 2**59 bins",
         }.get(field, "pixel and energy bin counts must be positive")
         assert capsys.readouterr().err == f"input format error: {path}: {rule}\n"
         assert list(out.iterdir()) == []

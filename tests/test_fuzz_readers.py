@@ -306,6 +306,36 @@ class TestSicHoles:
 
     @FUZZ
     @given(data=st.data())
+    def test_class_planes_write_their_sum(self, workdir, data):
+        # each count split over one to five class planes, so a (pixel, bin)
+        # repeats across planes: the file holds the planes' sum, the bytes
+        # and the holes of the one-plane cube of the summed counts
+        counts = data.draw(sparse_counts(os.stat(workdir).st_blksize))
+        det = detector_of(counts, e_min=1.5, e_bin_width=0.5, pitch=55.0)
+        summed = SpectralImage.from_counts(counts, det, seed=7, photons=3)
+        bins, parts = [], []
+        for index, total in zip(summed.bins.tolist(), summed.bin_counts.tolist()):
+            planes = sorted(data.draw(
+                st.sets(st.integers(0, 4), min_size=1, max_size=min(5, total))
+            ))
+            cuts = data.draw(st.sets(
+                st.integers(1, max(total - 1, 1)),  # none are drawn for a 1
+                min_size=len(planes) - 1, max_size=len(planes) - 1,
+            ))
+            bounds = [0, *sorted(cuts), total]
+            for plane, lo, hi in zip(planes, bounds, bounds[1:]):
+                bins.append(index * 5 + plane)
+                parts.append(hi - lo)
+        cube = SpectralImage(det, np.array(bins, np.int64), np.array(parts, np.uint64),
+                             planes=5, seed=7, photons=3)
+        path, want = workdir / "planes.sic", workdir / "summed.sic"
+        sic.write_sic(path, cube)
+        sic.write_sic(want, summed)
+        assert path.read_bytes() == want.read_bytes()
+        assert extents(path) == extents(want)
+
+    @FUZZ
+    @given(data=st.data())
     def test_data_runs_equal_the_scan_rule(self, data):
         # any block size a multiple of 8, the header's size among them
         block = data.draw(st.sampled_from([8, 16, 24, 56, 4096])

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -44,7 +45,21 @@ from mpoxrf.sim import (
     run_tasks,
     simulate,
 )
-from support import arm_extent, dense, march_plane, same_bins, window_of
+from support import (
+    arm_extent,
+    class_image,
+    dense,
+    march_plane,
+    same_bins,
+    window_image,
+    window_of,
+)
+
+#: The end of DetectorSpec's message for a grid past the SIC header's limits.
+LIMIT = (
+    "is too large: a side is at most 4294967295 (a u32 of the SIC header), "
+    "a grid 2**59 bins"
+)
 
 GEOM = MpoGeometry(plate_side=20.0, thickness_t=1.2, pore_width_w=20.0, pitch_p=25.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -122,6 +137,27 @@ class TestSourceValidation:
             DetectorSpec(n_x=0)
         with pytest.raises(ValueError):
             DetectorSpec(e_bin_width=0.0)
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [("n_x", "4294967296x1x1"), ("n_y", "1x4294967296x1"),
+         ("n_bins", "1x1x4294967296")],
+    )
+    def test_detector_side_fits_the_header(self, name, grid):
+        # each side is a u32 of the SIC header; the other two stay at 1
+        sides = {"n_x": 1, "n_y": 1, "n_bins": 1}
+        assert getattr(DetectorSpec(**{**sides, name: 2**32 - 1}), name) == 2**32 - 1
+        with pytest.raises(ValueError, match=re.escape(f"a {grid} grid {LIMIT}")):
+            DetectorSpec(**{**sides, name: 2**32})
+
+    def test_detector_grid_of_at_most_2_to_59_bins(self):
+        # a class-plane index of such a grid, at most five planes a bin,
+        # stays below 2**62
+        assert DetectorSpec(n_x=2**30, n_y=2**29, n_bins=1)
+        with pytest.raises(
+            ValueError, match=re.escape(f"a 1073741824x536870913x1 grid {LIMIT}")
+        ):
+            DetectorSpec(n_x=2**30, n_y=2**29 + 1, n_bins=1)
 
 
 def in_window_draws(scene, n, seed, batch=0, geometry=GEOM):
@@ -419,7 +455,7 @@ class TestProjectToDetector:
         # bounces twice in a plane, so CENTRAL_FOCUS is exactly (1, 1)
         det = DetectorSpec()
         cube = simulate(cu_scene(x=0.6, z=-0.4), GEOM, det, 2_000_000, seed=11)
-        focus = cube.stats.class_images[PathClass.CENTRAL_FOCUS]
+        focus = class_image(cube, PathClass.CENTRAL_FOCUS, 0.0, 25.0)
         assert focus.sum() > 20
         iy, ix = np.nonzero(focus)
         pitch_mm = det.pitch * 1e-3
@@ -634,7 +670,7 @@ class TestSimulate:
         # with FWHM=0 and lossless walls, a batch is a deterministic
         # function of its in-window emission arrays; replay every batch ray by
         # ray through independent scalar arithmetic and compare cube,
-        # tallies and class counts exactly.  The out-of-window photons are
+        # tallies and class images exactly.  The out-of-window photons are
         # certain losses, tallied without transport.
         det = DetectorSpec(energy_fwhm=0.0)
         scene = cu_scene()
@@ -643,7 +679,7 @@ class TestSimulate:
 
         expected = np.zeros((det.n_y, det.n_x, det.n_bins), dtype=np.uint64)
         fates = Counter()
-        classes = Counter()
+        classes = {cls: np.zeros((det.n_y, det.n_x)) for cls in PathClass}
         web_out = wall_out = 0
         pitch_mm = det.pitch * 1e-3
         x0 = -det.n_x * pitch_mm / 2
@@ -672,14 +708,16 @@ class TestSimulate:
                 e_bin = math.floor((energy[k] - det.e_min) / det.e_bin_width)
                 if 0 <= e_bin < det.n_bins:
                     expected[iy, ix, e_bin] += 1
-                    classes[parity_class(n_x, n_z)] += 1
+                    classes[parity_class(n_x, n_z)][iy, ix] += 1
         s = cube.stats
         assert s.web_absorbed == fates["web"] + web_out
         assert s.wall_absorbed == fates["wall"] + wall_out
         assert fates["exit"] > 500
         assert s.detected == int(expected.sum()) > 500
-        assert s.class_counts == {cls: classes[cls] for cls in PathClass}
+        assert s.class_counts == {cls: classes[cls].sum() for cls in PathClass}
         assert np.array_equal(dense(cube), expected)
+        for cls in PathClass:
+            assert np.array_equal(class_image(cube, cls, 0.0, 25.0), classes[cls])
 
     def test_mirror_symmetry_on_axis(self):
         det = DetectorSpec()
@@ -711,6 +749,36 @@ class TestSimulate:
         assert extents[45.0] > extents[25.0]
         assert extents[45.0] / extents[25.0] == pytest.approx(90.0 / 50.0, rel=0.2)
 
+    def test_class_arms_shrink_as_the_line_energy_rises(self):
+        # one Ti+Cu point source: in each line's window, the one-plane
+        # classes reach tan(theta_c) * (L_s + L_i) along their arm, which is
+        # 8.0 / 4.5 = 1.78x farther for Ti, while the two-reflection focus
+        # stays at the source's image, pixel 127.5 of 256
+        from mpoxrf import analysis as an
+
+        arm_mpo = replace(GEOM, thickness_t=2.4)  # arms resolvable at 8 keV
+        det = DetectorSpec()
+        scene = Scene(sources=(Source("TiCu", ((4.5, 1.0), (8.0, 1.0)), (0, -25, 0)),))
+        cube = simulate(scene, arm_mpo, det, 100_000_000, seed=17)
+        pitch = det.pitch * 1e-3
+        reach = {}
+        for label, energy, lo, hi in (("Ti", 4.5, 2.5, 6.25), ("Cu", 8.0, 6.25, 10.0)):
+            focus = class_image(cube, PathClass.CENTRAL_FOCUS, lo, hi)
+            center = an.find_psf_center(an.Image2D(values=focus, pitch_um=det.pitch))
+            assert np.all(np.abs(np.array(center) - 127.5) <= 1.0), (label, center)
+            model = an.expected_arm_half_length(energy, arm_mpo.coating, 25.0, 25.0)
+            for cls, along, c in ((PathClass.ARM_ALONG_X, an.ProfileAxis.HORIZONTAL, 0),
+                                  (PathClass.ARM_ALONG_Z, an.ProfileAxis.VERTICAL, 1)):
+                # the arm's counts pooled across it, as a profile along it
+                arm = class_image(cube, cls, lo, hi).sum(axis=c)
+                positions = (np.arange(arm.size) - center[c]) * pitch
+                extent = arm_extent(an.PsfProfile(along, positions, arm), 0.25)
+                assert extent == pytest.approx(model, rel=0.30), (label, cls)
+                reach[label, cls] = extent
+        for cls in (PathClass.ARM_ALONG_X, PathClass.ARM_ALONG_Z):
+            ratio = reach["Ti", cls] / reach["Cu", cls]
+            assert ratio == pytest.approx(8.0 / 4.5, rel=0.30), cls
+
     def test_cross_arms_align_with_pore_axes(self):
         # focused spot plus arms along the channel axes, weak quadrants
         det = DetectorSpec()
@@ -729,12 +797,15 @@ class TestSimulate:
         assert arm_x + arm_z - peak > quadrant  # arms beat the quadrants
 
     def test_class_images_cover_detected(self):
+        # the class planes of every bin: their images add up to the cube's,
+        # and their sums are the class counts that simulate prints
         cube = simulate(cu_scene(), GEOM, DetectorSpec(), 400_000, seed=6)
-        per_class = {k: int(v.sum()) for k, v in cube.stats.class_images.items()}
-        assert sum(per_class.values()) == cube.stats.detected
-        assert per_class == {
-            k: v for k, v in cube.stats.class_counts.items()
-        }
+        images = {cls: class_image(cube, cls, 0.0, 25.0) for cls in PathClass}
+        assert cube.planes == len(PathClass)
+        assert np.array_equal(sum(images.values()), window_image(cube, 0.0, 25.0))
+        per_class = {cls: int(img.sum()) for cls, img in images.items()}
+        assert sum(per_class.values()) == cube.stats.detected > 0
+        assert per_class == cube.stats.class_counts
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -748,11 +819,10 @@ class TestSimulate:
         kwargs = dict(scene=cu_scene(), mpo=GEOM, detector=DetectorSpec())
         a = simulate(n_photons=n, seed=4, n_workers=1, **kwargs)
         b = simulate(n_photons=n, seed=4, n_workers=2, **kwargs)
+        # the pool results merge into the same bins, class planes included,
+        # and the same class counts
         assert same_bins(a, b)
         assert a.stats.n_photons == n
-        # the pool results merge into the same class images and counts
-        for cls in PathClass:
-            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
         assert a.stats.class_counts == b.stats.class_counts
         assert sum(a.stats.class_counts.values()) == a.stats.detected > 0
 
@@ -777,10 +847,8 @@ class TestSimulate:
         assert (a.stats.processes, b.stats.processes) == (1, workers if n_photons else 1)
         assert same_bins(a, b)
         for f in fields(SimStats):
-            if f.name not in ("class_images", "processes"):
+            if f.name != "processes":
                 assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
-        for cls in PathClass:
-            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
         assert a.stats.n_photons == n_photons
         assert (a.stats.detected > 0) == (n_photons > 0)
 
@@ -866,10 +934,7 @@ class TestBatchGroups:
         assert a.stats.detected > 0
         assert same_bins(a, b)
         for f in fields(SimStats):
-            if f.name != "class_images":
-                assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
-        for cls in PathClass:
-            assert np.array_equal(a.stats.class_images[cls], b.stats.class_images[cls])
+            assert getattr(a.stats, f.name) == getattr(b.stats, f.name), f.name
 
     @staticmethod
     def all_in_window_task(n_batches):
@@ -885,7 +950,7 @@ class TestBatchGroups:
     def test_full_batches_are_groups_alone(self, monkeypatch):
         passes = record_passes(monkeypatch)
         task, n = self.all_in_window_task(3)
-        _, _, s = _run_chunk(task)
+        _, s = _run_chunk(task)
         assert passes == [[BATCH_SIZE]] * 3
         assert s.n_photons == n
         assert s.detected > 0  # the smear lifts a few over the 2 keV threshold
@@ -910,8 +975,9 @@ class TestBatchGroups:
 
 
 class TestSparseCube:
-    """A simulated cube is held as its non-zero bins; they equal the dense
-    cube that ``np.add.at`` builds from the same chunk hits."""
+    """A simulated cube is held as its non-zero bins, one class plane per
+    path class: they are the distinct chunk hits, and their plane sum is
+    the dense cube that ``np.add.at`` builds from the same hits."""
 
     @staticmethod
     def check_bins(cube):
@@ -919,7 +985,8 @@ class TestSparseCube:
         assert np.all(np.diff(cube.bins) > 0)
         assert np.all(cube.bin_counts > 0)
         det = cube.detector
-        assert np.all((cube.bins >= 0) & (cube.bins < det.n_y * det.n_x * det.n_bins))
+        size = det.n_y * det.n_x * det.n_bins * cube.planes
+        assert np.all((cube.bins >= 0) & (cube.bins < size))
 
     @pytest.mark.parametrize("name", ["reference", "flatfield", "lossy"])
     def test_bins_equal_dense_add_at(self, monkeypatch, name):
@@ -944,11 +1011,15 @@ class TestSparseCube:
                             seed=5, n_workers=jobs)
             assert (len(hits), cube.stats.processes) == (4, jobs)
             det = cfg.detector
+            hit = np.concatenate(hits)
+            # a dense count per SIC bin, planes summed, and the distinct
+            # class-plane indices with their repeats
             want = np.zeros((det.n_y, det.n_x, det.n_bins), np.uint64)
-            np.add.at(want.reshape(-1), np.concatenate(hits), np.uint64(1))
+            np.add.at(want.reshape(-1), hit // len(PathClass), np.uint64(1))
+            index, repeats = np.unique(hit, return_counts=True)
             self.check_bins(cube)
-            assert np.array_equal(cube.bins, np.flatnonzero(want))
-            assert np.array_equal(cube.bin_counts, want.reshape(-1)[cube.bins])
+            assert np.array_equal(cube.bins, index)
+            assert np.array_equal(cube.bin_counts, repeats)
             assert np.array_equal(dense(cube), want)
             assert int(cube.bin_counts.sum()) == cube.stats.detected > 0
             cubes.append(cube)
