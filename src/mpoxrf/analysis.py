@@ -15,14 +15,17 @@ magnitude (the amplitude transfer function; discarding phase removes the
 impulse position so transfer functions from different sample fragments can
 be averaged), average, and invert with zero phase to get an idealized PSF
 whose diffuse background collapses into the central peak.
+
+The settings of these steps are an :class:`AnalysisParams`, which checks
+their ranges once; the functions take them as given.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,16 +42,44 @@ class AnalysisError(ValueError):
 
 
 @dataclass
-class Image2D:
-    """A detector-plane image with physical pixel pitch.
+class AnalysisParams:
+    """The settings of the PSF and clean-up steps, the ``[analysis]``
+    section of a run configuration; the one place their ranges are
+    checked, so the functions they feed take them as given.  Its class
+    attributes are those functions' keyword defaults."""
 
-    ``valid`` is an optional boolean mask (True = usable pixel); flat-field
-    correction produces one.
-    """
+    window_sigma_mm: float = 1.5
+    background_exclusion_mm: float = 0.5
+    arm_half_width_mm: float = 0.3
+    resolution_threshold: float = 0.1
+    rows_averaged: int = 3
+
+    def __post_init__(self):
+        for name in ("window_sigma_mm", "arm_half_width_mm"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.background_exclusion_mm < math.inf:
+            raise ValueError(
+                "background_exclusion_mm must be >= 0 and finite, "
+                f"got {self.background_exclusion_mm}"
+            )
+        if not 0 < self.resolution_threshold < 1:
+            raise ValueError(
+                f"resolution_threshold must be in (0, 1), got {self.resolution_threshold}"
+            )
+        if self.rows_averaged < 1:
+            raise ValueError(f"rows_averaged must be >= 1, got {self.rows_averaged}")
+        if self.rows_averaged % 2 == 0:
+            raise ValueError(f"rows_averaged must be odd, got {self.rows_averaged}")
+
+
+@dataclass
+class Image2D:
+    """A detector-plane image with physical pixel pitch."""
 
     values: np.ndarray  # (n_y, n_x), float
     pitch_um: float
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -72,16 +103,10 @@ class Image2D:
         return self.pitch_um * 1e-3
 
 
-class ProfileAxis(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-
-
 @dataclass
 class PsfProfile:
     """1-D cut through a PSF, averaged over rows or columns."""
 
-    axis: ProfileAxis
     positions: np.ndarray  # mm, centered on the PSF
     intensities: np.ndarray
 
@@ -124,9 +149,9 @@ def window_bins(
     """The energy bins a window sums: those whose centers, ``e_min + (k +
     0.5) * e_bin_width`` keV for bin ``k``, lie in [e_lo, e_hi).  Centers
     never decrease, so these are one run of bins, found by bisection
-    without an array of the centers.  A window that covers no bin center
-    is logged as a warning."""
-    check_window(e_lo, e_hi)
+    without an array of the centers.  The window is one that
+    :func:`check_window` passes; one that covers no bin center is logged as
+    a warning."""
 
     def center(k):
         return e_min + (k + 0.5) * e_bin_width
@@ -139,12 +164,15 @@ def window_bins(
     return bins
 
 
-def flat_field_correct(image: Image2D, flat: Image2D) -> Image2D:
-    """Divide out pixel-to-pixel sensitivity using a flat exposure.
+def flat_field_correct(
+    image: Image2D, flat: Image2D
+) -> tuple[Image2D, np.ndarray]:
+    """Divide out pixel-to-pixel sensitivity using a flat exposure; returns
+    the corrected image and the boolean mask of the pixels divided.
 
     The flat is normalized to unit mean first.  Pixels whose flat value
-    falls below FLAT_EPSILON times the flat mean are zeroed and masked
-    invalid instead of dividing.
+    falls below FLAT_EPSILON times the flat mean are zeroed instead of
+    divided, and are False in the mask.
     """
     if image.values.shape != flat.values.shape:
         raise ValueError(
@@ -157,7 +185,7 @@ def flat_field_correct(image: Image2D, flat: Image2D) -> Image2D:
     good = norm >= FLAT_EPSILON
     out = np.zeros_like(image.values)
     np.divide(image.values, norm, out=out, where=good)
-    return Image2D(values=out, pitch_um=image.pitch_um, valid=good)
+    return Image2D(values=out, pitch_um=image.pitch_um), good
 
 
 def find_psf_center(image: Image2D) -> tuple[float, float]:
@@ -190,16 +218,16 @@ def find_psf_center(image: Image2D) -> tuple[float, float]:
 
 
 def extract_arm_profiles(
-    image: Image2D, center: tuple[float, float], rows_averaged: int = 3
+    image: Image2D,
+    center: tuple[float, float],
+    rows_averaged: int = AnalysisParams.rows_averaged,
 ) -> tuple[PsfProfile, PsfProfile]:
     """Cut horizontal and vertical profiles through the PSF center.
 
     Each profile averages the ``rows_averaged`` rows (or columns) nearest
-    the center, an odd count centred on the center's row (column);
-    positions are in mm relative to the center.
+    the center, an odd count (see :class:`AnalysisParams`) centred on the
+    center's row (column); positions are in mm relative to the center.
     """
-    if rows_averaged < 1 or rows_averaged % 2 == 0:
-        raise ValueError(f"rows_averaged must be odd and >= 1, got {rows_averaged}")
     cx, cy = center
     half = rows_averaged // 2
     r0 = int(round(cy))
@@ -216,12 +244,10 @@ def extract_arm_profiles(
         )
     pitch = image.pitch_mm
     horiz = PsfProfile(
-        axis=ProfileAxis.HORIZONTAL,
         positions=(np.arange(image.n_x) - cx) * pitch,
         intensities=image.values[r0 - half : r0 + half + 1, :].mean(axis=0),
     )
     vert = PsfProfile(
-        axis=ProfileAxis.VERTICAL,
         positions=(np.arange(image.n_y) - cy) * pitch,
         intensities=image.values[:, c0 - half : c0 + half + 1].mean(axis=1),
     )
@@ -304,9 +330,8 @@ def expected_direct_half_width(geometry: MpoGeometry, L_s: float, L_i: float) ->
 def gaussian_window(
     image: Image2D, sigma_mm: float, center: tuple[float, float]
 ) -> Image2D:
-    """Multiply by a radial Gaussian exp(-r^2 / 2 sigma^2) about center."""
-    if sigma_mm <= 0:
-        raise ValueError("sigma must be positive")
+    """Multiply by a radial Gaussian exp(-r^2 / 2 sigma^2) about center;
+    ``sigma_mm`` is positive and finite (see :class:`AnalysisParams`)."""
     cx, cy = center
     pitch = image.pitch_mm
     ys, xs = np.mgrid[0 : image.n_y, 0 : image.n_x]
@@ -314,7 +339,6 @@ def gaussian_window(
     return Image2D(
         values=image.values * np.exp(-r_sq / (2.0 * sigma_mm**2)),
         pitch_um=image.pitch_um,
-        valid=image.valid,
     )
 
 
@@ -405,17 +429,18 @@ def radial_profile(transfer: Atf) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n_bins) * df, sums / np.maximum(counts, 1)
 
 
-def resolution_lp_per_mm(transfer: Atf, threshold: float = 0.1) -> float | None:
+def resolution_lp_per_mm(
+    transfer: Atf, threshold: float = AnalysisParams.resolution_threshold
+) -> float | None:
     """Lowest radial frequency where the amplitude stays below
-    ``threshold`` times DC for a full radial bin.
+    ``threshold`` times DC for a full radial bin; ``threshold`` is in
+    (0, 1) (see :class:`AnalysisParams`).
 
     Returns None when the spectrum never stays below the threshold inside
     the sampled band ("beyond Nyquist").  Raises :class:`AnalysisError`
     when the DC is not positive: an image with no counts has no level to
     fall below.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
     if not transfer.dc > 0:
         raise AnalysisError(f"image has no counts (ATF DC {transfer.dc})")
     freqs, amps = radial_profile(transfer)
@@ -431,7 +456,7 @@ def background_level(
     image: Image2D,
     exclusion_radius_mm: float,
     center: tuple[float, float],
-    arm_half_width_mm: float = 0.3,
+    arm_half_width_mm: float = AnalysisParams.arm_half_width_mm,
 ) -> float:
     """Mean intensity outside the PSF core and its cross arms.
 
@@ -453,8 +478,6 @@ def background_level(
         & (np.abs(dx) > arm_half_width_mm)
         & (np.abs(dy) > arm_half_width_mm)
     )
-    if image.valid is not None:
-        keep &= image.valid
     if not np.any(keep):
         raise AnalysisError("background region is empty")
     return float(image.values[keep].mean())

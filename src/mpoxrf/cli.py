@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import analysis, events, fileio, sic, sim
-from .analysis import AnalysisError
-from .config import AnalysisParams, ConfigError, load_config
+from .analysis import AnalysisError, AnalysisParams
+from .config import ConfigError, load_config
 from .events import LineSet, default_line_set
 from .fileio import FileFormatError
 from .optics import PathClass
@@ -89,10 +89,10 @@ def _read_images(paths) -> list:
 
 def _cmd_flatfield(args) -> int:
     image, flat = _read_images([args.image, args.flat])
-    corrected = analysis.flat_field_correct(image, flat)
+    corrected, good = analysis.flat_field_correct(image, flat)
     fileio.write_image_csv(f"{args.out_prefix}.csv", corrected)
     fileio.write_pgm(f"{args.out_prefix}.pgm", corrected)
-    masked = corrected.valid.size - int(corrected.valid.sum())
+    masked = good.size - int(good.sum())
     print(f"flat-field corrected; {masked} pixel(s) masked invalid")
     return EXIT_OK
 
@@ -129,10 +129,14 @@ def _cmd_psf(args) -> int:
 
 
 def _cmd_atf(args) -> int:
-    image = fileio.read_image_csv(args.image)
-    transfer = analysis.atf(image)
-    # checks --threshold, so a bad value leaves no CSV behind
-    resolution = _resolution_line(transfer, args.threshold)
+    # checked before the image is read or the CSV written
+    try:
+        params = AnalysisParams(resolution_threshold=args.threshold)
+    except ValueError as exc:
+        raise ConfigError(f"--threshold {args.threshold}: {exc}") from None
+    transfer = analysis.atf(fileio.read_image_csv(args.image))
+    # an image with no counts is an AnalysisError here, before the CSV
+    resolution = _resolution_line(transfer, params.resolution_threshold)
     fileio.write_atf_csv(args.out, transfer)
     print(resolution)
     print(f"wrote {args.out}")
@@ -184,7 +188,7 @@ def _cmd_clean(args) -> int:
 
 def _resolution_line(transfer, threshold: float) -> str:
     """The line that reports ``transfer``'s resolution at ``threshold``
-    times DC; a threshold outside (0, 1) is a ValueError."""
+    times DC, an :class:`AnalysisParams` resolution threshold."""
     res = analysis.resolution_lp_per_mm(transfer, threshold=threshold)
     at = "beyond Nyquist" if res is None else f"{res:.3f} lp/mm"
     return f"resolution at {threshold:.2f} of DC: {at}"

@@ -21,9 +21,9 @@ every key has a default except the source line list.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
+from .analysis import AnalysisParams
 from .optics import IRIDIUM, Material, MpoGeometry
 from .sim import DetectorSpec, Scene, Source
 
@@ -97,34 +97,6 @@ _KNOWN = {
     "sim": set(_SIM_KEYS),
     "analysis": set(_ANALYSIS_KEYS),
 }
-
-
-@dataclass
-class AnalysisParams:
-    window_sigma_mm: float = 1.5
-    background_exclusion_mm: float = 0.5
-    arm_half_width_mm: float = 0.3
-    resolution_threshold: float = 0.1
-    rows_averaged: int = 3
-
-    def __post_init__(self):
-        for name in ("window_sigma_mm", "arm_half_width_mm"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0 <= self.background_exclusion_mm < math.inf:
-            raise ValueError(
-                "background_exclusion_mm must be >= 0 and finite, "
-                f"got {self.background_exclusion_mm}"
-            )
-        if not 0 < self.resolution_threshold < 1:
-            raise ValueError(
-                f"resolution_threshold must be in (0, 1), got {self.resolution_threshold}"
-            )
-        if self.rows_averaged < 1:
-            raise ValueError(f"rows_averaged must be >= 1, got {self.rows_averaged}")
-        if self.rows_averaged % 2 == 0:
-            raise ValueError(f"rows_averaged must be odd, got {self.rows_averaged}")
 
 
 @dataclass

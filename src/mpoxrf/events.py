@@ -19,7 +19,8 @@ The kernels size their integer types from their input: a ToT histogram
 block counts in the narrowest unsigned type that holds the source's
 record count, and the flat indices of both kernels in the narrowest that
 addresses their block, so every temporary scales with the slice.  The
-peak finder walks each pixel's half-maximum run out from its argmax and
+peak finder takes that 2-D integer block as it is: it walks each pixel's
+half-maximum run out from its argmax, sums the run's counts in int64 and
 reads only the bins of that run, so it makes no copy of the block.
 
 TPXE format, little-endian:
@@ -332,28 +333,31 @@ def tot_histograms(events: EventList | EventFile) -> np.ndarray:
 _WALK_BINS = 1 << 14
 
 
-def _peak_centroids(hists: np.ndarray) -> np.ndarray:
-    """Half-max run centroid of each row of a 2-D block with at least one
-    column (NaN for a row without a positive count).
+def find_line_peaks(hists: np.ndarray) -> np.ndarray:
+    """The dominant peak of each row of a 2-D integer block of ToT
+    histograms, such as :func:`tot_histograms` returns: one centroid per
+    row, NaN for a row without a positive count.
 
-    Each row is walked out from its argmax, to the left and then to the
-    right, while the next bin holds at least half the row's maximum.  A
-    step reads the next 1, 2, 4, ... bins of each row still walking,
-    capped so that the windows of all those rows hold about
-    ``_WALK_BINS`` bins: a run of n bins in one of a few rows takes about
-    log2(n) steps, and no walk takes more steps than a bin at a time.
-    The run's counts and ToT x counts are summed in int64 for an integer
-    block (exactly) and in float64 otherwise, then divided once; only the
-    bins of the runs and of one window past their ends are read, so
-    nothing scales with the block but its argmax.
+    A row's peak is the intensity centroid of the connected run of bins at
+    or above half its maximum that contains the maximum itself (the first
+    maximum on ties, so a bimodal histogram yields the taller mode).  Each
+    row is walked out from its argmax, to the left and then to the right,
+    while the next bin holds at least half the row's maximum.  A step
+    reads the next 1, 2, 4, ... bins of each row still walking, capped so
+    that the windows of all those rows hold about ``_WALK_BINS`` bins: a
+    run of n bins in one of a few rows takes about log2(n) steps, and no
+    walk takes more steps than a bin at a time.  The run's counts and
+    ToT x counts are summed in int64, exactly, then divided once, so a
+    row's centroid does not depend on the rest of the block; only the bins
+    of the runs and of one window past their ends are read, so nothing
+    scales with the block but its argmax.
     """
     n_rows, n_bins = hists.shape
     counts = hists.reshape(-1)
-    acc = np.int64 if hists.dtype.kind in "biu" else np.float64
     peak = np.argmax(hists, axis=1)
     top = counts[np.arange(n_rows) * n_bins + peak]
     half = top.astype(float) / 2.0
-    weight = top.astype(acc)
+    weight = top.astype(np.int64)
     moment = weight * peak
     live = np.flatnonzero(top > 0)
     for step in (-1, 1):
@@ -366,7 +370,7 @@ def _peak_centroids(hists: np.ndarray) -> np.ndarray:
             run = inside & (h >= half[rows])
             if width > 1:  # a run ends at its window's first failing bin
                 np.logical_and.accumulate(run, axis=0, out=run)
-            h = np.multiply(h, run, dtype=acc)
+            h = np.multiply(h, run, dtype=np.int64)
             weight[rows] += h.sum(axis=0)
             moment[rows] += (h * cols).sum(axis=0)
             more = run[-1]
@@ -375,28 +379,6 @@ def _peak_centroids(hists: np.ndarray) -> np.ndarray:
     out = np.full(n_rows, np.nan)
     out[live] = moment[live] / weight[live]
     return out
-
-
-def find_line_peaks(histogram: np.ndarray) -> float | None | np.ndarray:
-    """Locate the dominant peak of ToT histograms along the last axis.
-
-    A histogram's peak is the intensity centroid of the connected run of
-    bins at or above half its maximum that contains the maximum itself
-    (the first maximum on ties, so a bimodal histogram yields the taller
-    mode).  A 1-D histogram gives a float, or None when it is empty or all
-    zero.  A 2-D block gives one centroid per row, NaN for an all-zero row.
-    On integer counts every sum is exact, so a row's centroid does not
-    depend on the rest of the block.
-    """
-    histogram = np.asarray(histogram)
-    if histogram.ndim == 1:
-        if histogram.size == 0:
-            return None
-        loc = float(_peak_centroids(histogram[None, :])[0])
-        return None if np.isnan(loc) else loc
-    if histogram.shape[1] == 0:
-        return np.full(histogram.shape[0], np.nan)
-    return _peak_centroids(histogram)
 
 
 def line_peaks(events: EventList | EventFile) -> np.ndarray:
@@ -541,7 +523,8 @@ def read_calibration_csv(path) -> CalibrationMap:
     names the columns, in any order.  Blank and comment lines are skipped.
     The matrix is (max y + 1) x (max x + 1); a pixel without a row is dead.
     A file with fewer data rows than matrix pixels is rejected before the
-    maps are allocated, so a stray huge index cannot demand a huge map.
+    maps are allocated, so a stray huge index cannot demand a huge map, and
+    so is a file that gives a pixel more than one row.
     """
     # latin-1 decodes any byte, so a stray byte fails as a non-numeric value
     with open(path, encoding="latin-1") as fh:
@@ -588,11 +571,19 @@ def read_calibration_csv(path) -> CalibrationMap:
             f"{path}: pixel indices span a {n_x}x{n_y} matrix but the "
             f"calibration CSV has {n_rows} data rows"
         )
+    xs = data["x"].astype(int)
+    ys = data["y"].astype(int)
+    pixel = ys * n_x + xs
+    repeated = np.flatnonzero(np.bincount(pixel) > 1)
+    if repeated.size:
+        i, j = np.flatnonzero(pixel == repeated[0])[:2]
+        raise FileFormatError(
+            f"{path}: pixel ({xs[i]}, {ys[i]}) has more than one row: "
+            f"data rows {i + 1} and {j + 1}"
+        )
     live = data["dead"] == 0
     if not np.all(np.isfinite(data["gain"][live]) & np.isfinite(data["offset"][live])):
         raise FileFormatError(f"{path}: a live pixel has a non-finite gain or offset")
-    xs = data["x"].astype(int)
-    ys = data["y"].astype(int)
     gain = np.full((n_y, n_x), np.nan)
     offset = np.full((n_y, n_x), np.nan)
     residual = np.full((n_y, n_x), np.nan)

@@ -175,7 +175,8 @@ class DetectorSpec:
 
 @dataclass
 class SimStats:
-    """Bookkeeping tallies from one simulate() run."""
+    """Bookkeeping tallies of one :func:`simulate` run, or of one
+    :func:`mpoxrf.events.apply_calibration` of an event source."""
 
     n_photons: int = 0
     web_absorbed: int = 0

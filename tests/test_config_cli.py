@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpoxrf import analysis, cli, events as ev, fileio, sic, sim
-from mpoxrf.analysis import Atf, Image2D, ProfileAxis, PsfProfile
-from mpoxrf.config import AnalysisParams, ConfigError, load_config
+from mpoxrf.analysis import AnalysisParams, Atf, Image2D, PsfProfile
+from mpoxrf.config import ConfigError, load_config
 from mpoxrf.optics import MpoGeometry, PathClass
 from mpoxrf.sim import DetectorSpec, Scene
 from support import (
@@ -686,6 +686,23 @@ class TestCliAnalysisChain:
         corr = fileio.read_image_csv(tmp_path / "corr.csv")
         assert np.allclose(corr.values, img.values)
 
+    def test_flatfield_counts_the_pixels_it_zeroes(self, tmp_path, capsys):
+        # flat pixels below FLAT_EPSILON of the flat's mean are zeroed, not
+        # divided, and counted in the summary line
+        image, flat = tmp_path / "image.csv", tmp_path / "flat.csv"
+        values = np.full((4, 4), 2.0)
+        values[0, :3] = 0.0
+        fileio.write_image_csv(image, Image2D(values=np.ones((4, 4)), pitch_um=55.0))
+        fileio.write_image_csv(flat, Image2D(values=values, pitch_um=55.0))
+        assert cli.main(["flatfield", "--image", str(image), "--flat", str(flat),
+                         "--out-prefix", str(tmp_path / "ff")]) == 0
+        assert capsys.readouterr().out == (
+            "flat-field corrected; 3 pixel(s) masked invalid\n"
+        )
+        corr = fileio.read_image_csv(tmp_path / "ff.csv").values
+        assert np.array_equal(corr[0, :3], np.zeros(3))
+        assert np.all(corr[values > 0] > 0)
+
     def test_flatfield_with_non_positive_mean_flat_exits_4(self, tmp_path, capsys):
         # an all-zero flat cannot be normalised: an analysis error, not a
         # usage error, and nothing is written
@@ -853,6 +870,19 @@ class TestCliAnalysisChain:
         assert "header names n_x=256 n_y=256, but the data is n_x=256 n_y=100" in err
         assert not out.exists()
 
+    def test_atf_bad_threshold_exits_2_before_reading(self, tmp_path, capsys):
+        # --threshold is refused as an [analysis] resolution_threshold, before
+        # the image is opened: a missing image cannot turn it into exit 3
+        out = tmp_path / "atf.csv"
+        code = cli.main(["atf", "--image", str(tmp_path / "no-such.csv"),
+                         "--threshold", "nan", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --threshold nan: resolution_threshold must be in "
+            "(0, 1), got nan\n"
+        )
+        assert not out.exists()
+
 
 class TestCliCalibration:
     CAL_CSV_SHA256 = "466668a04a99e0e0f448d3fd4707112c61563c493610fa38a2d4d927d787b582"
@@ -887,8 +917,8 @@ class TestCliCalibration:
              "--out", str(out), "--bin-width", "0.05", "--n-bins", "500"]
         ) == 0
         cube = decode_sic(out.read_bytes())
-        spectrum = cube.counts.sum(axis=(0, 1)).astype(float)
-        peak_bin = ev.find_line_peaks(spectrum)
+        spectrum = cube.counts.sum(axis=(0, 1))
+        (peak_bin,) = ev.find_line_peaks(spectrum[None, :])
         assert 0.05 * (peak_bin + 0.5) == pytest.approx(8.05, abs=0.1)
 
         # the outputs of the per-pixel loop this chain replaced, byte for byte
@@ -1403,10 +1433,17 @@ class TestCliCalibration:
                 "3 data rows",
             ),
             ("0,0,inf,0.0,0.0,0\n", "a live pixel has a non-finite gain or offset"),
+            (
+                # two live rows for pixel (0, 0), gains 0.1 and 0.5: neither
+                # is the pixel's; a comment line is not a data row
+                "0,0,0.1,0.0,0.0,0\n# comment\n1,0,1.0,0.0,0.0,0\n"
+                "0,1,1.0,0.0,0.0,0\n1,1,1.0,0.0,0.0,0\n0,0,0.5,0.0,0.0,0\n",
+                "pixel (0, 0) has more than one row: data rows 1 and 5",
+            ),
         ],
         ids=[
             "negative-x", "nan-x", "fractional-y", "no-rows", "matrix-mismatch",
-            "huge-x", "missing-row", "inf-gain",
+            "huge-x", "missing-row", "inf-gain", "repeated-row",
         ],
     )
     def test_malformed_calibration_io_exit(self, tmp_path, capsys, rows, message):
@@ -1416,13 +1453,14 @@ class TestCliCalibration:
         write_events_file(run, synthesize_line_events(8.0, ones, zeros, 5, rng))
         cal = tmp_path / "cal.csv"
         cal.write_text("x,y,gain,offset,residual,dead\n" + rows)
+        out = tmp_path / "run.sic"
         assert cli.main(
-            ["apply-cal", "--events", str(run), "--cal", str(cal),
-             "--out", str(tmp_path / "run.sic")]
+            ["apply-cal", "--events", str(run), "--cal", str(cal), "--out", str(out)]
         ) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert message in err
         assert str(cal) in err
+        assert not out.exists()
 
 
 class TestSicFormat:
@@ -1906,7 +1944,7 @@ class TestImageCsv:
         )
         fileio.write_profile_csv(
             tmp_path / "profile.csv",
-            PsfProfile(ProfileAxis.HORIZONTAL, positions=np.array([-0.5, 0.5]),
+            PsfProfile(positions=np.array([-0.5, 0.5]),
                        intensities=np.array([123456.789, 1e-17])),
         )
         assert (tmp_path / "profile.csv").read_text() == (
