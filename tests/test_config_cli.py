@@ -2150,3 +2150,47 @@ assert all(name in sys.modules for name in pool)
             capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
+
+    @staticmethod
+    def _import_in_fresh_interpreter(script, **env):
+        # this process has already set OPENBLAS_NUM_THREADS by importing
+        # mpoxrf, so the child starts from an environment without it
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        child_env.update(env, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import mpoxrf\n" + script], env=child_env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    def test_import_runs_one_blas_thread(self):
+        # numpy's OpenBLAS would start a worker per extra CPU, each spinning
+        # for 0.05-0.15 s of CPU; the package calls no BLAS routine, so it
+        # asks for one thread when the user chose no count
+        threads, value, idle_ms = self._import_in_fresh_interpreter("""
+import os, resource, time
+try:
+    with open("/proc/self/status") as fh:
+        threads = [line.split()[1] for line in fh if line.startswith("Threads:")][0]
+except OSError:
+    threads = "unknown"
+def cpu():
+    use = resource.getrusage(resource.RUSAGE_SELF)
+    return use.ru_utime + use.ru_stime
+start = cpu()
+time.sleep(0.3)
+print(threads, os.environ.get("OPENBLAS_NUM_THREADS", "unset"), 1000 * (cpu() - start))
+""")
+        assert float(idle_ms) < 20.0, f"{idle_ms} ms of CPU over a 0.3 s sleep"
+        assert value == "1"
+        if threads == "unknown":
+            pytest.skip("no /proc/self/status to count threads in")
+        assert threads == "1"
+
+    def test_import_keeps_a_chosen_blas_thread_count(self):
+        (value,) = self._import_in_fresh_interpreter(
+            "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert value == "2"

@@ -86,3 +86,35 @@ def test_star_import_resolves_all():
     assert len(set(mpoxrf.__all__)) == len(mpoxrf.__all__)
     for name in mpoxrf.__all__:
         assert namespace[name] is getattr(mpoxrf, name)
+
+
+#: numpy names whose call may run a BLAS or LAPACK routine.
+BLAS_NAMES = {
+    "dot", "vdot", "matmul", "inner", "tensordot", "einsum",
+    "linalg", "lstsq", "solve", "cov", "corrcoef", "polyfit",
+}
+
+
+def _blas_use(node):
+    """What in ``node`` may run a BLAS routine, or None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+        return node.attr
+    if isinstance(node, ast.alias) and BLAS_NAMES & set(node.name.split(".")):
+        return f"import {node.name}"
+    return None
+
+
+def test_package_calls_no_blas_routine():
+    """``mpoxrf/__init__.py`` caps OpenBLAS at one thread because no BLAS
+    routine runs. A change that brings one in fails here, and must revisit
+    that single thread: measure whether the routine gains from more
+    threads, and say so where the cap is set."""
+    found = [
+        f"{module}.py:{node.lineno}: {use}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (use := _blas_use(node))
+    ]
+    assert not found, f"BLAS calls in src/mpoxrf: {', '.join(found)}"
