@@ -15,13 +15,15 @@ go to :func:`fit_calibration`, and :func:`apply_calibration` bins a run.
 Each step takes an event source, an :class:`EventList` or a TPXE file
 opened with :func:`open_events`, and works through its ``slices()``, so a
 file's records pass through one reused 512 KiB buffer, never all at once.
-The kernels size their integer types from their input: a ToT histogram
-block counts in the narrowest unsigned type that holds the source's
-record count, and the flat indices of both kernels in the narrowest that
-addresses their block, so every temporary scales with the slice.  The
-peak finder takes that 2-D integer block as it is: it walks each pixel's
-half-maximum run out from its argmax, sums the run's counts in int64 and
-reads only the bins of that run, so it makes no copy of the block.
+:func:`tot_histograms` reads its source once, widening its block as
+larger ToTs arrive, and counts in 16-bit bins; only a source with a bin
+of 65,536 hits is read a second time, in counts wide enough for its
+record count.  The flat indices of both kernels take the narrowest
+unsigned type that addresses their block, so every temporary scales with
+the slice.  The peak finder takes that 2-D integer block as it is: it
+walks each pixel's half-maximum run out from its argmax, sums the run's
+counts in int64 and reads only the bins of that run, so it makes no copy
+of the block.
 
 TPXE format, little-endian:
 
@@ -274,6 +276,10 @@ def _pixel_index(x, y, n_x: int, size: int) -> np.ndarray:
     return flat
 
 
+#: Columns of the widest ToT histogram block: a u16 ToT is at most 65535.
+_TOT_RANGE = 1 << 16
+
+
 def tot_histograms(events: EventList | EventFile) -> np.ndarray:
     """Per-pixel ToT histograms, shape (n_y * n_x, max ToT + 1).
 
@@ -281,47 +287,92 @@ def tot_histograms(events: EventList | EventFile) -> np.ndarray:
     hits with ToT ``t``; the width covers the largest ToT present, so no
     value is clipped.  An empty source gives one all-zero column.
 
-    The counts' dtype is the narrowest unsigned integer type that holds
-    the source's record count (``np.min_scalar_type(len(events))``: uint32
-    from 65,536 to about 4.3e9 records), so no count can wrap; the block
-    takes ``n_y * n_x * (max ToT + 1)`` times that type's size in bytes.
-
-    Pass 1 over the slices of the event source finds the largest ToT;
-    pass 2 adds each slice into one zeroed block of that width.  A block
-    that cannot be allocated is an :class:`EventFormatError` at the first
-    record with the largest ToT.
+    One pass over the slices of the event source adds each slice into a
+    zeroed block, widened with 25% headroom (up to the 65,536 ToTs a u16
+    holds) whenever a slice's largest ToT reaches the block's width, and
+    trimmed to the largest ToT at the end.  The block counts in uint16,
+    or in the narrowest unsigned type that holds the record count where
+    that is narrower.  Every record adds one to one bin, so the block sums
+    to the record count exactly when no bin wrapped past 65,535; if one
+    did, the source is counted again in ``np.min_scalar_type(len(events))``
+    (uint32 from 65,536 to about 4.3e9 records), which no count can pass.
+    The block takes ``n_y * n_x * (max ToT + 1)`` times its type's size in
+    bytes, and, while it is widened, the block it replaces sits beside it;
+    it is trimmed in place.  A block that cannot be allocated is an
+    :class:`EventFormatError` at the first record with the largest ToT
+    read so far.
     """
-    n_tot = 1 + max((int(part.tot.max()) for part in events.slices()), default=0)
-    n_pix, dtype = events.n_y * events.n_x, np.min_scalar_type(len(events))
-    try:
-        hists = np.zeros((n_pix, n_tot), dtype=dtype)
-    except MemoryError:
-        # slice k starts at record k * _READ_RECORDS
-        at = next((k * _READ_RECORDS + int(np.argmax(part.tot == n_tot - 1))
-                   for k, part in enumerate(events.slices())
-                   if part.tot.max() == n_tot - 1), 0)
-        raise EventFormatError(
-            f"largest ToT {n_tot - 1} needs a {n_pix}x{n_tot} {dtype} histogram "
-            f"block ({n_pix * n_tot * dtype.itemsize / 2**30:.2f} GiB), which "
-            "could not be allocated", HEADER.size + at * RECORD_DTYPE.itemsize,
-        ) from None
+    wide = np.min_scalar_type(len(events))
+    hists = _count_tots(events, np.min_scalar_type(min(len(events), 0xFFFF)))
+    # no partial sum passes the record count, so ``wide`` holds the sum
+    if hists.dtype != wide and hists.sum(dtype=wide) != len(events):
+        del hists  # the 16-bit block goes before the wide one is built
+        hists = _count_tots(events, wide)
+    return hists
+
+
+def _count_tots(events: EventList | EventFile, dtype: np.dtype) -> np.ndarray:
+    """The ToT histogram block of one pass over ``events``, counted in
+    ``dtype``, which wraps past its largest value."""
+    hists = np.zeros((events.n_y * events.n_x, 0), dtype)
+    # the largest ToT so far, and the stream index of its first record
+    top = at = first = 0
     # a Python 1 would make np.add.at cast each add and leave its fast loop
-    one = hists.dtype.type(1)
-    first = 0
+    one = dtype.type(1)
     for part in events.slices():
-        # a file is read again in pass 2; a ToT beyond pass 1's largest
-        # means it changed in between, and would index past its pixel's row
-        if part.tot.max() >= n_tot:
-            raise EventFormatError(
-                "file changed between reads",
-                HEADER.size + first * RECORD_DTYPE.itemsize,
-            )
+        peak = int(part.tot.max())
+        if peak > top:
+            top, at = peak, first + int(np.argmax(part.tot == peak))
+        if top >= hists.shape[1]:
+            n_tot = top + 1
+            widths = sorted({min(n_tot + n_tot // 4, _TOT_RANGE), n_tot}, reverse=True)
+            hists = _widened(hists, widths, top, at)
         flat = _pixel_index(part.x, part.y, events.n_x, hists.size)
-        flat *= n_tot
+        flat *= hists.shape[1]
         flat += part.tot
         np.add.at(hists.reshape(-1), flat, one)
         first += len(part)
+    if not hists.shape[1]:  # an empty source: one all-zero column
+        hists = _widened(hists, (1,), 0, 0)
+    elif hists.shape[1] > top + 1:
+        hists = _trimmed(hists, top + 1)
     return hists
+
+
+def _widened(hists: np.ndarray, widths, top: int, at: int) -> np.ndarray:
+    """``hists`` copied into the first columns of a zeroed block as wide
+    as the first of ``widths`` that can be allocated.  If none can, that
+    is an :class:`EventFormatError` naming the ``top + 1`` columns that
+    ToT ``top`` needs, at the offset of record ``at``."""
+    n_pix, n_cols = hists.shape
+    for width in widths:
+        try:
+            block = np.zeros((n_pix, width), hists.dtype)
+        except MemoryError:
+            continue
+        block[:, :n_cols] = hists
+        return block
+    n_tot = top + 1
+    raise EventFormatError(
+        f"largest ToT {top} needs a {n_pix}x{n_tot} {hists.dtype} histogram "
+        f"block ({n_pix * n_tot * hists.dtype.itemsize / 2**30:.2f} GiB), which "
+        "could not be allocated", HEADER.size + at * RECORD_DTYPE.itemsize,
+    )
+
+
+def _trimmed(hists: np.ndarray, n_tot: int) -> np.ndarray:
+    """The first ``n_tot`` columns of ``hists``, moved to the front of its
+    own buffer, so trimming allocates no second block.  Row ``r`` moves
+    down from ``r * width`` to ``r * n_tot``: rows moved in order never
+    overwrite one still to move, and numpy buffers the overlap within a
+    step, which moves about 2^20 counts."""
+    n_pix = hists.shape[0]
+    out = hists.reshape(-1)[: n_pix * n_tot].reshape(n_pix, n_tot)
+    step = max(1, (1 << 20) // n_tot)
+    for first in range(0, n_pix, step):
+        rows = slice(first, first + step)
+        out[rows] = hists[rows, :n_tot]
+    return out
 
 
 #: Bins one step of the half-max walk reads over all the rows still

@@ -313,6 +313,88 @@ class TestTotHistograms:
                 assert int(hist[1 * 3 + 2, 7]) == n
 
 
+class TestOnePassCounts:
+    """A source is read once into 16-bit counts, and once more only when
+    a bin reached 65,536; the block widens as larger ToTs arrive."""
+
+    @staticmethod
+    def _sources(tmp_path, el):
+        """``tot_histograms`` of ``el`` in memory and from a TPXE file, and
+        the number of times the file was read."""
+        path = tmp_path / "line.tpxe"
+        write_events_file(path, el)
+        real, reads = ev.EventFile.slices, []
+
+        def slices(source):
+            reads.append(source)
+            return real(source)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ev.EventFile, "slices", slices)
+            with ev.open_events(path) as source:
+                from_file = ev.tot_histograms(source)
+        return ev.tot_histograms(el), from_file, len(reads)
+
+    @staticmethod
+    def _oracle(el):
+        want = np.zeros((el.n_x * el.n_y, int(el.tot.max()) + 1), np.int64)
+        np.add.at(want, (el.y.astype(int) * el.n_x + el.x, el.tot), 1)
+        return want
+
+    def test_256x256_file_below_the_wrap_is_read_once_in_uint16(self, tmp_path):
+        # 131,072 records, two per pixel: uint32 would hold the record
+        # count, but no bin reaches 65,536
+        n_x = n_y = 256
+        pix = np.arange(2 * n_x * n_y) % (n_x * n_y)
+        tot = np.arange(pix.size) % 37
+        el = make_events(n_x, n_y, pix % n_x, pix // n_x, tot)
+        memory, from_file, n_reads = self._sources(tmp_path, el)
+        assert n_reads == 1
+        for hists in (memory, from_file):
+            assert hists.dtype == np.uint16
+            assert np.array_equal(hists, self._oracle(el))
+
+    @pytest.mark.parametrize(
+        "in_bin, dtype, reads", [(65_535, np.uint16, 1), (65_536, np.uint32, 2)]
+    )
+    def test_a_full_bin_is_recounted_wide(self, tmp_path, in_bin, dtype, reads):
+        # ``in_bin`` hits in pixel (1, 1) at ToT 9, and 1,000 in row y = 0
+        x = np.r_[np.ones(in_bin, int), np.arange(1000) % 4]
+        y = np.r_[np.ones(in_bin, int), np.zeros(1000, int)]
+        tot = np.r_[np.full(in_bin, 9), np.arange(1000) % 20]
+        el = make_events(4, 2, x, y, tot)
+        memory, from_file, n_reads = self._sources(tmp_path, el)
+        assert n_reads == reads
+        for hists in (memory, from_file):
+            assert hists.dtype == dtype
+            assert int(hists[1 * 4 + 1, 9]) == in_bin
+            assert np.array_equal(hists, self._oracle(el))
+
+    @pytest.mark.parametrize(
+        "tots",
+        [
+            [10, 12, 40],  # widened in the third slice, trimmed at the end
+            [3, 4, 65535],  # widened to the cap, which the trim keeps
+            [0, 0, 2],  # widened to exactly 3 columns, no trim
+            [600, 7, 8],  # the largest ToT in the first slice
+        ],
+    )
+    def test_largest_tot_in_a_later_slice(self, tmp_path, monkeypatch, tots):
+        monkeypatch.setattr(ev, "_READ_RECORDS", 5)
+        rng = np.random.default_rng(sum(tots))
+        n_x, n_y = 3, 2
+        # three slices of 5 records, each holding its largest ToT once
+        tot = np.concatenate([rng.integers(0, t + 1, 5) for t in tots])
+        tot[[2, 6, 14]] = tots
+        el = make_events(
+            n_x, n_y, rng.integers(0, n_x, 15), rng.integers(0, n_y, 15), tot
+        )
+        for hists in self._sources(tmp_path, el)[:2]:
+            assert hists.shape == (n_x * n_y, max(tots) + 1)
+            assert hists.dtype == np.uint8
+            assert np.array_equal(hists, self._oracle(el))
+
+
 class TestChunkedReader:
     """The file source of :func:`ev.open_events` against the in-memory
     chain, with slices of a few records so every file spans several reads."""
@@ -444,25 +526,34 @@ class TestChunkedReader:
             assert err.value.offset == ev.HEADER.size + 6 * 16
             assert "stream ends after 6 of 10 records" in str(err.value)
 
-    def test_file_changed_between_passes(self, tmp_path, monkeypatch):
-        path = self._file(tmp_path, self._ten_records())
+    def test_file_changed_before_the_wide_recount(self, tmp_path, monkeypatch):
+        # 65,536 hits in one bin wrap the 16-bit count, so the file is read
+        # again in uint32; a writer changes it between the two reads
+        monkeypatch.setattr(ev, "_READ_RECORDS", 4096)
+        n = 1 << 16
+        path = self._file(
+            tmp_path, write_events(make_events(8, 8, [1] * n, [2] * n, [5] * n))
+        )
         real, calls = ev.EventFile.slices, []
 
         def slices(source):
             calls.append(source)
-            if len(calls) == 2:  # a writer raises record 9's ToT after pass 1
+            if len(calls) == 2:  # record 9 moves to pixel (3, 4), ToT 500
                 with open(path, "r+b") as fh:
-                    fh.seek(ev.HEADER.size + 9 * 16 + 4)
-                    fh.write((500).to_bytes(2, "little"))
+                    fh.seek(ev.HEADER.size + 9 * 16)
+                    fh.write(np.array([3, 4, 500], "<u2").tobytes())
             return real(source)
 
         monkeypatch.setattr(ev.EventFile, "slices", slices)
-        with pytest.raises(ev.EventFormatError) as err:
-            self._histograms(path)
-        offset = ev.HEADER.size + 8 * 16  # the third slice, records 8-9
-        assert str(err.value) == (
-            f"{path}: file changed between reads (byte offset {offset})"
-        )
+        hists = self._histograms(path)
+        assert len(calls) == 2
+        # the histogram of the bytes the recount read, each hit in its row
+        back = read_events(path)
+        want = np.zeros((64, 501), np.int64)
+        np.add.at(want, (back.y * 8 + back.x, back.tot), 1)
+        assert hists.dtype == np.uint32
+        assert np.array_equal(hists, want)
+        assert (hists[2 * 8 + 1, 5], hists[4 * 8 + 3, 500]) == (n - 1, 1)
 
     def test_pipe_refused(self, tmp_path):
         # a pipe has no length to check the record count against
