@@ -1,12 +1,16 @@
 """Command-line pipelines: simulate, window, psf, atf, clean, calibrate.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 file I/O or input
-format error, 4 analysis error (no peak, empty region, ...).
+format error, 4 analysis error (no peak, empty region, ...).  Every
+command prints only after its outputs are written, so standard output
+closed by its reader is not an error: the command exits as it would have.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -373,9 +377,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutClosed(Exception):
+    """The reader of standard output has closed it."""
+
+
+class _Stdout:
+    """Standard output whose broken pipe is told apart from an output
+    file's: both raise BrokenPipeError, which this raises as
+    :class:`_StdoutClosed`."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text):
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            raise _StdoutClosed from None
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            raise _StdoutClosed from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
+    try:
+        with contextlib.redirect_stdout(_Stdout(sys.stdout)):
+            code = _run(args)
+            sys.stdout.flush()
+    except _StdoutClosed:
+        # the outputs are written; the interpreter's last flush of the
+        # unsent text goes to /dev/null, so the exit code stays the command's
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return code
+
+
+def _run(args) -> int:
+    """The exit code of the command ``args`` names, with each error
+    printed to standard error."""
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -18,12 +18,13 @@ file's records pass through one reused 512 KiB buffer, never all at once.
 :func:`tot_histograms` reads its source once, widening its block as
 larger ToTs arrive, and counts in 16-bit bins; only a source with a bin
 of 65,536 hits is read a second time, in counts wide enough for its
-record count.  The flat indices of both kernels take the narrowest
-unsigned type that addresses their block, so every temporary scales with
-the slice.  The peak finder takes that 2-D integer block as it is: it
-walks each pixel's half-maximum run out from its argmax, sums the run's
-counts in int64 and reads only the bins of that run, so it makes no copy
-of the block.
+record count.  The flat indices of both kernels are built as intp, the
+type ``np.add.at`` takes without a cast, one slice at a time, so every
+temporary scales with the slice.  The peak finder takes that 2-D integer
+block as it is: it walks each pixel's half-maximum run out from its
+argmax, sums the run's counts in int64 and reads only the bins of that
+run, so it makes no copy of the block.  The calibration CSV is written by
+:func:`mpoxrf.fileio.write_rows`, the writer of every float text.
 
 TPXE format, little-endian:
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import FileFormatError, open_binary
+from .fileio import FileFormatError, open_binary, write_rows
 from .sim import DetectorSpec, SimStats, SpectralImage, _cube_index
 
 MAGIC = b"TPXE"
@@ -266,11 +267,12 @@ def open_events(path):
         raise EventFormatError(f"{path}: {exc.message}", exc.offset) from None
 
 
-def _pixel_index(x, y, n_x: int, size: int) -> np.ndarray:
-    """Flat pixel index ``y * n_x + x`` of hits, built in place in the
-    narrowest unsigned type that holds ``size``, the size of the block the
-    caller indexes with it; no step of that indexing can then wrap."""
-    flat = y.astype(np.min_scalar_type(size))
+def _pixel_index(x, y, n_x: int) -> np.ndarray:
+    """Flat pixel index ``y * n_x + x`` of hits, built in place as intp,
+    which ``np.add.at`` and a gather take without a cast.  A block that
+    numpy can allocate has fewer than 2**63 entries, so no step of the
+    caller's indexing into it can wrap."""
+    flat = y.astype(np.intp)
     flat *= n_x
     flat += x
     return flat
@@ -327,7 +329,7 @@ def _count_tots(events: EventList | EventFile, dtype: np.dtype) -> np.ndarray:
             n_tot = top + 1
             widths = sorted({min(n_tot + n_tot // 4, _TOT_RANGE), n_tot}, reverse=True)
             hists = _widened(hists, widths, top, at)
-        flat = _pixel_index(part.x, part.y, events.n_x, hists.size)
+        flat = _pixel_index(part.x, part.y, events.n_x)
         flat *= hists.shape[1]
         flat += part.tot
         np.add.at(hists.reshape(-1), flat, one)
@@ -504,8 +506,10 @@ def apply_calibration(
     is binned slice by slice, so the temporaries stay bounded.  A run file
     fills a good share of its cube's bins (23.5% on the bench), so the hits
     are added into a dense cube, which becomes the cube's non-zero bins
-    once, at the end; a dense cube that cannot be allocated is a
-    ValueError naming its shape and size.
+    once, at the end.  The dense cube counts in
+    ``np.min_scalar_type(len(events))``: no bin can hold more counts than
+    the run has records, so none wraps.  A dense cube that cannot be
+    allocated is a ValueError naming its shape and size.
     """
     if (cal.n_x, cal.n_y) != (events.n_x, events.n_y):
         raise ValueError("calibration map does not match the event matrix")
@@ -513,12 +517,13 @@ def apply_calibration(
         raise ValueError("detector does not match the event matrix")
     stats = SimStats()
     n_y, n_x, n_bins = shape = (detector.n_y, detector.n_x, detector.n_bins)
+    kind = np.min_scalar_type(len(events))
     try:
-        counts = np.zeros(shape, np.uint64)
+        counts = np.zeros(shape, kind)
     except MemoryError:  # DetectorSpec keeps the size within numpy's reach
         raise ValueError(
             f"cannot allocate the {n_y}x{n_x}x{n_bins} cube "
-            f"({8 * n_y * n_x * n_bins / 2**30:.2f} GiB)"
+            f"({kind.itemsize * n_y * n_x * n_bins / 2**30:.2f} GiB)"
         ) from None
     flat = counts.reshape(-1)
     for part in events.slices():
@@ -532,14 +537,15 @@ def _bin_calibrated(x, y, tot, cal, detector, counts) -> SimStats:
     """Add the calibrated hits of one slice of events into the flat cube
     ``counts``; returns the slice's tallies."""
     stats = SimStats(n_photons=x.size)
-    pix = _pixel_index(x, y, cal.n_x, counts.size)
+    pix = _pixel_index(x, y, cal.n_x)
     alive = ~cal.dead.reshape(-1)[pix]
     pix = pix[alive]
     stats.dead_pixel_drops = x.size - pix.size
 
     energy = cal.gain.reshape(-1)[pix] * tot[alive] + cal.offset.reshape(-1)[pix]
     _, flat = _cube_index(pix, energy, detector, stats)
-    np.add.at(counts, flat, np.uint64(1))
+    # a Python 1 would make np.add.at cast each add and leave its fast loop
+    np.add.at(counts, flat, counts.dtype.type(1))
     return stats
 
 
@@ -548,23 +554,18 @@ _CAL_COLUMNS = ("x", "y", "gain", "offset", "residual", "dead")
 
 def write_calibration_csv(path, cal: CalibrationMap) -> None:
     """CSV columns: x,y,gain,offset,residual,dead; one row per pixel, dead
-    pixels included (with NaN fit values).  Values are written as ``repr``
-    of Python floats, so they read back exactly."""
-    n_y, n_x = cal.gain.shape
-    y, x = np.divmod(np.arange(n_y * n_x), n_x)
-    gain, offset, residual = (
-        np.asarray(a, dtype=float).ravel().tolist()
-        for a in (cal.gain, cal.offset, cal.residual)
-    )
-    rows = "".join(
-        f"{xx},{yy},nan,nan,nan,1\n" if dead else f"{xx},{yy},{g!r},{o!r},{r!r},0\n"
-        for xx, yy, g, o, r, dead in zip(
-            x.tolist(), y.tolist(), gain, offset, residual, cal.dead.ravel().tolist()
-        )
-    )
-    with open(path, "w") as fh:
-        fh.write(",".join(_CAL_COLUMNS) + "\n")
-        fh.write(rows)
+    pixels included (with NaN fit values).  The rows are written by
+    :func:`mpoxrf.fileio.write_rows`: x, y and dead as integers, the fit
+    values as the ``repr`` of each Python float, so they read back
+    exactly."""
+    y, x = np.indices(cal.gain.shape).reshape(2, -1, 1)
+    dead = cal.dead.reshape(-1, 1)
+    fits = np.column_stack([np.ravel(a) for a in (cal.gain, cal.offset, cal.residual)])
+    fits = fits.astype(float, copy=False)
+    fits[dead[:, 0]] = np.nan
+    with open(path, "wb") as fh:
+        fh.write(",".join(_CAL_COLUMNS).encode() + b"\n")
+        write_rows(fh, x, y, fits, dead)
 
 
 def read_calibration_csv(path) -> CalibrationMap:

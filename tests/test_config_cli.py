@@ -1,4 +1,5 @@
 import configparser
+import contextlib
 import hashlib
 import io
 import math
@@ -11,6 +12,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1294,13 +1296,14 @@ class TestCliCalibration:
         assert not (tmp_path / "run.sic").exists()
 
     def test_apply_cal_unallocatable_cube_exits_2(self, tmp_path):
-        # the largest header side: a 2x2x(2^32-1) dense cube, 128 GiB, does
-        # not fit a 3 GiB address space, and is refused before any record
+        # the largest header side: a 2x2x(2^32-1) dense cube, 16 GiB in the
+        # uint8 counts of a two-record run, does not fit a 3 GiB address
+        # space, and is refused before any record
         argv = self._bad_second_record(tmp_path)
         run = run_in_3_gib(argv + ["--n-bins", str(2**32 - 1)])
         assert run.returncode == cli.EXIT_CONFIG, run.stderr
         assert run.stderr == (
-            "error: cannot allocate the 2x2x4294967295 cube (128.00 GiB)\n"
+            "error: cannot allocate the 2x2x4294967295 cube (16.00 GiB)\n"
         )
         assert not (tmp_path / "run.sic").exists()
 
@@ -1833,7 +1836,7 @@ class TestSicFormat:
 
 
 def repr_rows(rows) -> bytes:
-    """The text of ``_write_rows`` as one ``repr`` per value: its oracle."""
+    """The text of ``write_rows`` as one ``repr`` per value: its oracle."""
     return "".join(
         ",".join(map(repr, row)) + "\n" for row in np.asarray(rows, float).tolist()
     ).encode()
@@ -1912,8 +1915,90 @@ class TestIntText:
                        0, 1 << 63], np.uint64).view(float).reshape(1, -1))
     def test_write_rows_equals_repr(self, rows):
         fh = io.BytesIO()
-        fileio._write_rows(fh, rows)
+        fileio.write_rows(fh, rows)
         assert fh.getvalue() == repr_rows(rows)
+
+
+def assert_text_equals_repr(values, n_cols=1):
+    """``write_rows`` of ``values`` in rows of ``n_cols``, one call, against
+    one ``repr`` per value."""
+    rows = np.asarray(values, float).reshape(-1, n_cols)
+    fh = io.BytesIO()
+    fileio.write_rows(fh, rows)
+    assert fh.getvalue() == repr_rows(rows)
+
+
+def with_neighbours(values):
+    """``values``, negated too, each with the floats just below and above:
+    six times as many."""
+    values = np.asarray(values, float)
+    both = np.concatenate((values, -values))
+    with np.errstate(over="ignore"):  # past the largest float is inf
+        return np.concatenate((both, np.nextafter(both, -np.inf),
+                               np.nextafter(both, np.inf)))
+
+
+class TestFloatText:
+    """The float text kernel (``fileio._float_fields``) gives ``repr``'s
+    bytes: exhaustively where the shortest-digit search changes cases, and
+    on a million random bit patterns."""
+
+    def test_random_patterns(self):
+        patterns = np.random.default_rng(36).integers(
+            0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        assert_text_equals_repr(patterns.view(float), n_cols=1000)
+
+    def test_powers_of_two(self):
+        # a power of two above the smallest normal has a lower gap half its
+        # upper one: the asymmetric interval, and its neighbours' symmetric one
+        assert_text_equals_repr(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+                                n_cols=6)
+
+    def test_edges(self):
+        tiny = np.array([1, 2, 3, 9, 10, 99, 2**52 - 1, 2**52], np.uint64).view(float)
+        assert_text_equals_repr(with_neighbours([
+            *tiny, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, np.finfo(float).max,
+            1e16, 1e-4, 1e-5, 9999999999999998.0, 0.1, 1.0, 123456.75,
+        ]), n_cols=6)
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFF4000000000000],
+                        np.uint64).view(float)
+        assert_text_equals_repr([0.0, -0.0, math.inf, -math.inf, *nans], n_cols=5)
+
+    def test_midpoint_decimals(self):
+        # a short decimal exactly halfway between two floats reads back as
+        # the one with the even significand: it is that float's shortest
+        # text, and not its odd neighbour's (1e23 is one)
+        pairs = []
+        for exp in range(16, 309):
+            for lead in range(1, 1000):
+                exact = lead * 10**exp
+                if exact > sys.float_info.max:
+                    break
+                near = float(exact)
+                if int(near) == exact:
+                    continue
+                other = math.nextafter(near, math.inf if exact > near else 0.0)
+                if int(near) + int(other) == 2 * exact:
+                    pairs += [near, other]
+        assert 1e23 in pairs and len(pairs) > 900
+        assert_text_equals_repr(with_neighbours(pairs), n_cols=6)
+
+    def test_decimal_table(self):
+        # the integer logarithms of each row, checked in exact fractions
+        k_of, table = fileio._decimal_table()
+        two, ten = Fraction(2), Fraction(10)
+        for at in range(4096):
+            exponent, half = at % 2048 or 1, at >= 2048 and at % 2048 > 1
+            q, k = exponent - 1075, int(k_of[at])
+            gap = two**q * (Fraction(3, 4) if half else 1)
+            assert ten**k <= gap < ten ** (k + 1)
+            b = int(table[at, -1]) - 4 - q  # stored as h + 2 = q + b + 4
+            assert two**b <= ten**-k < two ** (b + 1)
+            g = (int(table[at, 0]) << 95 | int(table[at, 1]) << 63
+                 | int(table[at, 2]) << 32 | int(table[at, 3]))
+            assert g == math.floor(ten**-k * two ** (125 - b)) + 1
+            assert 2**125 < g < 2**126
 
 
 class TestImageCsv:
@@ -2022,6 +2107,70 @@ ORDER_VALUES = (
     | st.integers(-3, 3).map(float)
     | st.floats(-1e300, 1e300)
 )
+
+
+class TestClosedOutput:
+    """Every command prints only after its outputs are written, so a reader
+    that closes standard output early leaves exit 0 and a silent standard
+    error, buffered or not; an output file whose reader closes it is still
+    an i/o error."""
+
+    @staticmethod
+    def window_argv(tmp_path):
+        # one count in a 256x256 cube: the window image CSV is 262 KB, more
+        # than a pipe holds
+        counts = np.zeros((256, 256, 4), np.uint64)
+        counts[3, 5, 1] = 1
+        cube = tmp_path / "one.sic"
+        sic.write_sic(cube, sim.SpectralImage.from_counts(counts, DetectorSpec(n_bins=4)))
+        return [sys.executable, "-m", "mpoxrf.cli", "window", "--cube", str(cube),
+                "--lo", "0", "--hi", "1", "--out-prefix", str(tmp_path / "img")]
+
+    @staticmethod
+    def env(**extra):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", **extra)
+        if "PYTHONUNBUFFERED" not in extra:
+            env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+    def test_closed_stdout_exits_0(self, tmp_path, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # nothing will read the command's stdout
+        try:
+            run = subprocess.run(self.window_argv(tmp_path), stdout=write,
+                                 stderr=subprocess.PIPE, env=self.env(**unbuffered),
+                                 timeout=120)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (cli.EXIT_OK, b"")
+        image = fileio.read_image_csv(tmp_path / "img.csv")
+        assert image.values.sum() == 1 and image.values[3, 5] == 1
+        assert (tmp_path / "img.pgm").stat().st_size > 0
+
+    def test_closed_output_file_exits_3(self, tmp_path):
+        fifo = tmp_path / "img.csv"
+        os.mkfifo(fifo)
+
+        def open_and_close():
+            with open(fifo, "rb"):
+                pass  # closed before the 262 KB image has been read
+
+        reader = threading.Thread(target=open_and_close, daemon=True)
+        reader.start()
+        try:
+            run = subprocess.run(self.window_argv(tmp_path), capture_output=True,
+                                 env=self.env(), timeout=120)
+        finally:
+            if reader.is_alive():  # the command never opened the FIFO
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert run.returncode == cli.EXIT_IO, run.stderr
+        assert run.stderr == b"i/o error: [Errno 32] Broken pipe\n"
+        assert not (tmp_path / "img.pgm").exists()
 
 
 class TestWithoutNumpyMa:

@@ -1089,6 +1089,32 @@ class TestCalibrationCsv:
         assert np.allclose(back.offset[alive], cal.offset[alive])
         assert np.allclose(back.residual[alive], cal.residual[alive])
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_text_is_repr(self, tmp_path, whole):
+        # x, y and dead as integers and each fit value as its repr, the
+        # fit values of a dead pixel as nan whatever the map holds; a map
+        # of whole numbers takes the integer digits plus ".0"
+        rng = np.random.default_rng(8)
+        shape = (7, 700)
+        if whole:
+            maps = [np.ones(shape), np.zeros(shape), np.full(shape, 2.0**52)]
+        else:
+            maps = [rng.normal(0.05, 0.01, shape), rng.normal(0.0, 0.2, shape),
+                    rng.exponential(1e-3, shape)]
+            maps[0][0, :4] = [1.0, 0.0, -0.0, 2.0**53]
+            maps[2][1, :3] = [1e-20, 1e16, 5e-324]
+        dead = rng.random(shape) < 0.1
+        dead[:, 0] = whole  # a pixel with its fit values, yet flagged
+        cal = ev.CalibrationMap(*maps, dead=dead)
+        path = tmp_path / "cal.csv"
+        ev.write_calibration_csv(path, cal)
+        rows = zip(*(a.ravel().tolist() for a in (*np.indices(shape)[::-1], *maps, dead)))
+        want = "x,y,gain,offset,residual,dead\n" + "".join(
+            f"{x},{y},nan,nan,nan,1\n" if d else f"{x},{y},{g!r},{o!r},{r!r},0\n"
+            for x, y, g, o, r, d in rows
+        )
+        assert path.read_bytes() == want.encode()
+
     def test_one_row_per_pixel(self, tmp_path):
         # dead pixels keep their row, so a map whose edge pixels are all
         # dead still reads back at full size
